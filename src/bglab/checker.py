@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 import numpy as np
 
 from .core import FiniteAlgebra
 from .errors import MapNotTotal, MissingTable
-from .terms import Term, Variable, evaluate_batch
+from .terms import PowerOf, Term, Variable, _pow_fold, evaluate_batch, flat_kernel
 
 HOLDS = "holds"
 COUNTEREXAMPLE = "counterexample"
@@ -53,9 +54,20 @@ def splitmix64(counters: np.ndarray, seed: int) -> np.ndarray:
     """Counter-based splitmix64 output stream for the given seed."""
     z = (np.uint64(seed) + (counters.astype(np.uint64) + np.uint64(1))
          * _SPLITMIX_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    return _mix64(z, np.empty_like(z))
+
+
+def _mix64(z, t):
+    """splitmix64's output function, in place on z; t is scratch space."""
+    np.right_shift(z, np.uint64(30), out=t)
+    np.bitwise_xor(z, t, out=z)
+    np.multiply(z, np.uint64(0xBF58476D1CE4E5B9), out=z)
+    np.right_shift(z, np.uint64(27), out=t)
+    np.bitwise_xor(z, t, out=z)
+    np.multiply(z, np.uint64(0x94D049BB133111EB), out=z)
+    np.right_shift(z, np.uint64(31), out=t)
+    np.bitwise_xor(z, t, out=z)
+    return z
 
 
 def _variables_of(*terms: Term) -> list[Variable]:
@@ -133,10 +145,10 @@ def check_identity_exhaustive(alg: FiniteAlgebra, lhs: Term, rhs: Term,
     if space > budget:
         return CheckVerdict(BUDGET_EXCEEDED, attempted=space,
                             note=f"{space} substitutions exceed budget {budget}")
+    sides = _side_evaluator(alg, lhs, rhs)
     done = 0
     for assign, origin in _substitution_blocks(variables, doms):
-        left = evaluate_batch(lhs, assign, alg)
-        right = evaluate_batch(rhs, assign, alg)
+        left, right = sides(assign)
         neq = np.atleast_1d(left != right)
         done += neq.size
         if neq.any():
@@ -175,15 +187,56 @@ def check_membership_exhaustive(alg: FiniteAlgebra, term: Term, allowed,
     return CheckVerdict(HOLDS, evaluations=done)
 
 
+def _side_evaluator(alg, lhs: Term, rhs: Term):
+    """assign -> (lhs values, rhs values).  When one side is PowerOf(the other
+    side, k), the other side is evaluated once and its values raised to the
+    k-th power, so v = v^2 costs one evaluation of v, not two."""
+    pair = flat_kernel(alg).pair
+    if isinstance(rhs, PowerOf) and rhs.base == lhs:
+        def sides(assign):
+            left = evaluate_batch(lhs, assign, alg)
+            return left, _pow_fold(left, rhs.exponent, pair)
+    elif isinstance(lhs, PowerOf) and lhs.base == rhs:
+        def sides(assign):
+            right = evaluate_batch(rhs, assign, alg)
+            return _pow_fold(right, lhs.exponent, pair), right
+    else:
+        def sides(assign):
+            return evaluate_batch(lhs, assign, alg), evaluate_batch(rhs, assign, alg)
+    return sides
+
+
 def sample_assignments(variables, doms, seed: int, start: int, count: int):
-    """Deterministic sample block: variable j of sample s uses counter s*V + j."""
+    """Deterministic sample block: variable j of sample s uses counter s*V + j.
+
+    Equal to splitmix64 on those counters: z = seed + (s*V + j + 1) * gamma
+    steps by gamma from one variable to the next, and the mixing runs in
+    place in buffers reused for every variable (a single count x V draw is
+    slower, being bound by memory bandwidth).  Values are int32, the dtype
+    of the tables, which halves the memory of a block."""
     V = len(variables)
+    z0 = np.arange(start, start + count, dtype=np.uint64)
+    z0 *= np.uint64(V)
+    z0 += np.uint64(1)
+    z0 *= _SPLITMIX_GAMMA
+    z0 += np.uint64(seed)
+    z = np.empty_like(z0)
+    t = np.empty_like(z0)
     out = {}
-    base = (np.arange(start, start + count, dtype=np.uint64) * np.uint64(V))
-    for j, (v, d) in enumerate(zip(variables, doms)):
-        stream = splitmix64(base + np.uint64(j), seed)
-        picks = (stream % np.uint64(len(d))).astype(np.int64)
-        out[v] = np.asarray(d, dtype=np.int64)[picks]
+    for v, d in zip(variables, doms):
+        np.copyto(z, z0)
+        _mix64(z, t)
+        # z % k as z - (z // k) * k: floor_divide by a scalar is much faster
+        k = np.uint64(len(d))
+        np.floor_divide(z, k, out=t)
+        np.multiply(t, k, out=t)
+        np.subtract(z, t, out=t)
+        dom = np.asarray(d, dtype=np.int32)
+        if np.array_equal(dom, np.arange(len(dom))):
+            out[v] = t.astype(np.int32)  # the whole carrier: no gather needed
+        else:
+            out[v] = dom[t]
+        z0 += _SPLITMIX_GAMMA
     return out
 
 
@@ -193,12 +246,13 @@ def check_identity_sampled(alg: FiniteAlgebra, lhs: Term, rhs: Term,
     never "holds"."""
     variables = _variables_of(lhs, rhs)
     doms = _domain_lists(variables, alg, domains)
+    sides = _side_evaluator(alg, lhs, rhs)
     done = 0
     for start in range(0, samples, _CHUNK):
         count = min(_CHUNK, samples - start)
+        assign = None  # release the previous chunk before drawing the next
         assign = sample_assignments(variables, doms, seed, start, count)
-        left = evaluate_batch(lhs, assign, alg)
-        right = evaluate_batch(rhs, assign, alg)
+        left, right = sides(assign)
         neq = np.atleast_1d(left != right)
         done += neq.size
         if neq.any():
@@ -302,105 +356,129 @@ def verify_morphism(spec: MorphismSpec) -> MorphismReport:
 class ImageCheck:
     """Exact verdict for "depth-h block word = its square" computed from the
     per-level image sets of block values (valid because sibling blocks use
-    disjoint alphabets, so block values vary independently)."""
+    disjoint alphabets, so block values vary independently).
+
+    level_sizes[l] is the size of the level-l image set.  evaluations is the
+    number of block-value tuples the check decides, the sum over levels of
+    k_l^(2n) with k_l the number of block values at level l; it is computed,
+    not counted, because the pair-state sweep never visits the tuples."""
 
     status: str
     level_sizes: list[int] = field(default_factory=list)
     evaluations: int = 0
     bad_value: int | None = None
     witness: dict[Variable, int] | None = None
+    note: str = ""
 
     @property
     def ok(self) -> bool:
         return self.status == HOLDS
 
 
-def _fold_tuple_values(alg, arrays, n, m):
-    """Value of b1..b2n (bn..b1 b(n+1)..b2n)^(2m-1) for vectors of block values."""
-    mul = alg.mul
-
-    def pair(a, b):
-        return mul[a, b]
-
-    prefix = arrays[0]
-    for a in arrays[1:]:
-        prefix = pair(prefix, a)
-    mid_order = list(arrays[n - 1 :: -1]) + list(arrays[n:])
-    middle = mid_order[0]
-    for a in mid_order[1:]:
-        middle = pair(middle, a)
-    e = 2 * m - 1
-    result = None
-    base = middle
-    while True:
-        if e & 1:
-            result = base if result is None else pair(result, base)
-        e >>= 1
-        if not e:
-            break
-        base = pair(base, base)
-    return pair(prefix, result)
+def _step(pair, size, states, b, i, n):
+    """Pair states coded P*size + M after block i (1-based) takes value b:
+    P is the product of the blocks so far and M their product in middle
+    order bn..b1 b(n+1)..b2n, so block i multiplies M on the left for i <= n
+    and on the right after.  Broadcasts over states and b."""
+    P, M = np.divmod(states, size)
+    M = pair(b, M) if i <= n else pair(M, b)
+    return pair(P, b) * size + M
 
 
-def _grid_images(alg, values, n, m, keep_preimages):
-    """Image set of the outer shape over all 2n-tuples from `values`."""
-    vals = np.asarray(sorted(values), dtype=np.int64)
-    k = len(vals)
-    width = 2 * n
-    if k**width > DEFAULT_BUDGET:
-        raise ValueError(f"{k}^{width} block-value tuples exceed the budget")
-    found: dict[int, tuple] = {}
-    # chunk on the first coordinate; inner grid is k^(2n-1)
-    mesh = np.meshgrid(*([vals] * (width - 1)), indexing="ij")
-    flats = [g.reshape(-1) for g in mesh]
-    inner = flats[0].size if flats else 1
-    evals = 0
-    for first in vals:
-        arrays = [np.full(inner, first, dtype=np.int64)] + flats
-        out = _fold_tuple_values(alg, arrays, n, m)
-        evals += inner
-        if keep_preimages:
-            uniq, idx = np.unique(out, return_index=True)
-            for u, at in zip(uniq, idx):
-                if int(u) not in found:
-                    pre = tuple(int(a[at]) for a in arrays)
-                    found[int(u)] = pre
-        else:
-            for u in np.unique(out):
-                found.setdefault(int(u), ())
-    return found, evals
+def _forward_states(pair, size, vals, n):
+    """The reachable pair states after each of the 2n blocks, block values
+    drawn from vals; at most size^2 states per block."""
+    layers = [vals * size + vals]
+    for i in range(2, 2 * n + 1):
+        layers.append(np.unique(_step(pair, size, layers[-1][:, None], vals[None, :], i, n)))
+    return layers
+
+
+def _tuple_values(pair, size, power, states):
+    """Value b1..b2n (bn..b1 b(n+1)..b2n)^(2m-1) = P * M^(2m-1) of final
+    states; power[M] is M^(2m-1)."""
+    P, M = np.divmod(states, size)
+    return pair(P, power[M])
+
+
+def _least_preimage(pair, size, power, vals, layers, n, value) -> tuple[int, ...]:
+    """The lexicographically least (b1..b2n) over sorted vals with the given
+    tuple value: mark the states that can still reach it, last block first,
+    then take the least value that stays on a marked state, block by block."""
+    live = [layers[-1][_tuple_values(pair, size, power, layers[-1]) == value]]
+    for i in range(2 * n, 1, -1):
+        after = _step(pair, size, layers[i - 2][:, None], vals[None, :], i, n)
+        live.append(layers[i - 2][np.isin(after, live[-1]).any(axis=1)])
+    live.reverse()
+    picks = []
+    state = None
+    for i in range(1, 2 * n + 1):
+        after = vals * size + vals if i == 1 else _step(pair, size, state, vals, i, n)
+        at = int(np.argmax(np.isin(after, live[i - 1])))
+        picks.append(int(vals[at]))
+        state = after[at]
+    return tuple(picks)
 
 
 def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
                          keep_preimages: bool = True) -> ImageCheck:
-    """Exact check of v = v^2 at depth h via level-by-level image sets."""
+    """Exact check of v = v^2 at depth h via level-by-level image sets.
+
+    Level l's image is the set of tuple values over block values from level
+    l-1's image (the carrier at level 0), found by a sweep over reachable
+    pair states.  Images only shrink with depth, and once a level's image
+    equals its block values every deeper level repeats it, so at most
+    min(h, size) levels are swept.  The witness, if any, binds each block to
+    the lexicographically least preimage of its value.  The table must be
+    associative, since the sweep multiplies M from both ends."""
     if n < 1 or m < 1 or h < 1:
         raise ValueError("need n, m, h >= 1")
-    carrier = list(range(alg.size))
-    level_pre: list[dict[int, tuple]] = []
-    images, evals = _grid_images(alg, carrier, n, m, keep_preimages)
-    level_pre.append(images)
-    sizes = [len(images)]
-    total = evals
-    for _ in range(h - 1):
-        images, evals = _grid_images(alg, sorted(images.keys()), n, m, keep_preimages)
-        level_pre.append(images)
-        sizes.append(len(images))
-        total += evals
-    mul = alg.mul
-    bad = next((w for w in sorted(level_pre[-1].keys()) if int(mul[w, w]) != w), None)
-    if bad is None:
-        return ImageCheck(HOLDS, sizes, total)
-    witness = _expand_witness(level_pre, bad, n, h) if keep_preimages else None
-    return ImageCheck(COUNTEREXAMPLE, sizes, total, bad_value=bad, witness=witness)
+    size = alg.size
+    budget = default_budget()
+    # states x block values per block, over the 2n blocks of every sweep
+    work = min(h, size) * size * sum(size ** min(i, 2) for i in range(2 * n))
+    if work > budget:
+        return ImageCheck(BUDGET_EXCEEDED,
+                          note=f"{work} pair-state steps exceed budget {budget}")
+    size = np.intp(size)  # state codes P*size + M are computed in np.intp
+    pair = flat_kernel(alg).pair
+    carrier = np.arange(size, dtype=np.intp)
+    power = _pow_fold(carrier, 2 * m - 1, pair)
+    inputs = [carrier]  # block values of level l; inputs[l + 1] is its image
+    while len(inputs) <= h:
+        final = _forward_states(pair, size, inputs[-1], n)[-1]
+        image = np.unique(_tuple_values(pair, size, power, final))
+        if np.array_equal(image, inputs[-1]):
+            break
+        inputs.append(image)
+    last = len(inputs) - 1
+    level_sizes = [len(inputs[min(level + 1, last)]) for level in range(h)]
+    total = sum(len(inputs[min(level, last)]) ** (2 * n) for level in range(h))
+    top = inputs[min(h, last)]
+    bad = top[pair(top, top) != top]
+    if not bad.size:
+        return ImageCheck(HOLDS, level_sizes, total)
+    bad_value = int(bad[0])
+    witness = None
+    if keep_preimages:
+        @cache
+        def preimage(level, value):
+            at = min(level, last)
+            layers = _forward_states(pair, size, inputs[at], n)
+            return _least_preimage(pair, size, power, inputs[at], layers, n, value)
+
+        witness = _expand_witness(preimage, bad_value, n, h)
+    return ImageCheck(COUNTEREXAMPLE, level_sizes, total, bad_value=bad_value,
+                      witness=witness)
 
 
-def _expand_witness(level_pre, bad_value, n, h) -> dict[Variable, int]:
-    """Unfold stored preimages into a substitution for the depth-h variables."""
+def _expand_witness(preimage, bad_value, n, h) -> dict[Variable, int]:
+    """Unfold block-value preimages into a substitution for the depth-h
+    variables; preimage(level, value) gives the 2n block values."""
     width = 2 * n
 
     def expand(level, value, suffix, out):
-        pre = level_pre[level][value]
+        pre = preimage(level, value)
         if level == 0:
             for i, elem in enumerate(pre, start=1):
                 out[Variable((i,) + suffix, width)] = elem

@@ -185,10 +185,13 @@ def _parse_side(text: str):
 
 
 def _parse_identity_arg(text: str):
+    """Both sides over one alphabet, the wider of the two, so that a
+    variable name means the same variable on both sides."""
     if "=" not in text:
         raise BglabError("identity must contain '='")
-    lhs, rhs = text.split("=", 1)
-    return _parse_side(lhs), _parse_side(rhs)
+    sides = [_parse_side(side) for side in text.split("=", 1)]
+    width = max(t.variables()[0].width for t in sides)
+    return tuple(terms.with_width(t, width) for t in sides)
 
 
 def _cmd_check(args) -> int:
@@ -200,9 +203,13 @@ def _cmd_check(args) -> int:
         with open(path) as fh:
             values = json.load(fh)
         elems = [alg.index(v) if isinstance(v, str) else int(v) for v in values]
-        for v in set(lhs.variables()) | set(rhs.variables()):
-            if v.name == name:
-                domains[v] = elems
+        matches = [v for v in set(lhs.variables()) | set(rhs.variables())
+                   if v.name == name]
+        if not matches:
+            raise BglabError(f"--domain names {name!r}, which is not a variable "
+                             "of the identity")
+        for v in matches:
+            domains[v] = elems
     if args.mode == "exhaustive":
         verdict = checker.check_identity_exhaustive(
             alg, lhs, rhs, domains=domains or None, budget=args.budget)
@@ -216,7 +223,7 @@ def _cmd_check(args) -> int:
             raise BglabError("block mode expects v[n,m,h] = v[n,m,h]^2")
         img = checker.check_v_square_image(alg, lhs.n, lhs.m, lhs.depth)
         verdict = checker.CheckVerdict(img.status, witness=img.witness,
-                                       evaluations=img.evaluations)
+                                       evaluations=img.evaluations, note=img.note)
     else:
         raise BglabError(f"unknown mode {args.mode!r}")
     payload = {"status": verdict.status, "evaluations": verdict.evaluations}

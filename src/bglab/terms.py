@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -301,46 +301,64 @@ def _pow_fold(x, e, mul_pair):
         base = mul_pair(base, base)
 
 
+class Kernel(NamedTuple):
+    """The table lookups an evaluator folds with: pair(a, b) is mul[a, b] and
+    star(a) is star[a], or None when the algebra has no star."""
+
+    pair: Callable
+    star: Callable | None
+
+
+def flat_kernel(alg) -> Kernel:
+    """Vectorised lookups over index arrays (or scalars): one flat take over
+    mul.reshape(-1) at a*size + b.  size is an np.intp scalar, so the index
+    is computed in np.intp and cannot wrap around int32 on large carriers;
+    the products keep the table's int32, which halves the memory traffic."""
+    size = np.intp(alg.size)
+    flat = alg.mul.reshape(-1)
+
+    def pair(a, b):
+        return flat.take(a * size + b)
+
+    return Kernel(pair, None if alg.star is None else alg.star.take)
+
+
 def evaluate(term: Term, sub: Substitution, alg) -> int:
     """Left-to-right fold by mul; exponent -1 applies star; block words are
     evaluated compositionally with repeated squaring on the middle group."""
-    mul = alg.mul
+    mul, star = alg.mul, alg.star
 
     def pair(a, b):
         return int(mul[a, b])
 
-    return _evaluate(term, sub, alg, pair)
+    return _evaluate(term, sub, Kernel(pair, None if star is None else lambda a: int(star[a])))
 
 
-def _evaluate(term, sub, alg, pair):
+def _evaluate(term, sub, kernel: Kernel):
+    pair = kernel.pair
     if isinstance(term, Word):
         return reduce(pair, (sub[v] for v in term.letters))
     if isinstance(term, InvTerm):
-        star = alg.star
+        star = kernel.star
         if star is None and any(e < 0 for _, e in term.letters):
             raise MissingStar("term has inverse letters but the algebra has no star")
-        return reduce(pair, (sub[v] if e > 0 else int(star[sub[v]])
-                             for v, e in term.letters))
+        return reduce(pair, (sub[v] if e > 0 else star(sub[v]) for v, e in term.letters))
     if isinstance(term, BlockWord):
-        vals = [sub[b] if isinstance(b, Variable) else _evaluate(b, sub, alg, pair)
+        vals = [sub[b] if isinstance(b, Variable) else _evaluate(b, sub, kernel)
                 for b in term.blocks]
         n, m = term.n, term.m
         prefix = reduce(pair, vals)
         middle = reduce(pair, vals[n - 1 :: -1] + vals[n:])
         return pair(prefix, _pow_fold(middle, 2 * m - 1, pair))
     if isinstance(term, PowerOf):
-        return _pow_fold(_evaluate(term.base, sub, alg, pair), term.exponent, pair)
+        return _pow_fold(_evaluate(term.base, sub, kernel), term.exponent, pair)
     raise TypeError(f"cannot evaluate {type(term).__name__}")
 
 
 def evaluate_batch(term: Term, sub: Mapping[Variable, np.ndarray], alg) -> np.ndarray:
-    """Vectorized evaluate: every variable is bound to an index vector."""
-    mul = alg.mul
-
-    def pair(a, b):
-        return mul[a, b]
-
-    return _evaluate(term, sub, alg, pair)
+    """Vectorized evaluate: every variable is bound to an index vector (or a
+    scalar); lookups go through flat_kernel."""
+    return _evaluate(term, sub, flat_kernel(alg))
 
 
 def element_power(alg, x: int, e: int) -> int:
@@ -423,14 +441,17 @@ def _parse_sequence(tokens, i, length_budget):
     return letters, i
 
 
-def _finish(letters):
+def _max_index(letters) -> int:
+    return max((max(ix) for ix, _, _ in letters), default=0)
+
+
+def _finish(letters, width):
     if not letters:
         raise TermSyntaxError("empty term", 0)
     depths = {len(ix) for ix, _, _ in letters}
     if len(depths) > 1:
         bad = next(p for ix, _, p in letters if len(ix) != len(letters[0][0]))
         raise TermSyntaxError("variables must share one index depth", bad)
-    width = max(max(ix) for ix, _, _ in letters)
     if all(e > 0 for _, e, _ in letters):
         return Word(tuple(Variable(ix, width) for ix, _, _ in letters))
     return InvTerm(tuple((Variable(ix, width), e) for ix, e, _ in letters))
@@ -442,11 +463,12 @@ def parse_term(text: str, length_budget: int = DEFAULT_LENGTH_BUDGET):
     letters, i = _parse_sequence(tokens, 0, length_budget)
     if i != len(tokens):
         raise TermSyntaxError("unexpected trailing input", tokens[i][2])
-    return _finish(letters)
+    return _finish(letters, _max_index(letters))
 
 
 def parse_identity(text: str, length_budget: int = DEFAULT_LENGTH_BUDGET):
-    """Parse "LHS = RHS" into a pair of terms."""
+    """Parse "LHS = RHS" into a pair of terms over one alphabet, so that a
+    variable name means the same variable on both sides."""
     tokens = _tokenize(text)
     lhs, i = _parse_sequence(tokens, 0, length_budget)
     if i >= len(tokens) or tokens[i][0] != "=":
@@ -454,7 +476,24 @@ def parse_identity(text: str, length_budget: int = DEFAULT_LENGTH_BUDGET):
     rhs, j = _parse_sequence(tokens, i + 1, length_budget)
     if j != len(tokens):
         raise TermSyntaxError("unexpected trailing input", tokens[j][2])
-    return _finish(lhs), _finish(rhs)
+    width = max(_max_index(lhs), _max_index(rhs))
+    return _finish(lhs, width), _finish(rhs, width)
+
+
+def with_width(term, width: int):
+    """The same term with every variable over the alphabet X_width, so that
+    terms built apart can share their variables."""
+    if isinstance(term, Variable):
+        return Variable(term.indices, width)
+    if isinstance(term, Word):
+        return Word(tuple(with_width(v, width) for v in term.letters))
+    if isinstance(term, InvTerm):
+        return InvTerm(tuple((with_width(v, width), e) for v, e in term.letters))
+    if isinstance(term, BlockWord):
+        return BlockWord(term.n, term.m, tuple(with_width(b, width) for b in term.blocks))
+    if isinstance(term, PowerOf):
+        return PowerOf(with_width(term.base, width), term.exponent)
+    raise TypeError(f"cannot rewrite {type(term).__name__}")
 
 
 def format_term(term: Term, length_budget: int = DEFAULT_LENGTH_BUDGET) -> str:

@@ -2,9 +2,12 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bglab import checker as K
 from bglab import constructions as C
+from bglab import corpus
 from bglab import terms as T
 from bglab.core import FiniteAlgebra
 from bglab.errors import MapNotTotal
@@ -12,6 +15,14 @@ from bglab.errors import MapNotTotal
 
 def parse(text):
     return T.parse_identity(text)
+
+
+SMALL_SEMIGROUPS = corpus.all_semigroups_upto(3)
+
+
+def reevaluates(alg, lhs, rhs, witness):
+    return (set(witness) == set(lhs.variables()) | set(rhs.variables())
+            and T.evaluate(lhs, witness, alg) != T.evaluate(rhs, witness, alg))
 
 
 class TestExhaustive:
@@ -73,6 +84,51 @@ class TestExhaustive:
         xs = sorted(set(lhs.variables()) | set(rhs.variables()))
         assert (verdict.witness[xs[0]], verdict.witness[xs[1]]) == (0, 1)
 
+    def test_repeated_variable_is_one_variable(self, b21_mul):
+        lhs, rhs = parse("x1 x2 x1 = x1")
+        verdict = K.check_identity_exhaustive(b21_mul, lhs, rhs)
+        assert verdict.status == K.COUNTEREXAMPLE
+        assert sorted(v.name for v in verdict.witness) == ["x1", "x2"]
+        assert reevaluates(b21_mul, lhs, rhs, verdict.witness)
+
+    @pytest.mark.parametrize("text", ["x1 x1' x1 = x1", "x1' x1 = x1 x1'"])
+    def test_star_identities_agree_with_scalar_evaluate(self, ips3, text):
+        lhs, rhs = parse(text)
+        verdict = K.check_identity_exhaustive(ips3, lhs, rhs)
+        (x1,) = lhs.variables()
+        failing = [a for a in range(ips3.size)
+                   if T.evaluate(lhs, {x1: a}, ips3) != T.evaluate(rhs, {x1: a}, ips3)]
+        if failing:
+            assert verdict.status == K.COUNTEREXAMPLE
+            assert verdict.witness == {x1: failing[0]}
+            assert reevaluates(ips3, lhs, rhs, verdict.witness)
+        else:
+            assert verdict.status == K.HOLDS
+            assert verdict.evaluations == ips3.size
+
+
+class TestSharedSide:
+    """v = v^k evaluates v once and raises it to the power; spelling the
+    power over the flat word defeats that path, so both sides are evaluated,
+    and the two must give the same verdict, witness and count."""
+
+    @given(st.sampled_from(SMALL_SEMIGROUPS),
+           st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 2, 2), (1, 1, 2)]),
+           st.integers(2, 3), st.booleans(), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_same_verdict_as_evaluating_both_sides(self, table, nmh, k, swap, seed):
+        alg = corpus.as_algebra(table)
+        v = T.v_word(*nmh)
+        shared, both = (v, T.PowerOf(v, k)), (v, T.PowerOf(v.flatten(), k))
+        if swap:
+            shared, both = shared[::-1], both[::-1]
+        for engine in (lambda l, r: K.check_identity_exhaustive(alg, l, r),
+                       lambda l, r: K.check_identity_sampled(alg, l, r, 300, seed)):
+            a, b = engine(*shared), engine(*both)
+            assert (a.status, a.witness, a.evaluations) == (b.status, b.witness, b.evaluations)
+            if a.witness:
+                assert reevaluates(alg, *shared, a.witness)
+
 
 class TestMembership:
     def test_values_inside_allowed_set(self, b21_mul, b21):
@@ -103,6 +159,15 @@ class TestSampled:
         got = K.splitmix64(counters, seed=42)
         want = [splitmix_reference(42, c) for c in range(10)]
         assert got.tolist() == want
+
+    def test_sample_assignments_follow_the_reference_stream(self):
+        xs = T.v_word(1, 1, 2).variables()
+        doms = [[0, 1, 2, 3, 4], [4, 2], [0, 1, 2, 3, 4], [3]]
+        got = K.sample_assignments(xs, doms, seed=7, start=1000, count=50)
+        for j, (v, d) in enumerate(zip(xs, doms)):
+            want = [d[splitmix_reference(7, s * len(xs) + j) % len(d)]
+                    for s in range(1000, 1050)]
+            assert got[v].tolist() == want
 
     def test_sampling_is_deterministic_and_seed_sensitive(self, b21_mul):
         lhs, rhs = parse("x1 x2 = x2 x1")
@@ -255,6 +320,33 @@ class TestImageTechnique:
         left = T.evaluate(v, report.witness, z3)
         right = T.evaluate(T.PowerOf(v, 2), report.witness, z3)
         assert left == report.bad_value and left != right
+
+    def test_budget_env_override(self, b21_mul, monkeypatch):
+        monkeypatch.setenv("BGLAB_BUDGET", "100")
+        report = K.check_v_square_image(b21_mul, 2, 1, 2)
+        assert report.status == K.BUDGET_EXCEEDED and "budget 100" in report.note
+        monkeypatch.setenv("BGLAB_BUDGET", "10000")
+        assert K.check_v_square_image(b21_mul, 2, 1, 2).ok
+
+    def test_fixed_point_levels_repeat(self, ps3_mul):
+        report = K.check_v_square_image(ps3_mul, 2, 3072, 29, keep_preimages=False)
+        assert report.ok
+        assert report.level_sizes == [24, 13] + [7] * 27
+        assert report.evaluations == 64**4 + 24**4 + 13**4 + 26 * 7**4
+
+    @given(st.sampled_from(SMALL_SEMIGROUPS),
+           st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 1, 2), (1, 2, 2)]))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_exhaustive_on_small_semigroups(self, table, nmh):
+        alg = corpus.as_algebra(table)
+        v = T.v_word(*nmh)
+        square = T.PowerOf(v, 2)
+        exhaustive = K.check_identity_exhaustive(alg, v, square)
+        image = K.check_v_square_image(alg, *nmh)
+        assert image.status == exhaustive.status
+        if image.witness is not None:
+            assert reevaluates(alg, v, square, image.witness)
+            assert T.evaluate(v, image.witness, alg) == image.bad_value
 
     def test_depth_one_matches_direct_scan(self, kad21):
         alg, _ = kad21

@@ -207,6 +207,69 @@ class TestCheck:
                            "--domain", f"x1={dom}")
         assert code == 0
 
+    @pytest.mark.parametrize("identity,names", [
+        ("x1 x2 x1 = x1", ["x1", "x2"]),
+        ("u[1,1,1] = x1", ["x1", "x2"]),
+        ("v[1,1,1] = u[1,2,1]", ["x1", "x2", "x3"]),
+    ])
+    def test_witness_binds_one_variable_per_name(self, b21_path, capsys,
+                                                 identity, names):
+        from bglab.cli import _parse_identity_arg
+        from bglab.terms import evaluate
+        code, out, _ = run(capsys, "check", "--algebra", b21_path,
+                           "--identity", identity)
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        lhs, rhs = _parse_identity_arg(identity)
+        variables = set(lhs.variables()) | set(rhs.variables())
+        assert sorted(witness) == sorted(v.name for v in variables) == names
+        alg = load_algebra(b21_path)
+        sub = {v: alg.index(witness[v.name]) for v in variables}
+        assert evaluate(lhs, sub, alg) != evaluate(rhs, sub, alg)
+
+    def test_star_identity_on_involution_semigroup(self, tmp_path, capsys):
+        from bglab.terms import evaluate, parse_identity
+        path = str(tmp_path / "ips3.json")
+        run(capsys, "build", "involution-power", "--group", "S3", "-o", path)
+        code, out, _ = run(capsys, "check", "--algebra", path,
+                           "--identity", "x1 x1' x1 = x1")
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        alg = load_algebra(path)
+        lhs, rhs = parse_identity("x1 x1' x1 = x1")
+        sub = {v: alg.index(witness[v.name]) for v in lhs.variables()}
+        assert evaluate(lhs, sub, alg) != evaluate(rhs, sub, alg)
+
+    def test_unknown_domain_name_exits_2(self, b21_path, tmp_path, capsys):
+        dom = tmp_path / "units.json"
+        dom.write_text(json.dumps(["1", "0"]))
+        code, out, err = run(capsys, "check", "--algebra", b21_path,
+                             "--identity", "x1 x2 = x2 x1",
+                             "--domain", f"x3={dom}")
+        assert code == 2 and "x3" in err and out == ""
+
+    def test_block_mode_beyond_n_2(self, b21_path, tmp_path, capsys):
+        from bglab.terms import PowerOf, evaluate, v_word
+        code, out, _ = run(capsys, "check", "--algebra", b21_path,
+                           "--identity", "v[3,1,2] = v[3,1,2]^2",
+                           "--mode", "block")
+        payload = json.loads(out)
+        assert code == 0 and payload["status"] == "holds"
+        assert payload["evaluations"] == 6**6 + 4**6
+        # 64^6 block-value tuples per level: out of reach for a tuple scan
+        path = str(tmp_path / "ps3.json")
+        run(capsys, "build", "power-semiring", "--group", "S3", "-o", path)
+        code, out, _ = run(capsys, "check", "--algebra", path,
+                           "--identity", "v[3,1,2] = v[3,1,2]^2",
+                           "--mode", "block")
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        alg = load_algebra(path)
+        v = v_word(3, 1, 2)
+        sub = {x: alg.index(witness[x.name]) for x in v.variables()}
+        assert len(sub) == len(witness) == 36
+        assert evaluate(v, sub, alg) != evaluate(PowerOf(v, 2), sub, alg)
+
 
 class TestVerifySuite:
     def test_quick_profile_passes(self, tmp_path, capsys):

@@ -195,6 +195,33 @@ class TestEvaluate:
             assert batch[i] == T.evaluate(word, sub, b21_mul)
 
 
+@st.composite
+def star_terms(draw):
+    """A Word, an InvTerm with starred letters, or a PowerOf either."""
+    letters = draw(st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, -1])),
+                            min_size=1, max_size=8))
+    width = max(i for i, _ in letters)
+    if draw(st.booleans()):
+        base = T.Word(tuple(T.Variable((i,), width) for i, _ in letters))
+    else:
+        base = T.InvTerm(tuple((T.Variable((i,), width), e) for i, e in letters))
+    exponent = draw(st.integers(0, 9))
+    return T.PowerOf(base, exponent) if exponent else base
+
+
+class TestFlatKernel:
+    @given(star_terms(), st.integers(0, 10**9))
+    @settings(max_examples=80, deadline=None)
+    def test_evaluate_batch_matches_scalar_evaluate(self, ips3, term, seed):
+        xs = sorted(term.variables())
+        rng = np.random.default_rng(seed)
+        cols = {v: rng.integers(0, ips3.size, size=25) for v in xs}
+        batch = T.evaluate_batch(term, cols, ips3)
+        for i in range(25):
+            sub = {v: int(cols[v][i]) for v in xs}
+            assert batch[i] == T.evaluate(term, sub, ips3)
+
+
 class TestParser:
     def test_plain_word(self):
         w = T.parse_term("x1 x2 x1 x2")
@@ -238,6 +265,11 @@ class TestParser:
         assert names(lhs) == "x1 x2" and names(rhs) == "x2 x1"
         with pytest.raises(TermSyntaxError):
             T.parse_identity("x1 x2")
+
+    def test_identity_sides_share_one_alphabet(self):
+        lhs, rhs = T.parse_identity("x1 x2 x1 = x1")
+        assert rhs.letters[0] == lhs.letters[0]
+        assert set(rhs.variables()) < set(lhs.variables())
 
     @pytest.mark.parametrize("mk", [
         lambda: T.v_word(2, 2, 2).flatten(),
