@@ -8,6 +8,7 @@ witnesses are minimal in the ascending index order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import combinations
 from math import lcm
 
@@ -61,52 +62,76 @@ def is_block_group(alg: FiniteAlgebra) -> bool:
     return block_group_violation(alg) is None
 
 
+def _inverses(mul: np.ndarray, a) -> np.ndarray:
+    """[..., b] is True iff aba = a and bab = b; a is one element, giving one
+    row, or a column of elements, giving one row each."""
+    ar = np.arange(mul.shape[0])
+    return (mul[mul[a, ar], a] == a) & (mul[mul[ar, a], ar] == ar)
+
+
+def inverse_matrix(alg: FiniteAlgebra) -> np.ndarray:
+    """n x n Boolean matrix, [a, b] True iff aba = a and bab = b."""
+    return _inverses(alg.mul, np.arange(alg.size)[:, None])
+
+
 def inverses_of(alg: FiniteAlgebra, a: int) -> list[int]:
     """All b with aba = a and bab = b."""
-    mul = alg.mul
-    out = []
-    for b in range(alg.size):
-        ab = mul[a, b]
-        if mul[ab, a] == a and mul[mul[b, a], b] == b:
-            out.append(b)
-    return out
+    return np.flatnonzero(_inverses(alg.mul, a)).tolist()
 
 
 def inverse_report(alg: FiniteAlgebra) -> list[list[int]]:
     """inverses_of for every element, indexed by element."""
-    return [inverses_of(alg, a) for a in range(alg.size)]
+    return [np.flatnonzero(row).tolist() for row in inverse_matrix(alg)]
 
 
 def unique_inverse_violation(alg: FiniteAlgebra) -> tuple[int, int, int] | None:
     """First (a, b, c) with b < c both inverses of a."""
-    for a in range(alg.size):
-        inv = inverses_of(alg, a)
-        if len(inv) > 1:
-            return (a, inv[0], inv[1])
-    return None
+    inv = inverse_matrix(alg)
+    many = np.flatnonzero(inv.sum(axis=1) > 1)
+    if not many.size:
+        return None
+    a = int(many[0])
+    b, c = np.flatnonzero(inv[a])[:2].tolist()
+    return (a, b, c)
 
 
 def unique_inverse_check(alg: FiniteAlgebra) -> bool:
     return unique_inverse_violation(alg) is None
 
 
+def _reach(table: np.ndarray) -> np.ndarray:
+    """[x, y] is True iff y = x or y = table[x, s] for some s: the mask of
+    x S^1 for table = mul and of S^1 x for table = mul.T."""
+    n = table.shape[0]
+    out = np.eye(n, dtype=bool)
+    out[np.arange(n)[:, None], table] = True
+    return out
+
+
+def ideal_masks(alg: FiniteAlgebra) -> np.ndarray:
+    """n x n Boolean matrix whose row a is the membership mask of
+    S^1 a S^1 = {a} + aS + Sa + SaS, the union of c S^1 over c in S^1 a:
+    one Boolean matrix product, with nothing of size n^3 built."""
+    return _reach(alg.mul.T) @ _reach(alg.mul)
+
+
 def principal_ideal(alg: FiniteAlgebra, a: int) -> frozenset[int]:
     """S^1 a S^1 = {a} + aS + Sa + SaS."""
-    mul = alg.mul
-    out = {int(a)}
-    out.update(int(x) for x in mul[a])
-    col = mul[:, a]
-    out.update(int(x) for x in col)
-    out.update(int(x) for x in mul[col].reshape(-1))
-    return frozenset(out)
+    row = _reach(alg.mul.T)[a] @ _reach(alg.mul)
+    return frozenset(np.flatnonzero(row).tolist())
+
+
+def _equal_rows(masks: np.ndarray) -> list[list[int]]:
+    """Indices grouped by equal rows, classes and members in first-seen order."""
+    by_row: dict[bytes, list[int]] = {}
+    for a, row in enumerate(masks):
+        by_row.setdefault(row.tobytes(), []).append(a)
+    return list(by_row.values())
 
 
 def j_classes(alg: FiniteAlgebra) -> list[list[int]]:
     """Classes of the mutual-ideal-containment relation, sorted by least member."""
-    by_ideal: dict[frozenset[int], list[int]] = {}
-    for a in range(alg.size):
-        by_ideal.setdefault(principal_ideal(alg, a), []).append(a)
-    return sorted(by_ideal.values(), key=lambda c: c[0])
+    return _equal_rows(ideal_masks(alg))
 
 
 def j_trivial(alg: FiniteAlgebra, subset=None) -> tuple[bool, tuple[int, int] | None]:
@@ -122,13 +147,12 @@ def j_trivial(alg: FiniteAlgebra, subset=None) -> tuple[bool, tuple[int, int] | 
             return ok, None
         old = sorted(int(x) for x in subset)
         return ok, (old[w[0]], old[w[1]])
-    seen: dict[frozenset[int], int] = {}
-    for a in range(alg.size):
-        ideal = principal_ideal(alg, a)
-        if ideal in seen:
-            return False, (seen[ideal], a)
-        seen[ideal] = a
-    return True, None
+    # the first repeated ideal is the class whose second member comes first
+    repeats = [cls[:2] for cls in _equal_rows(ideal_masks(alg)) if len(cls) > 1]
+    if not repeats:
+        return True, None
+    a, b = min(repeats, key=lambda pair: pair[1])
+    return False, (a, b)
 
 
 def idempotent_generated(alg: FiniteAlgebra) -> list[int]:
@@ -215,15 +239,14 @@ def is_brandt(alg: FiniteAlgebra) -> BrandtRecognition | None:
         return None
     if (mul == z).all():  # zero semigroup
         return None
-    full = frozenset(range(n))
-    inv = [0] * n
-    for a in range(n):
-        if a != z and principal_ideal(alg, a) != full:
-            return None  # not 0-simple
-        lst = inverses_of(alg, a)
-        if len(lst) != 1:
-            return None  # not inverse
-        inv[a] = lst[0]
+    full = ideal_masks(alg).all(axis=1)
+    full[z] = True  # the zero's ideal is {z}
+    if not full.all():
+        return None  # not 0-simple
+    inverses = inverse_matrix(alg)
+    if (inverses.sum(axis=1) != 1).any():
+        return None  # not inverse
+    inv = inverses.argmax(axis=1)
     idems = [e for e in idempotents(alg) if e != z]
     if not idems:
         return None
@@ -304,16 +327,15 @@ def _classify_bottom(alg: FiniteAlgebra, kernel: list[int]) -> dict:
 def _classify_factor(alg: FiniteAlgebra, cls: list[int]) -> dict:
     # Rees quotient of one J-class over everything below it: class + fresh zero
     size = len(cls) + 1
-    remap = {x: i + 1 for i, x in enumerate(cls)}
-    table = [[0] * size for _ in range(size)]
-    mul = alg.mul
-    for x in cls:
-        for y in cls:
-            table[remap[x]][remap[y]] = remap.get(int(mul[x, y]), 0)
+    members = np.asarray(cls)
+    remap = np.zeros(alg.size, dtype=np.int32)
+    remap[members] = np.arange(1, size)
+    table = np.zeros((size, size), dtype=np.int32)
+    table[1:, 1:] = remap[alg.mul[members[:, None], members]]
+    if not table.any():
+        return {"kind": "zero", "size": size}
     labels = ["0"] + [f"c{i}" for i in range(1, size)]
     factor = FiniteAlgebra("semigroup", tuple(labels), table)
-    if all(v == 0 for row in table for v in row):
-        return {"kind": "zero", "size": size}
     rec = is_brandt(factor)
     if rec is not None:
         return {"kind": "brandt", "group_order": rec.group.size,
@@ -324,27 +346,30 @@ def _classify_factor(alg: FiniteAlgebra, cls: list[int]) -> dict:
 def principal_series(alg: FiniteAlgebra) -> SeriesReport:
     """Maximal ideal chain built one J-class at a time along the J-order,
     ties broken by least element index; factors classified; (h,m,k,q,r) filled."""
-    classes = j_classes(alg)
-    ideals = {cls[0]: principal_ideal(alg, cls[0]) for cls in classes}
-    below: dict[int, set[int]] = {}
-    for cls in classes:
-        rep = cls[0]
-        below[rep] = {other[0] for other in classes
-                      if other[0] != rep and other[0] in ideals[rep]}
-    remaining = {cls[0]: cls for cls in classes}
+    masks = ideal_masks(alg)
+    classes = _equal_rows(masks)  # ascending least members
+    reps = [cls[0] for cls in classes]
+    below = masks[reps][:, reps]  # [i, j]: class j lies in the ideal of class i
+    np.fill_diagonal(below, False)
+    # Kahn's algorithm: the least class with nothing left below it comes next
+    pending = below.sum(axis=1).tolist()
+    ready = [i for i, p in enumerate(pending) if not p]
     chain: list[list[int]] = []
     factors: list[dict] = []
     current: set[int] = set()
-    while remaining:
-        ready = [rep for rep in remaining if not (below[rep] & remaining.keys())]
-        rep = min(ready)
-        cls = remaining.pop(rep)
+    while ready:
+        i = heappop(ready)
+        cls = classes[i]
         if not chain:
             factors.append(_classify_bottom(alg, cls))
         else:
             factors.append(_classify_factor(alg, cls))
-        current |= set(cls)
+        current.update(cls)
         chain.append(sorted(current))
+        for k in np.flatnonzero(below[:, i]).tolist():
+            pending[k] -= 1
+            if not pending[k]:
+                heappush(ready, k)
     h = len(chain) - 1
     m = 1
     k = 1
@@ -461,10 +486,6 @@ def derived_length(alg: FiniteAlgebra) -> int | None:
     if len(series[-1]) != 1:
         return None
     return len(series) - 1
-
-
-def is_solvable(alg: FiniteAlgebra) -> bool:
-    return derived_length(alg) is not None
 
 
 def subgroups_of(alg: FiniteAlgebra,

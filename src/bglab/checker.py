@@ -241,9 +241,15 @@ def sample_assignments(variables, doms, seed: int, start: int, count: int):
 
 
 def check_identity_sampled(alg: FiniteAlgebra, lhs: Term, rhs: Term,
-                           samples: int, seed: int, domains=None) -> CheckVerdict:
+                           samples: int, seed: int, domains=None,
+                           budget: int | None = None) -> CheckVerdict:
     """Seeded search; reports a counterexample or no_counterexample_found,
-    never "holds"."""
+    never "holds".  More samples than the budget are refused before any draw."""
+    if budget is None:
+        budget = default_budget()
+    if samples > budget:
+        return CheckVerdict(BUDGET_EXCEEDED, attempted=samples,
+                            note=f"{samples} samples exceed budget {budget}")
     variables = _variables_of(lhs, rhs)
     doms = _domain_lists(variables, alg, domains)
     sides = _side_evaluator(alg, lhs, rhs)
@@ -284,7 +290,8 @@ def find_identity_violation(alg: FiniteAlgebra, lhs: Term, rhs: Term,
         return check_identity_exhaustive(alg, lhs, rhs, domains=domains,
                                          budget=budget)
     if strategy == "sampled":
-        return check_identity_sampled(alg, lhs, rhs, samples=samples, seed=seed)
+        return check_identity_sampled(alg, lhs, rhs, samples=samples, seed=seed,
+                                      budget=budget)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -421,7 +428,8 @@ def _least_preimage(pair, size, power, vals, layers, n, value) -> tuple[int, ...
 
 
 def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
-                         keep_preimages: bool = True) -> ImageCheck:
+                         keep_preimages: bool = True,
+                         budget: int | None = None) -> ImageCheck:
     """Exact check of v = v^2 at depth h via level-by-level image sets.
 
     Level l's image is the set of tuple values over block values from level
@@ -434,7 +442,8 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     if n < 1 or m < 1 or h < 1:
         raise ValueError("need n, m, h >= 1")
     size = alg.size
-    budget = default_budget()
+    if budget is None:
+        budget = default_budget()
     # states x block values per block, over the 2n blocks of every sweep
     work = min(h, size) * size * sum(size ** min(i, 2) for i in range(2 * n))
     if work > budget:

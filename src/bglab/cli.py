@@ -216,12 +216,13 @@ def _cmd_check(args) -> int:
     elif args.mode == "sampled":
         verdict = checker.check_identity_sampled(
             alg, lhs, rhs, samples=args.samples, seed=args.seed,
-            domains=domains or None)
+            domains=domains or None, budget=args.budget)
     elif args.mode == "block":
         if not (isinstance(lhs, terms.BlockWord) and isinstance(rhs, terms.PowerOf)
                 and rhs.base == lhs and rhs.exponent == 2):
             raise BglabError("block mode expects v[n,m,h] = v[n,m,h]^2")
-        img = checker.check_v_square_image(alg, lhs.n, lhs.m, lhs.depth)
+        img = checker.check_v_square_image(alg, lhs.n, lhs.m, lhs.depth,
+                                           budget=args.budget)
         verdict = checker.CheckVerdict(img.status, witness=img.witness,
                                        evaluations=img.evaluations, note=img.note)
     else:

@@ -10,7 +10,8 @@ Conventions baked in here:
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import islice, permutations
+from math import isqrt
 
 import numpy as np
 
@@ -331,10 +332,15 @@ def _is_hall(mask: int, n: int, perms) -> bool:
     return False
 
 
+def _iter_hall_masks(n: int):
+    """hall_masks(n), enumerated lazily in ascending order."""
+    perms = list(permutations(range(n)))
+    return (m for m in range(1 << (n * n)) if _is_hall(m, n, perms))
+
+
 def hall_masks(n: int) -> list[int]:
     """All n x n Boolean matrices containing a permutation, as bit integers."""
-    perms = list(permutations(range(n)))
-    return [m for m in range(1 << (n * n)) if _is_hall(m, n, perms)]
+    return list(_iter_hall_masks(n))
 
 
 def _mask_rows(mask: int, n: int) -> list[int]:
@@ -360,12 +366,15 @@ def hall_semiring(n: int, with_star: bool = True,
     """Semiring of Hall relations on an n-element set (union, composition)."""
     if n < 1 or n > HALL_MAX_N:
         raise CarrierTooLarge(f"hall_semiring supports 1 <= n <= {HALL_MAX_N}")
-    masks = hall_masks(n)
-    size = len(masks)
-    if size * size > max_table_cells:
+    # size^2 > max_table_cells iff size > isqrt(max_table_cells): stop the
+    # enumeration at the first mask past that
+    most = isqrt(max_table_cells)
+    masks = list(islice(_iter_hall_masks(n), most + 1))
+    if len(masks) > most:
         raise CarrierTooLarge(
-            f"carrier of {size} relations needs {size*size} table cells "
-            f"(> {max_table_cells}); raise max_table_cells to force it")
+            f"carrier of more than {most} relations needs more than "
+            f"{max_table_cells} table cells; raise max_table_cells to force it")
+    size = len(masks)
     index = {m: i for i, m in enumerate(masks)}
 
     def look(m):

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from bglab import constructions
 from bglab.core import mult_reduct
+
+# No deadline (example timings vary with machine load, so none is bounded)
+# and derandomized draws, so every run checks the same examples.
+settings.register_profile("bglab", deadline=None, derandomize=True)
+settings.load_profile("bglab")
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,13 @@ def rectangular_band():
     return FiniteAlgebra("semigroup", tuple(map(str, elems)), table)
 
 
+def clifford_z2_z2():
+    """Semilattice of two copies of Z2, {1, g} above {0, h}, listed as
+    1, 0, h, g: the class of 0 repeats (at h) before the class of 1 does."""
+    return FiniteAlgebra("semigroup", ("1", "0", "h", "g"),
+                         [[0, 1, 2, 3], [1, 1, 2, 2], [2, 2, 1, 1], [3, 2, 1, 0]])
+
+
 def chain_semilattice(n):
     return FiniteAlgebra("semigroup", tuple(f"c{i}" for i in range(n)),
                          [[min(i, j) for j in range(n)] for i in range(n)])
@@ -37,6 +44,153 @@ def all_ideals(alg):
                for i in members for s in range(n)):
             out.append(frozenset(members))
     return out
+
+
+# ---------------------------------------------------------------------------
+# set-based oracles for the whole-table kernels (ideal masks, inverse matrix)
+
+
+def oracle_principal_ideal(alg, a):
+    """S^1 a S^1 = {a} + aS + Sa + SaS, built as a Python set."""
+    mul = alg.mul
+    out = {int(a)}
+    out.update(int(x) for x in mul[a])
+    col = mul[:, a]
+    out.update(int(x) for x in col)
+    out.update(int(x) for x in mul[col].reshape(-1))
+    return frozenset(out)
+
+
+def oracle_inverses_of(alg, a):
+    """All b with aba = a and bab = b, by a scalar scan."""
+    mul = alg.mul
+    return [b for b in range(alg.size)
+            if mul[mul[a, b], a] == a and mul[mul[b, a], b] == b]
+
+
+def oracle_rows(alg, members):
+    out = np.zeros((alg.size, alg.size), dtype=bool)
+    for a in range(alg.size):
+        out[a, sorted(members(alg, a))] = True
+    return out
+
+
+def oracle_j_classes(alg):
+    by_ideal = {}
+    for a in range(alg.size):
+        by_ideal.setdefault(oracle_principal_ideal(alg, a), []).append(a)
+    return sorted(by_ideal.values(), key=lambda c: c[0])
+
+
+def oracle_j_trivial(alg):
+    seen = {}
+    for a in range(alg.size):
+        ideal = oracle_principal_ideal(alg, a)
+        if ideal in seen:
+            return False, (seen[ideal], a)
+        seen[ideal] = a
+    return True, None
+
+
+def oracle_unique_inverse_violation(alg):
+    for a in range(alg.size):
+        inv = oracle_inverses_of(alg, a)
+        if len(inv) > 1:
+            return (a, inv[0], inv[1])
+    return None
+
+
+def oracle_is_brandt(alg):
+    """A finite semigroup is Brandt iff it has a zero, is 0-simple and every
+    element has exactly one inverse (a 0-simple inverse semigroup)."""
+    zeros = [z for z in range(alg.size)
+             if (alg.mul[z] == z).all() and (alg.mul[:, z] == z).all()]
+    if not zeros or alg.size < 2:
+        return False
+    full = frozenset(range(alg.size))
+    return (all(oracle_principal_ideal(alg, a) == full
+                for a in range(alg.size) if a != zeros[0])
+            and all(len(oracle_inverses_of(alg, a)) == 1 for a in range(alg.size)))
+
+
+def oracle_chain(alg):
+    """The series' chain by the set-based rule: the least class with no
+    other remaining class inside its principal ideal joins next."""
+    ideals = {c[0]: (c, oracle_principal_ideal(alg, c[0]))
+              for c in oracle_j_classes(alg)}
+    chain, current = [], set()
+    while ideals:
+        rep = min(r for r in ideals
+                  if not any(o != r and o in ideals[r][1] for o in ideals))
+        current |= set(ideals.pop(rep)[0])
+        chain.append(sorted(current))
+    return chain
+
+
+def brandt_key(rec):
+    return None if rec is None else (rec.index_count, rec.group.mul.tolist(), rec.iso)
+
+
+def oracle_cases():
+    s3 = C.symmetric_group(3)
+    yield from (corpus.as_algebra(t) for t in corpus.all_semigroups_upto(3))
+    yield mult_reduct(C.brandt_monoid_b21())
+    yield C.brandt_semigroup(C.cyclic_group(2), 2)
+    yield mult_reduct(C.power_semiring(s3))
+    yield C.brandt_semigroup(s3, 2)
+    yield C.kadourek_semigroup(2, 1)[0]
+    yield clifford_z2_z2()
+
+
+class TestKernelsAgainstSetOracles:
+    """The whole-table kernels and everything built on them agree with the
+    per-element set computations they replace."""
+
+    def test_masks_classes_and_inverses(self):
+        for alg in oracle_cases():
+            masks = oracle_rows(alg, oracle_principal_ideal)
+            inverses = oracle_rows(alg, oracle_inverses_of)
+            assert np.array_equal(A.ideal_masks(alg), masks)
+            assert np.array_equal(A.inverse_matrix(alg), inverses)
+            for a in range(alg.size):
+                assert A.principal_ideal(alg, a) == oracle_principal_ideal(alg, a)
+                assert A.inverses_of(alg, a) == oracle_inverses_of(alg, a)
+            assert A.j_classes(alg) == oracle_j_classes(alg)
+            assert A.j_trivial(alg) == oracle_j_trivial(alg)
+            assert A.inverse_report(alg) == [oracle_inverses_of(alg, a)
+                                             for a in range(alg.size)]
+            assert A.unique_inverse_violation(alg) == oracle_unique_inverse_violation(alg)
+
+    def test_brandt_recognition_and_series(self, monkeypatch):
+        cases = list(oracle_cases())
+        got = []
+        for alg in cases:
+            rec = A.is_brandt(alg)
+            assert (rec is not None) == oracle_is_brandt(alg)
+            if rec is not None:
+                iso = np.array(rec.iso)
+                assert np.array_equal(iso[alg.mul], rec.target.mul[np.ix_(iso, iso)])
+            rep = A.principal_series(alg)
+            assert rep.chain == oracle_chain(alg)
+            got.append((brandt_key(rec), rep.to_dict()))
+        # the same reports with both kernels computed from the set oracles
+        monkeypatch.setattr(A, "ideal_masks",
+                            lambda alg: oracle_rows(alg, oracle_principal_ideal))
+        monkeypatch.setattr(A, "inverse_matrix",
+                            lambda alg: oracle_rows(alg, oracle_inverses_of))
+        for alg, (rec, series) in zip(cases, got):
+            assert rec == brandt_key(A.is_brandt(alg))
+            assert series == A.principal_series(alg).to_dict()
+
+    def test_large_carrier_series_values(self, hall3):
+        rep = A.principal_series(mult_reduct(hall3))
+        assert (rep.h, rep.m, rep.k, rep.k_floored, rep.q, rep.r) == (
+            14, 6, 2, False, 98304, 44)
+        assert rep.brandt_series
+        rep = A.principal_series(C.kadourek_semigroup(2, 2)[0])
+        assert (rep.h, rep.m, rep.k, rep.k_floored, rep.q, rep.r) == (
+            7, 1, 1, True, 128, 15)
+        assert rep.brandt_series
 
 
 class TestIdempotentsAndCore:

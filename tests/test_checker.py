@@ -115,7 +115,7 @@ class TestSharedSide:
     @given(st.sampled_from(SMALL_SEMIGROUPS),
            st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 2, 2), (1, 1, 2)]),
            st.integers(2, 3), st.booleans(), st.integers(0, 2**32))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_same_verdict_as_evaluating_both_sides(self, table, nmh, k, swap, seed):
         alg = corpus.as_algebra(table)
         v = T.v_word(*nmh)
@@ -190,6 +190,19 @@ class TestSampled:
         left = T.evaluate(lhs, verdict.witness, b21_mul)
         right = T.evaluate(rhs, verdict.witness, b21_mul)
         assert left != right
+
+    def test_sampled_budget_refuses_before_drawing(self, b21_mul, monkeypatch):
+        lhs, rhs = parse("x1 x2 = x2 x1")
+        verdict = K.check_identity_sampled(b21_mul, lhs, rhs, samples=100, seed=1,
+                                           budget=99)
+        assert verdict.status == K.BUDGET_EXCEEDED and verdict.evaluations == 0
+        assert verdict.attempted == 100 and "budget 99" in verdict.note
+        monkeypatch.setenv("BGLAB_BUDGET", "99")
+        verdict = K.check_identity_sampled(b21_mul, lhs, rhs, samples=100, seed=1)
+        assert verdict.status == K.BUDGET_EXCEEDED
+        verdict = K.check_identity_sampled(b21_mul, lhs, rhs, samples=100, seed=1,
+                                           budget=100)
+        assert verdict.status == K.COUNTEREXAMPLE
 
 
 class TestFindViolation:
@@ -336,7 +349,7 @@ class TestImageTechnique:
 
     @given(st.sampled_from(SMALL_SEMIGROUPS),
            st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 1, 2), (1, 2, 2)]))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_agrees_with_exhaustive_on_small_semigroups(self, table, nmh):
         alg = corpus.as_algebra(table)
         v = T.v_word(*nmh)

@@ -179,6 +179,17 @@ class TestCheck:
         assert code == 2
         assert json.loads(out)["status"] == "budget_exceeded"
 
+    @pytest.mark.parametrize("mode", [["--mode", "block"],
+                                      ["--mode", "sampled", "--samples", "100000"]])
+    def test_budget_reaches_block_and_sampled_mode(self, b21_path, capsys, mode):
+        code, out, _ = run(capsys, "check", "--algebra", b21_path,
+                           "--identity", "v[2,1,2] = v[2,1,2]^2",
+                           "--budget", "10", *mode)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["status"] == "budget_exceeded"
+        assert payload["evaluations"] == 0 and "budget 10" in payload["note"]
+
     def test_family_shorthand_sampled(self, b21_path, capsys):
         code, out, _ = run(capsys, "check", "--algebra", b21_path,
                            "--identity", "v[2,4,5] = v[2,4,5]^2",

@@ -246,11 +246,26 @@ class TestHall:
         assert hall3.size == 247
         assert validate(hall3) is None
 
-    def test_size_limits(self):
+    def test_size_limits(self, monkeypatch):
         with pytest.raises(CarrierTooLarge):
             C.hall_semiring(5)
+        # the refusal comes as soon as the carrier is known to be too large:
+        # after the 101st Hall mask for isqrt(10_000) = 100, not after all 2^16
+        scanned, found = [], []
+        is_hall = C._is_hall
+
+        def counting(mask, n, perms):
+            scanned.append(mask)
+            hit = is_hall(mask, n, perms)
+            if hit:
+                found.append(mask)
+            return hit
+
+        monkeypatch.setattr(C, "_is_hall", counting)
         with pytest.raises(CarrierTooLarge):
             C.hall_semiring(4, max_table_cells=10_000)
+        assert len(found) == 101
+        assert scanned == list(range(found[-1] + 1)) and len(scanned) < 1 << 16
 
 
 class TestSubsetB:

@@ -211,7 +211,7 @@ def star_terms(draw):
 
 class TestFlatKernel:
     @given(star_terms(), st.integers(0, 10**9))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_evaluate_batch_matches_scalar_evaluate(self, ips3, term, seed):
         xs = sorted(term.variables())
         rng = np.random.default_rng(seed)
@@ -283,7 +283,7 @@ class TestParser:
 
     @given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from([1, -1])),
                     min_size=1, max_size=12))
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_round_trip_on_random_terms(self, letters):
         width = max(i for i, _ in letters)
         if all(e > 0 for _, e in letters):
@@ -294,7 +294,7 @@ class TestParser:
 
     @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
            st.integers(0, 10**9))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_block_flat_agreement_property(self, n, m, h, seed):
         import bglab.constructions as C
         alg = C.brandt_monoid_b21()
