@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import FiniteAlgebra
 from .errors import MapNotTotal, MissingTable
-from .terms import PowerOf, Term, Variable, _pow_fold, evaluate_batch, flat_kernel
+from .terms import PowerOf, Term, Variable, evaluate_batch, flat_kernel
 
 HOLDS = "holds"
 COUNTEREXAMPLE = "counterexample"
@@ -191,15 +191,15 @@ def _side_evaluator(alg, lhs: Term, rhs: Term):
     """assign -> (lhs values, rhs values).  When one side is PowerOf(the other
     side, k), the other side is evaluated once and its values raised to the
     k-th power, so v = v^2 costs one evaluation of v, not two."""
-    pair = flat_kernel(alg).pair
+    power = flat_kernel(alg).power
     if isinstance(rhs, PowerOf) and rhs.base == lhs:
         def sides(assign):
             left = evaluate_batch(lhs, assign, alg)
-            return left, _pow_fold(left, rhs.exponent, pair)
+            return left, power(left, rhs.exponent)
     elif isinstance(lhs, PowerOf) and lhs.base == rhs:
         def sides(assign):
             right = evaluate_batch(rhs, assign, alg)
-            return _pow_fold(right, lhs.exponent, pair), right
+            return power(right, lhs.exponent), right
     else:
         def sides(assign):
             return evaluate_batch(lhs, assign, alg), evaluate_batch(rhs, assign, alg)
@@ -212,8 +212,9 @@ def sample_assignments(variables, doms, seed: int, start: int, count: int):
     Equal to splitmix64 on those counters: z = seed + (s*V + j + 1) * gamma
     steps by gamma from one variable to the next, and the mixing runs in
     place in buffers reused for every variable (a single count x V draw is
-    slower, being bound by memory bandwidth).  Values are int32, the dtype
-    of the tables, which halves the memory of a block."""
+    slower, being bound by memory bandwidth).  A whole-carrier variable's
+    values are written straight into the narrowest index dtype (uint8 up
+    to 256 elements); a restricted domain gathers its int32 elements."""
     V = len(variables)
     z0 = np.arange(start, start + count, dtype=np.uint64)
     z0 *= np.uint64(V)
@@ -230,12 +231,13 @@ def sample_assignments(variables, doms, seed: int, start: int, count: int):
         k = np.uint64(len(d))
         np.floor_divide(z, k, out=t)
         np.multiply(t, k, out=t)
-        np.subtract(z, t, out=t)
+        x = np.empty(count, dtype=np.min_scalar_type(len(d) - 1))
+        np.subtract(z, t, out=x, casting="unsafe")  # < k, so it fits
         dom = np.asarray(d, dtype=np.int32)
         if np.array_equal(dom, np.arange(len(dom))):
-            out[v] = t.astype(np.int32)  # the whole carrier: no gather needed
+            out[v] = x  # the whole carrier: no gather needed
         else:
-            out[v] = dom[t]
+            out[v] = dom[x]
         z0 += _SPLITMIX_GAMMA
     return out
 
@@ -450,9 +452,10 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
         return ImageCheck(BUDGET_EXCEEDED,
                           note=f"{work} pair-state steps exceed budget {budget}")
     size = np.intp(size)  # state codes P*size + M are computed in np.intp
-    pair = flat_kernel(alg).pair
+    kernel = flat_kernel(alg)
+    pair = kernel.pair
     carrier = np.arange(size, dtype=np.intp)
-    power = _pow_fold(carrier, 2 * m - 1, pair)
+    power = kernel.power(carrier, 2 * m - 1)
     inputs = [carrier]  # block values of level l; inputs[l + 1] is its image
     while len(inputs) <= h:
         final = _forward_states(pair, size, inputs[-1], n)[-1]

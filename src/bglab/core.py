@@ -179,8 +179,8 @@ def _assoc_violation(table: np.ndarray, law: str) -> AxiomViolation | None:
     rows = max(1, _SLAB_CELLS // (n * n))
     for lo in range(0, n, rows):
         sl = table[lo : lo + rows]
-        left = table[sl, :]    # [x,y,z] -> (xy)z
-        right = sl[:, table]   # [x,y,z] -> x(yz)
+        left = table.take(sl, axis=0)   # [x,y,z] -> (xy)z
+        right = sl.take(table, axis=1)  # [x,y,z] -> x(yz)
         bad = _first_true(left != right)
         if bad is not None:
             return AxiomViolation(law, (bad[0] + lo, bad[1], bad[2]))

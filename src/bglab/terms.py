@@ -10,8 +10,8 @@ to a length budget.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -302,56 +302,124 @@ def _pow_fold(x, e, mul_pair):
 
 
 class Kernel(NamedTuple):
-    """The table lookups an evaluator folds with: pair(a, b) is mul[a, b] and
-    star(a) is star[a], or None when the algebra has no star."""
+    """How an evaluator multiplies.  A left fold a1 a2 ... ak is
+    last(step(...step(lift(a1), a2)...), ak): lift(a) is the offset of a,
+    step(off, b) the offset of (the element at off) times b, and
+    last(off, b) that product itself.  power(x, e) is x^e bracketed as
+    _pow_fold brackets it.  pair(a, b) is mul[a, b] and star(a) is star[a],
+    or None when the algebra has no star."""
 
     pair: Callable
     star: Callable | None
+    lift: Callable
+    step: Callable
+    last: Callable
+    power: Callable
+
+
+# One kernel per algebra object.  Tables are read-only (core._as_table
+# clears their write flag), so a kernel never goes stale; the closures hold
+# the tables, never the algebra, so an entry dies with its algebra.
+_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def flat_kernel(alg) -> Kernel:
-    """Vectorised lookups over index arrays (or scalars): one flat take over
-    mul.reshape(-1) at a*size + b.  size is an np.intp scalar, so the index
-    is computed in np.intp and cannot wrap around int32 on large carriers;
-    the products keep the table's int32, which halves the memory traffic."""
-    size = np.intp(alg.size)
-    flat = alg.mul.reshape(-1)
+    """Vectorised lookups over index arrays (or scalars), built once per
+    algebra object.  An offset is a*size, the start of row a in
+    mul.reshape(-1), so each product of a fold is one add and one take, and
+    rows = mul*size gives the next offset directly.  Offsets are int32 while
+    size^2 < 2^31 and np.intp beyond; products keep the table's int32.
+    power(x, e) is one take from the table of e-th powers, built on first
+    use.  pair(a, b) indexes in np.intp, for the image engine's state codes."""
+    kernel = _KERNELS.get(alg)
+    if kernel is None:
+        kernel = _KERNELS[alg] = _flat_kernel(alg.mul, alg.star)
+    return kernel
+
+
+def _flat_kernel(mul, star) -> Kernel:
+    size = len(mul)
+    offset = np.int32 if size * size < 2**31 else np.intp
+    flat = mul.reshape(-1)
+    stride = offset(size)
+    rows = flat.astype(offset) * stride
+    intp_size = np.intp(size)
 
     def pair(a, b):
-        return flat.take(a * size + b)
+        return flat.take(a * intp_size + b)
 
-    return Kernel(pair, None if alg.star is None else alg.star.take)
+    def lift(a):
+        return np.multiply(a, stride, dtype=offset)
+
+    def step(off, b):
+        return rows.take(np.add(off, b, dtype=offset))
+
+    def last(off, b):
+        return flat.take(np.add(off, b, dtype=offset))
+
+    carrier = np.arange(size, dtype=np.intp)
+    powers = {}
+
+    def power(x, e):
+        if e == 1:
+            return x
+        table = powers.get(e)
+        if table is None:
+            table = powers[e] = _pow_fold(carrier, e, pair)
+        return table.take(x)
+
+    return Kernel(pair, None if star is None else star.take, lift, step, last, power)
 
 
 def evaluate(term: Term, sub: Substitution, alg) -> int:
     """Left-to-right fold by mul; exponent -1 applies star; block words are
-    evaluated compositionally with repeated squaring on the middle group."""
+    evaluated compositionally with repeated squaring on the middle group.
+    Lookups are scalar, pair by pair, so this is the oracle for
+    evaluate_batch."""
     mul, star = alg.mul, alg.star
 
     def pair(a, b):
         return int(mul[a, b])
 
-    return _evaluate(term, sub, Kernel(pair, None if star is None else lambda a: int(star[a])))
+    return _evaluate(term, sub, Kernel(
+        pair, None if star is None else lambda a: int(star[a]),
+        lift=lambda a: a, step=pair, last=pair,
+        power=lambda x, e: _pow_fold(x, e, pair)))
+
+
+def _fold(vals, kernel: Kernel):
+    """The offset of the left-fold product of vals."""
+    off = kernel.lift(vals[0])
+    for b in vals[1:]:
+        off = kernel.step(off, b)
+    return off
+
+
+def _product(vals, kernel: Kernel):
+    """The left-fold product of vals."""
+    if len(vals) == 1:
+        return vals[0]
+    return kernel.last(_fold(vals[:-1], kernel), vals[-1])
 
 
 def _evaluate(term, sub, kernel: Kernel):
-    pair = kernel.pair
     if isinstance(term, Word):
-        return reduce(pair, (sub[v] for v in term.letters))
+        return _product([sub[v] for v in term.letters], kernel)
     if isinstance(term, InvTerm):
         star = kernel.star
         if star is None and any(e < 0 for _, e in term.letters):
             raise MissingStar("term has inverse letters but the algebra has no star")
-        return reduce(pair, (sub[v] if e > 0 else star(sub[v]) for v, e in term.letters))
+        return _product([sub[v] if e > 0 else star(sub[v]) for v, e in term.letters],
+                        kernel)
     if isinstance(term, BlockWord):
         vals = [sub[b] if isinstance(b, Variable) else _evaluate(b, sub, kernel)
                 for b in term.blocks]
         n, m = term.n, term.m
-        prefix = reduce(pair, vals)
-        middle = reduce(pair, vals[n - 1 :: -1] + vals[n:])
-        return pair(prefix, _pow_fold(middle, 2 * m - 1, pair))
+        prefix = _fold(vals, kernel)
+        middle = _product(vals[n - 1 :: -1] + vals[n:], kernel)
+        return kernel.last(prefix, kernel.power(middle, 2 * m - 1))
     if isinstance(term, PowerOf):
-        return _pow_fold(_evaluate(term.base, sub, kernel), term.exponent, pair)
+        return kernel.power(_evaluate(term.base, sub, kernel), term.exponent)
     raise TypeError(f"cannot evaluate {type(term).__name__}")
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
@@ -9,7 +11,7 @@ from bglab import checker as K
 from bglab import constructions as C
 from bglab import corpus
 from bglab import terms as T
-from bglab.core import FiniteAlgebra
+from bglab.core import FiniteAlgebra, mult_reduct
 from bglab.errors import MapNotTotal
 
 
@@ -129,6 +131,19 @@ class TestSharedSide:
             if a.witness:
                 assert reevaluates(alg, *shared, a.witness)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_the_exponent_reaches_the_power(self, s3, k):
+        # on S3, x = x^k fails at every non-identity element for k = 2, at
+        # the 3-cycles for k = 3, at the transpositions for k = 4, nowhere for 7
+        x = T.parse_term("x1")
+        for engine in (lambda l, r: K.check_identity_exhaustive(s3, l, r),
+                       lambda l, r: K.check_identity_sampled(s3, l, r, 50, 4)):
+            for shared, both in (((x, T.PowerOf(x, k)), (x, T.parse_term(f"x1^{k}"))),
+                                 ((T.PowerOf(x, k), x), (T.parse_term(f"x1^{k}"), x))):
+                a, b = engine(*shared), engine(*both)
+                assert (a.status, a.witness, a.evaluations) == (b.status, b.witness,
+                                                                 b.evaluations)
+
 
 class TestMembership:
     def test_values_inside_allowed_set(self, b21_mul, b21):
@@ -161,13 +176,16 @@ class TestSampled:
         assert got.tolist() == want
 
     def test_sample_assignments_follow_the_reference_stream(self):
-        xs = T.v_word(1, 1, 2).variables()
-        doms = [[0, 1, 2, 3, 4], [4, 2], [0, 1, 2, 3, 4], [3]]
+        xs = [T.Variable((i,), 8) for i in range(1, 9)]
+        doms = [[0, 1, 2, 3, 4], [4, 2], list(range(257)), [3],
+                [0], list(range(300, 557)), [0, 1, 2, 3, 4], [1, 0]]
         got = K.sample_assignments(xs, doms, seed=7, start=1000, count=50)
         for j, (v, d) in enumerate(zip(xs, doms)):
             want = [d[splitmix_reference(7, s * len(xs) + j) % len(d)]
                     for s in range(1000, 1050)]
             assert got[v].tolist() == want
+        # a whole carrier is drawn straight into the narrowest index dtype
+        assert got[xs[2]].dtype == np.uint16 and got[xs[4]].dtype == np.uint8
 
     def test_sampling_is_deterministic_and_seed_sensitive(self, b21_mul):
         lhs, rhs = parse("x1 x2 = x2 x1")
@@ -203,6 +221,120 @@ class TestSampled:
         verdict = K.check_identity_sampled(b21_mul, lhs, rhs, samples=100, seed=1,
                                            budget=100)
         assert verdict.status == K.COUNTEREXAMPLE
+
+
+# The sampled engine as it was before the offset fold and the narrow draws,
+# frozen as an oracle: int32 draws and every product one flat take.
+_FROZEN_CHUNK = 1 << 15
+
+
+def frozen_sample_assignments(variables, doms, seed, start, count):
+    V = len(variables)
+    z0 = np.arange(start, start + count, dtype=np.uint64)
+    z0 *= np.uint64(V)
+    z0 += np.uint64(1)
+    z0 *= K._SPLITMIX_GAMMA
+    z0 += np.uint64(seed)
+    z = np.empty_like(z0)
+    t = np.empty_like(z0)
+    out = {}
+    for v, d in zip(variables, doms):
+        np.copyto(z, z0)
+        K._mix64(z, t)
+        k = np.uint64(len(d))
+        np.floor_divide(z, k, out=t)
+        np.multiply(t, k, out=t)
+        np.subtract(z, t, out=t)
+        dom = np.asarray(d, dtype=np.int32)
+        if np.array_equal(dom, np.arange(len(dom))):
+            out[v] = t.astype(np.int32)
+        else:
+            out[v] = dom[t]
+        z0 += K._SPLITMIX_GAMMA
+    return out
+
+
+def frozen_evaluate(term, sub, alg):
+    size = np.intp(alg.size)
+    flat = alg.mul.reshape(-1)
+
+    def pair(a, b):
+        return flat.take(a * size + b)
+
+    def fold(t):
+        if isinstance(t, T.Word):
+            return reduce(pair, (sub[v] for v in t.letters))
+        if isinstance(t, T.InvTerm):
+            return reduce(pair, (sub[v] if e > 0 else alg.star.take(sub[v])
+                                 for v, e in t.letters))
+        if isinstance(t, T.BlockWord):
+            vals = [sub[b] if isinstance(b, T.Variable) else fold(b) for b in t.blocks]
+            prefix = reduce(pair, vals)
+            middle = reduce(pair, vals[t.n - 1 :: -1] + vals[t.n:])
+            return pair(prefix, T._pow_fold(middle, 2 * t.m - 1, pair))
+        return T._pow_fold(fold(t.base), t.exponent, pair)
+
+    return fold(term)
+
+
+def frozen_sampled(alg, lhs, rhs, samples, seed, domains=None):
+    """(status, witness, evaluations) of the frozen sampled engine."""
+    variables = K._variables_of(lhs, rhs)
+    doms = K._domain_lists(variables, alg, domains)
+    done = 0
+    for start in range(0, samples, _FROZEN_CHUNK):
+        count = min(_FROZEN_CHUNK, samples - start)
+        assign = frozen_sample_assignments(variables, doms, seed, start, count)
+        left = frozen_evaluate(lhs, assign, alg)
+        neq = np.atleast_1d(left != frozen_evaluate(rhs, assign, alg))
+        done += neq.size
+        if neq.any():
+            s = int(np.argmax(neq))
+            return K.COUNTEREXAMPLE, {v: int(assign[v][s]) for v in variables}, done
+    return K.NO_COUNTEREXAMPLE, None, done
+
+
+def sampled_triple(alg, lhs, rhs, samples, seed, domains=None):
+    got = K.check_identity_sampled(alg, lhs, rhs, samples, seed, domains=domains)
+    return got.status, got.witness, got.evaluations
+
+
+class TestSampledAgainstFrozenOracle:
+    @given(st.sampled_from(SMALL_SEMIGROUPS),
+           st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 3, 2), (1, 1, 3)]),
+           st.integers(2, 3), st.booleans(), st.integers(0, 2**32))
+    @settings(max_examples=80)
+    def test_same_verdict_witness_and_count(self, table, nmh, k, restrict, seed):
+        alg = corpus.as_algebra(table)
+        v = T.v_word(*nmh)
+        domains = {x: [alg.size - 1, 0] for x in v.variables()[::2]} if restrict else None
+        assert (sampled_triple(alg, v, T.PowerOf(v, k), 700, seed, domains)
+                == frozen_sampled(alg, v, T.PowerOf(v, k), 700, seed, domains))
+
+    def test_counterexample_past_the_first_chunk(self, ps3_mul):
+        lhs, rhs = parse("x1 x2 x3 x4 x5 x6 x7 = (x1 x2 x3 x4 x5 x6 x7)^2")
+        got = sampled_triple(ps3_mul, lhs, rhs, 100_000, 3)
+        assert got == frozen_sampled(ps3_mul, lhs, rhs, 100_000, 3)
+        assert got[0] == K.COUNTEREXAMPLE and got[2] == 2 * _FROZEN_CHUNK
+        assert reevaluates(ps3_mul, lhs, rhs, got[1])
+
+    def test_v245_on_the_suite_carriers(self, b21, ps3_mul):
+        v = T.v_word(2, 4, 5)
+        for alg in (b21, ps3_mul):
+            assert (sampled_triple(alg, v, T.PowerOf(v, 2), 2000, 5)
+                    == frozen_sampled(alg, v, T.PowerOf(v, 2), 2000, 5))
+
+    def test_one_chunk_of_v245_stays_under_48_mib(self, b21):
+        # the int32 draws of 1,024 variables held 130.7 MiB here
+        v = T.v_word(2, 4, 5)
+        tracemalloc.start()
+        try:
+            verdict = K.check_identity_sampled(b21, v, T.PowerOf(v, 2), 32768, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.evaluations == 32768
+        assert peak < 48 * 2**20
 
 
 class TestFindViolation:
