@@ -57,7 +57,6 @@ from .analysis import (
     is_brandt,
     j_trivial,
     maximal_subgroups,
-    normalizer,
     principal_series,
     unique_inverse_check,
 )

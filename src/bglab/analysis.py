@@ -17,12 +17,11 @@ import numpy as np
 from .constructions import (
     brandt_semigroup,
     ensure_group,
-    group_identity,
+    group_inverses,
     induced_algebra,
-    ideal_violation,
 )
 from .core import FiniteAlgebra, mult_reduct
-from .errors import NotAnIdeal, NotASubgroup, NotBrandt, SubgroupEnumerationBudget
+from .errors import NotAGroup, SubgroupEnumerationBudget
 
 SUBGROUP_SIZE_BUDGET = 16
 SUBGROUP_MAX_GENERATORS = 3
@@ -194,30 +193,14 @@ def subgroup_union(alg: FiniteAlgebra) -> set[int]:
     return out
 
 
-def _try_group(alg: FiniteAlgebra):
-    mul = alg.mul
-    n = alg.size
-    e = None
-    for c in range(n):
-        if (mul[c] == np.arange(n)).all() and (mul[:, c] == np.arange(n)).all():
-            e = c
-            break
-    if e is None:
-        return None
-    inv = [-1] * n
-    for x in range(n):
-        hits = np.nonzero(mul[x] == e)[0]
-        for y in hits:
-            if mul[y, x] == e:
-                inv[x] = int(y)
-                break
-        if inv[x] < 0:
-            return None
-    return e, inv
-
-
 def is_group(alg: FiniteAlgebra) -> bool:
-    return _try_group(alg) is not None
+    """A two-sided identity and an inverse for every element (associativity
+    is not checked)."""
+    try:
+        group_inverses(alg)
+    except NotAGroup:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -318,8 +301,7 @@ class SeriesReport:
 
 def _classify_bottom(alg: FiniteAlgebra, kernel: list[int]) -> dict:
     sub, _ = induced_algebra(mult_reduct(alg), kernel)
-    got = _try_group(sub)
-    if got is not None:
+    if is_group(sub):
         return {"kind": "group", "order": sub.size}
     return {"kind": "other", "size": sub.size}
 
@@ -386,25 +368,6 @@ def principal_series(alg: FiniteAlgebra) -> SeriesReport:
     brandt = factors[0]["kind"] == "group" and all(
         f["kind"] in ("brandt", "zero") for f in factors[1:])
     return SeriesReport(chain, factors, h, m, k, floored, q, r, brandt)
-
-
-def fd_property(alg: FiniteAlgebra, brandt_ideal) -> tuple[bool, tuple[int, int] | None]:
-    """For a Brandt ideal B: every idempotent f and b in B give fb, bf in {b, 0}."""
-    ideal = sorted(int(x) for x in brandt_ideal)
-    bad = ideal_violation(alg, ideal)
-    if bad is not None:
-        raise NotAnIdeal("the given set is not an ideal", witness=bad)
-    sub, _ = induced_algebra(mult_reduct(alg), ideal)
-    rec = is_brandt(sub)
-    if rec is None:
-        raise NotBrandt("the ideal is not a Brandt semigroup")
-    z = ideal[rec.iso.index(0)]
-    mul = alg.mul
-    for f in idempotents(alg):
-        for b in ideal:
-            if int(mul[f, b]) not in (b, z) or int(mul[b, f]) not in (b, z):
-                return False, (f, b)
-    return True, None
 
 
 def satisfies_power_identity(alg: FiniteAlgebra, e1: int, e2: int):
@@ -569,18 +532,3 @@ def group_analytics(alg: FiniteAlgebra,
         dedekind=is_dedekind(alg, subs),
         has_quaternion_subgroup=has_quaternion_subgroup(alg, subs),
     )
-
-
-def normalizer(alg: FiniteAlgebra, subgroup) -> list[int]:
-    """{g : gH = Hg} for a subgroup H; contains H and is itself a subgroup."""
-    H = sorted(int(x) for x in subgroup)
-    closure = _closure(alg.mul, H)
-    e = group_identity(alg)
-    if set(H) != set(closure) or e not in closure:
-        raise NotASubgroup("the given set is not a subgroup")
-    mul = alg.mul
-    out = []
-    for g in range(alg.size):
-        if {int(mul[g, h]) for h in H} == {int(mul[h, g]) for h in H}:
-            out.append(g)
-    return out

@@ -30,7 +30,13 @@ def _group_from_spec(spec: str) -> FiniteAlgebra:
 
 
 def build_from_meta(meta: dict) -> FiniteAlgebra:
-    """Rebuild a constructed algebra from its recorded parameters."""
+    """Rebuild a constructed algebra from its recorded parameters; a meta
+    with `reduct_of` rebuilds the multiplicative reduct."""
+    alg = _build_construction(meta)
+    return mult_reduct(alg) if "reduct_of" in meta else alg
+
+
+def _build_construction(meta: dict) -> FiniteAlgebra:
     kind = meta.get("construction")
     if kind == "group":
         return constructions.make_group(meta["family"], meta.get("n"))

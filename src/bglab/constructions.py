@@ -140,27 +140,31 @@ def make_group(family: str, n: int | None = None) -> FiniteAlgebra:
 
 
 def group_identity(alg: FiniteAlgebra) -> int:
-    mul = alg.mul
-    n = alg.size
-    for e in range(n):
-        if all(mul[e, x] == x == mul[x, e] for x in range(n)):
+    """The least two-sided identity; raises NotAGroup when there is none."""
+    return _identity(alg.mul.tolist())
+
+
+def _identity(rows: list[list[int]]) -> int:
+    # Python lists: most tables here are tiny, where numpy's per-call cost
+    # outweighs the scan.
+    ids = list(range(len(rows)))
+    for e, row in enumerate(rows):
+        if row == ids and all(r[e] == x for x, r in enumerate(rows)):
             return e
     raise NotAGroup("no identity element")
 
 
 def group_inverses(alg: FiniteAlgebra) -> list[int]:
-    """Inverse of every element; raises NotAGroup when one is missing."""
-    e = group_identity(alg)
-    mul = alg.mul
-    n = alg.size
-    inv = [-1] * n
-    for x in range(n):
-        for y in range(n):
-            if mul[x, y] == e and mul[y, x] == e:
-                inv[x] = y
-                break
-        if inv[x] < 0:
+    """The least two-sided inverse of every element; raises NotAGroup when an
+    element has none.  Associativity is not checked (see ensure_group)."""
+    rows = alg.mul.tolist()
+    e = _identity(rows)
+    inv = []
+    for x, row in enumerate(rows):
+        y = next((y for y, v in enumerate(row) if v == e and rows[y][x] == e), None)
+        if y is None:
             raise NotAGroup(f"element {alg.labels[x]} has no inverse")
+        inv.append(y)
     return inv
 
 

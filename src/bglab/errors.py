@@ -44,10 +44,6 @@ class NotAnIdeal(BglabError):
         self.witness = witness
 
 
-class NotBrandt(BglabError):
-    """An operation required a Brandt-semigroup ideal and got something else."""
-
-
 class ClosureBudgetExceeded(BglabError):
     """A generated closure grew past its element budget."""
 

@@ -73,18 +73,18 @@ def _need(ok: bool, message: str):
 
 
 class Workbench:
-    """Lazily built shared algebras for the suite."""
+    """Lazily built shared algebras for the suite, one per name in BUILDERS."""
 
     def __init__(self):
         self._cache: dict[str, object] = {}
 
     def get(self, name: str):
         if name not in self._cache:
-            self._cache[name] = _BUILDERS[name](self)
+            self._cache[name] = BUILDERS[name](self)
         return self._cache[name]
 
 
-_BUILDERS = {
+BUILDERS = {
     "s3": lambda wb: constructions.symmetric_group(3),
     "q8": lambda wb: constructions.quaternion_group(),
     "z2": lambda wb: constructions.cyclic_group(2),
@@ -92,6 +92,7 @@ _BUILDERS = {
     "triv": lambda wb: constructions.cyclic_group(1),
     "b21": lambda wb: constructions.brandt_monoid_b21(),
     "b21_mul": lambda wb: mult_reduct(wb.get("b21")),
+    "b21_series": lambda wb: analysis.principal_series(wb.get("b21_mul")),
     "b2": lambda wb: constructions.brandt_semigroup(wb.get("triv"), 2),
     "b3": lambda wb: constructions.brandt_semigroup(wb.get("triv"), 3),
     "bz2": lambda wb: constructions.brandt_semigroup(wb.get("z2"), 2),
@@ -159,6 +160,9 @@ def check_u_words_in_subgroups(wb: Workbench, profile: str, seed: int):
                 evals += verdict.evaluations
                 _need(verdict.status == checker.HOLDS,
                       f"{name}: u({n},{k},{m}) escaped the subgroups: {verdict.witness}")
+                _need(verdict.evaluations <= 10**3,
+                      f"{name}: u({n},{k},{m}) took {verdict.evaluations} "
+                      "evaluations, over 10^3")
     return evals, "all u-family values lie in subgroups on three Brandt semigroups"
 
 
@@ -188,11 +192,17 @@ def check_group_identities(wb: Workbench, profile: str, seed: int):
     verdict = checker.check_membership_exhaustive(s3, terms.v_word(1, 6, 2), {one})
     evals += verdict.evaluations
     _need(verdict.status == checker.HOLDS, f"v(1,6,2) != 1 at {verdict.witness}")
+    _need(verdict.evaluations == 1296,
+          f"v(1,6,2): {verdict.evaluations} substitutions, expected 1296")
     derived = analysis.derived_series(s3)[1]
+    _need(derived == {one, s3.index("(123)"), s3.index("(132)")},
+          f"derived subgroup of S3 is {sorted(derived)}, not A3")
     verdict = checker.check_membership_exhaustive(s3, terms.v_word(1, 6, 1), derived)
     evals += verdict.evaluations
     _need(verdict.status == checker.HOLDS,
           f"v(1,6,1) left the derived subgroup at {verdict.witness}")
+    _need(verdict.evaluations == 36,
+          f"v(1,6,1): {verdict.evaluations} substitutions, expected 36")
     z4 = wb.get("z4")
     for n in (1, 2):
         verdict = checker.check_membership_exhaustive(
@@ -237,7 +247,10 @@ def check_square_identities(wb: Workbench, profile: str, seed: int):
     img = checker.check_v_square_image(wb.get("b2"), 2, 2, 3)
     evals += img.evaluations
     _need(img.ok, f"B2: v(2,2,3) = square fails at value {img.bad_value}")
-    img = checker.check_v_square_image(wb.get("b21_mul"), 2, 4, 5)
+    _need(img.level_sizes == [3, 3, 3], f"B2: image level sizes {img.level_sizes}")
+    rep = wb.get("b21_series")
+    _need((rep.q, rep.r) == (4, 5), f"b21: (q,r)=({rep.q},{rep.r}), expected (4,5)")
+    img = checker.check_v_square_image(wb.get("b21_mul"), 2, rep.q, rep.r)
     evals += img.evaluations
     _need(img.ok, f"b21: v(2,4,5) = square fails at value {img.bad_value}")
     v45 = terms.v_word(2, 4, 5)
@@ -248,9 +261,13 @@ def check_square_identities(wb: Workbench, profile: str, seed: int):
         evals += verdict.evaluations
         _need(verdict.status == checker.NO_COUNTEREXAMPLE,
               f"{name}: sampled v(2,4,5) = square found {verdict.witness}")
+        _need(verdict.evaluations == samples,
+              f"{name}: {verdict.evaluations} of {samples} samples evaluated")
     detail = f"exact on B2/b21; {samples} seeded samples on b21 and power(S3)"
     if profile == "full":
         rep = wb.get("ps3_series")
+        _need((rep.q, rep.r) == (3072, 29),
+              f"power(S3): (q,r)=({rep.q},{rep.r}), expected (3072,29)")
         img = checker.check_v_square_image(wb.get("ps3_mul"), 2, rep.q, rep.r,
                                            keep_preimages=False)
         evals += img.evaluations
@@ -365,7 +382,7 @@ def check_hall_star_preservation(wb: Workbench, profile: str, seed: int):
 
 
 def check_structure_reports(wb: Workbench, profile: str, seed: int):
-    rep = analysis.principal_series(wb.get("b21_mul"))
+    rep = wb.get("b21_series")
     _need((rep.h, rep.m, rep.k, rep.q, rep.r) == (2, 1, 1, 4, 5),
           f"b21 series parameters off: {(rep.h, rep.m, rep.k, rep.q, rep.r)}")
     kinds = [f["kind"] for f in rep.factors]
@@ -392,7 +409,8 @@ def check_hall_carrier(wb: Workbench, profile: str, seed: int):
     sizes = {n: len(constructions.hall_masks(n)) for n in (1, 2, 3)}
     _need(sizes == {1: 1, 2: 7, 3: 247}, f"hall carrier sizes {sizes}")
     # construction asserts closure internally; building is the check
-    wb.get("hall3")
+    built = (wb.get("hall2").size, wb.get("hall3").size)
+    _need(built == (7, 247), f"hall(2), hall(3) have {built} elements")
     _need(analysis.is_block_group(mult_reduct(wb.get("hall2"))),
           "hall(2) reduct is not a block-group")
     return sum(sizes.values()), "sizes 1, 7, 247; closed; hall(2) is a block-group"
@@ -429,22 +447,26 @@ CHECKS = [
 ]
 
 
+def run_check(wb: Workbench, check, profile: str,
+              seed: int = SAMPLED_CHECK_SEED) -> CheckResult:
+    """Run one entry of CHECKS on `wb`; a refuted claim gives status "fail".
+    wall_ms includes building what `wb` does not hold yet."""
+    check_id, claim, mandatory, fn = check
+    start = time.perf_counter()
+    try:
+        evals, detail = fn(wb, profile, seed)
+        status = "pass"
+    except _Fail as ex:
+        evals, detail, status = 0, str(ex), "fail"
+    wall = (time.perf_counter() - start) * 1000
+    return CheckResult(check_id, claim, status, evals, wall, detail, mandatory)
+
+
 def run_suite(profile: str = "quick", seed: int = SAMPLED_CHECK_SEED,
               ids=None) -> SuiteReport:
     if profile not in ("quick", "full"):
         raise ValueError("profile must be quick or full")
     wb = Workbench()
-    report = SuiteReport(profile=profile, seed=seed)
-    for check_id, claim, mandatory, fn in CHECKS:
-        if ids is not None and check_id not in ids:
-            continue
-        start = time.perf_counter()
-        try:
-            evals, detail = fn(wb, profile, seed)
-            status = "pass"
-        except _Fail as ex:
-            evals, detail, status = 0, str(ex), "fail"
-        wall = (time.perf_counter() - start) * 1000
-        report.results.append(CheckResult(check_id, claim, status, evals,
-                                          wall, detail, mandatory))
-    return report
+    return SuiteReport(profile, seed, [run_check(wb, check, profile, seed)
+                                       for check in CHECKS
+                                       if ids is None or check[0] in ids])

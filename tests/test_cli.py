@@ -3,13 +3,50 @@ import json
 import pytest
 
 from bglab.cli import main
-from bglab.core import load_algebra
+from bglab.constructions import brandt_monoid_b21
+from bglab.core import load_algebra, mult_reduct
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# One `build` per choice; an argument ending in .json names a file made by
+# the `inputs` fixture.
+ROUND_TRIPS = {
+    "group": ["group", "--group", "S3"],
+    "group-file": ["group", "--group", "q8.json"],
+    "brandt": ["brandt", "--group", "C2", "--indices", "3"],
+    "brandt-group-file": ["brandt", "--group", "q8.json", "--indices", "2"],
+    "b21": ["b21"],
+    "power-semiring": ["power-semiring", "--group", "D3", "--nonempty",
+                       "--with-star"],
+    "involution-power": ["involution-power", "--group", "C3"],
+    "hall": ["hall", "--n", "2", "--no-star"],
+    "kadourek": ["kadourek", "--n", "2", "--height", "1"],
+    "subset-b": ["subset-b", "--group", "S3", "--subgroup", "e,(12)",
+                 "--element", "(13)", "--with-star"],
+    "subalgebra": ["subalgebra", "--algebra", "b2.json", "--seeds", "1,2"],
+    "subalgebra-of-reduct": ["subalgebra", "--algebra", "b21_mul.json",
+                             "--seeds", "2"],
+    "rees-quotient": ["rees-quotient", "--algebra", "b2.json", "--ideal", "0"],
+    "adjoin-zero": ["adjoin-zero", "--algebra", "b2.json"],
+    "adjoin-identity": ["adjoin-identity", "--algebra", "b2.json"],
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The input files of the derived builds, b21_mul.json a saved
+    multiplicative reduct."""
+    d = tmp_path_factory.mktemp("inputs")
+    assert main(["build", "group", "--group", "Q8", "-o", str(d / "q8.json")]) == 0
+    assert main(["build", "brandt", "--group", "C1", "--indices", "2",
+                 "-o", str(d / "b2.json")]) == 0
+    mult_reduct(brandt_monoid_b21()).save(str(d / "b21_mul.json"))
+    return d
 
 
 class TestBuild:
@@ -60,6 +97,22 @@ class TestBuild:
         assert code == 0
         with open(first, "rb") as f1, open(second, "rb") as f2:
             assert f1.read() == f2.read()
+
+    @pytest.mark.parametrize("args", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+    def test_from_meta_round_trip(self, args, inputs, tmp_path, capsys):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        argv = [str(inputs / a) if a.endswith(".json") else a for a in args]
+        assert run(capsys, "build", *argv, "-o", str(first))[0] == 0
+        assert run(capsys, "build", "from-meta", "--algebra", str(first),
+                   "-o", str(second))[0] == 0
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_from_meta_rebuilds_a_saved_reduct(self, inputs, tmp_path, capsys):
+        saved, rebuilt = inputs / "b21_mul.json", tmp_path / "r.json"
+        code, out, _ = run(capsys, "build", "from-meta", "--algebra", str(saved),
+                           "-o", str(rebuilt))
+        assert code == 0 and "semigroup with 6 elements" in out
+        assert rebuilt.read_bytes() == saved.read_bytes()
 
     def test_gzip_output(self, tmp_path, capsys):
         path = str(tmp_path / "b21.json.gz")

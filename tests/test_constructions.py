@@ -2,13 +2,17 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bglab import constructions as C
+from bglab.analysis import is_group
 from bglab.core import FiniteAlgebra, mult_reduct, validate
 from bglab.errors import (
     CarrierTooLarge,
     ClosureBudgetExceeded,
     NormalSubgroup,
+    NotAGroup,
     NotAnIdeal,
     NotASubgroup,
     UnsupportedSize,
@@ -20,7 +24,46 @@ def compose(p, q):
     return tuple(q[p[i]] for i in range(len(p)))
 
 
+def loop_group(alg):
+    """Reference scan: the least identity and the least inverse of each
+    element, or the message of the first thing missing."""
+    mul, n = alg.mul, alg.size
+    e = next((e for e in range(n)
+              if all(mul[e, x] == x == mul[x, e] for x in range(n))), None)
+    if e is None:
+        return "no identity element"
+    inv = []
+    for x in range(n):
+        y = next((y for y in range(n) if mul[x, y] == e == mul[y, x]), None)
+        if y is None:
+            return f"element {alg.labels[x]} has no inverse"
+        inv.append(y)
+    return e, inv
+
+
+@st.composite
+def magmas_with_identity(draw):
+    """A random table of order <= 5, in some draws with an identity
+    planted at a random index."""
+    n = draw(st.integers(1, 5))
+    mul = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n * n,
+                                 max_size=n * n))).reshape(n, n)
+    e = draw(st.none() | st.integers(0, n - 1))
+    if e is not None:
+        mul[e] = mul[:, e] = np.arange(n)
+    return FiniteAlgebra("semigroup", tuple(f"x{i}" for i in range(n)), mul)
+
+
 class TestGroups:
+    @given(magmas_with_identity())
+    def test_recogniser_matches_loop_scan(self, alg):
+        try:
+            got = C.group_identity(alg), C.group_inverses(alg)
+        except NotAGroup as ex:
+            got = str(ex)
+        assert got == loop_group(alg)
+        assert is_group(alg) == isinstance(got, tuple)
+
     def test_cyclic_one_is_trivial(self):
         g = C.cyclic_group(1)
         assert g.size == 1 and validate(g) is None
