@@ -16,6 +16,7 @@ import numpy as np
 
 from .constructions import (
     brandt_semigroup,
+    closure,
     ensure_group,
     group_inverses,
     induced_algebra,
@@ -156,18 +157,7 @@ def j_trivial(alg: FiniteAlgebra, subset=None) -> tuple[bool, tuple[int, int] | 
 
 def idempotent_generated(alg: FiniteAlgebra) -> list[int]:
     """Carrier of the subsemigroup generated by all idempotents (mul only)."""
-    es = idempotents(alg)
-    members = set(es)
-    mul = alg.mul
-    queue = list(es)
-    while queue:
-        x = queue.pop()
-        for y in list(members):
-            for p in (int(mul[x, y]), int(mul[y, x])):
-                if p not in members:
-                    members.add(p)
-                    queue.append(p)
-    return sorted(members)
+    return closure([alg.mul], idempotents(alg))
 
 
 def maximal_subgroups(alg: FiniteAlgebra) -> list[tuple[int, list[int]]]:
@@ -413,19 +403,6 @@ def group_exponent(alg: FiniteAlgebra) -> int:
     return lcm(*[element_order(alg, x, e) for x in range(alg.size)]) if alg.size else 1
 
 
-def _closure(mul, seed) -> frozenset[int]:
-    members = set(seed)
-    queue = list(members)
-    while queue:
-        x = queue.pop()
-        for y in list(members):
-            for p in (int(mul[x, y]), int(mul[y, x])):
-                if p not in members:
-                    members.add(p)
-                    queue.append(p)
-    return frozenset(members)
-
-
 def derived_series(alg: FiniteAlgebra) -> list[frozenset[int]]:
     """G, G', G'', ... down to the first repetition."""
     e, inv = ensure_group(alg)
@@ -437,7 +414,7 @@ def derived_series(alg: FiniteAlgebra) -> list[frozenset[int]]:
         for a in cur:
             for b in cur:
                 comms.add(int(mul[mul[mul[inv[a], inv[b]], a], b]))
-        nxt = _closure(mul, comms)
+        nxt = frozenset(closure([mul], comms))
         if nxt == cur:
             return series
         series.append(nxt)
@@ -463,12 +440,11 @@ def subgroups_of(alg: FiniteAlgebra,
     if alg.size > size_budget:
         raise SubgroupEnumerationBudget(
             f"|G| = {alg.size} exceeds the enumeration budget {size_budget}")
-    mul = alg.mul
     found = set()
     elems = range(alg.size)
     for r in range(1, max_generators + 1):
         for gens in combinations(elems, r):
-            found.add(_closure(mul, gens))
+            found.add(frozenset(closure([alg.mul], gens)))
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 

@@ -70,43 +70,49 @@ def _build_construction(meta: dict) -> FiniteAlgebra:
 
 def _cmd_build(args) -> int:
     what = args.what
+
+    def need(option):
+        if getattr(args, option) is None:
+            raise BglabError(f"build {what} needs --{option}")
+        return getattr(args, option)
+
     if what == "group":
-        alg = _group_from_spec(args.group)
+        alg = _group_from_spec(need("group"))
     elif what == "brandt":
-        alg = constructions.brandt_semigroup(_group_from_spec(args.group), args.indices)
+        alg = constructions.brandt_semigroup(_group_from_spec(need("group")), args.indices)
     elif what == "b21":
         alg = constructions.brandt_monoid_b21()
     elif what == "power-semiring":
-        alg = constructions.power_semiring(_group_from_spec(args.group),
+        alg = constructions.power_semiring(_group_from_spec(need("group")),
                                            nonempty_only=args.nonempty,
                                            with_star=args.with_star)
     elif what == "involution-power":
-        alg = constructions.involution_power(_group_from_spec(args.group))
+        alg = constructions.involution_power(_group_from_spec(need("group")))
     elif what == "hall":
         alg = constructions.hall_semiring(args.n, with_star=not args.no_star)
     elif what == "kadourek":
         alg = constructions.kadourek_semigroup(args.n, args.height)[0]
     elif what == "subset-b":
-        group = _group_from_spec(args.group)
-        members = [group.index(s.strip()) for s in args.subgroup.split(",")]
-        g = group.index(args.element)
+        group = _group_from_spec(need("group"))
+        members = [group.index(s.strip()) for s in need("subgroup").split(",")]
+        g = group.index(need("element"))
         masks = constructions.subset_b(group, members, g)
         power = constructions.power_semiring(group, with_star=args.with_star)
         alg, _ = constructions.induced_algebra(power, masks)
     elif what == "subalgebra":
-        parent = load_algebra(args.algebra)
-        seeds = [int(s) for s in args.seeds.split(",")]
+        parent = load_algebra(need("algebra"))
+        seeds = [int(s) for s in need("seeds").split(",")]
         members = constructions.subalgebra_generate(parent, seeds)
         alg, _ = constructions.induced_algebra(parent, members)
     elif what == "rees-quotient":
-        parent = load_algebra(args.algebra)
-        alg = constructions.rees_quotient(parent, [int(s) for s in args.ideal.split(",")])
+        parent = load_algebra(need("algebra"))
+        alg = constructions.rees_quotient(parent, [int(s) for s in need("ideal").split(",")])
     elif what == "adjoin-zero":
-        alg = constructions.adjoin_zero(load_algebra(args.algebra))
+        alg = constructions.adjoin_zero(load_algebra(need("algebra")))
     elif what == "adjoin-identity":
-        alg = constructions.adjoin_identity(load_algebra(args.algebra))
+        alg = constructions.adjoin_identity(load_algebra(need("algebra")))
     elif what == "from-meta":
-        alg = build_from_meta(load_algebra(args.algebra).meta)
+        alg = build_from_meta(load_algebra(need("algebra")).meta)
     else:
         raise BglabError(f"unknown construction {what!r}")
     alg.save(args.output)

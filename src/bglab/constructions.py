@@ -16,7 +16,7 @@ from math import isqrt
 import numpy as np
 
 from . import terms
-from .core import FiniteAlgebra, validate
+from .core import _SLAB_CELLS, FiniteAlgebra, validate
 from .errors import (
     CarrierTooLarge,
     ClosureBudgetExceeded,
@@ -29,8 +29,8 @@ from .errors import (
 
 POWER_BIT_BUDGET = 16
 HALL_MAX_N = 4
-HALL_MAX_TABLE_CELLS = 1 << 26
-KADOUREK_CLOSURE_BUDGET = 500_000
+# Largest table (size^2 cells) the Hall and Kadourek builders will fill.
+MAX_TABLE_CELLS = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,7 @@ def _hall_mul(x: int, y: int, n: int) -> int:
 
 
 def hall_semiring(n: int, with_star: bool = True,
-                  max_table_cells: int = HALL_MAX_TABLE_CELLS) -> FiniteAlgebra:
+                  max_table_cells: int = MAX_TABLE_CELLS) -> FiniteAlgebra:
     """Semiring of Hall relations on an n-element set (union, composition)."""
     if n < 1 or n > HALL_MAX_N:
         raise CarrierTooLarge(f"hall_semiring supports 1 <= n <= {HALL_MAX_N}")
@@ -412,21 +412,6 @@ def hall_semiring(n: int, with_star: bool = True,
 # the subsemiring B inside a power semiring
 
 
-def _subgroup_check(group: FiniteAlgebra, members: frozenset[int]) -> None:
-    e = group_identity(group)
-    if e not in members:
-        raise NotASubgroup("missing the identity")
-    inv = group_inverses(group)
-    mul = group.mul
-    for x in members:
-        if inv[x] not in members:
-            raise NotASubgroup(f"not closed under inversion at {group.labels[x]}")
-        for y in members:
-            if int(mul[x, y]) not in members:
-                raise NotASubgroup(
-                    f"not closed under product at {group.labels[x]},{group.labels[y]}")
-
-
 def subset_b(group: FiniteAlgebra, subgroup, g: int) -> list[int]:
     """Carrier of the subsemiring {E, H, g^-1 H, H g, g^-1 H g} + big sets.
 
@@ -434,7 +419,11 @@ def subset_b(group: FiniteAlgebra, subgroup, g: int) -> list[int]:
     Requires H to be a subgroup that g does not normalize.
     """
     H = frozenset(int(x) for x in subgroup)
-    _subgroup_check(group, H)
+    # a non-empty subset of a finite group is a subgroup iff it is closed
+    outside = sorted(set(closure([group.mul], H)) - H)
+    if not H or outside:
+        raise NotASubgroup("the subgroup is empty" if not H else
+                           f"products reach {group.labels[outside[0]]}, outside the set")
     inv = group_inverses(group)
     mul = group.mul
     ginv = inv[g]
@@ -479,20 +468,29 @@ def subset_b(group: FiniteAlgebra, subgroup, g: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Kadourek inverse semigroups of partial injections
+# Kadourek inverse semigroups of partial injections.  A map on P points is an
+# int16 row of P + 1 entries, the last point a sink for "undefined"; then
+# "f, then g" (x -> g[f[x]]) is the gather g[f], and the row's bytes its key.
 
 
-def _compose_partial(f, g):
-    # act left to right: x -> g[f[x]]
-    return tuple(-1 if f[x] < 0 or g[f[x]] < 0 else g[f[x]] for x in range(len(f)))
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One void scalar per (contiguous) row, for sorting and exact lookup."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
 
 
-def _invert_partial(f):
-    out = [-1] * len(f)
-    for x, y in enumerate(f):
-        if y >= 0:
-            out[y] = x
-    return tuple(out)
+def _append_new(known: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """known, then the rows of cand it lacks, once each, in first-seen order."""
+    both = np.concatenate([known, cand])
+    _, first = np.unique(_row_keys(both), return_index=True)
+    return both[np.sort(first)]
+
+
+def _invert_rows(rows: np.ndarray) -> np.ndarray:
+    sink = rows.shape[1] - 1
+    out = np.full_like(rows, sink)
+    r, x = np.nonzero(rows[:, :sink] < sink)
+    out[r, rows[r, x]] = x
+    return out
 
 
 def partial_map_label(f) -> str:
@@ -518,45 +516,53 @@ def kadourek_generators(n: int, h: int) -> dict[tuple[int, ...], tuple[int, ...]
 
 
 def kadourek_semigroup(n: int, h: int,
-                       closure_budget: int = KADOUREK_CLOSURE_BUDGET):
+                       closure_budget: int = isqrt(MAX_TABLE_CELLS)):
     """Inverse semigroup generated by the kadourek_generators and their inverses.
 
     Returns (algebra, generator_index) where generator_index maps each index
     tuple to the generator's carrier position.  The empty map is the zero.
+    Elements are numbered in FIFO worklist order (each element times every
+    generator and inverse, on the right, then on the left).  More than
+    closure_budget elements raise ClosureBudgetExceeded before any table.
     """
     gens = kadourek_generators(n, h)
-    npoints = len(next(iter(gens.values())))
-    empty = tuple([-1] * npoints)
-    seeds = [empty]
-    for f in gens.values():
-        seeds.append(f)
-        seeds.append(_invert_partial(f))
-    elements: list[tuple[int, ...]] = []
-    pos: dict[tuple[int, ...], int] = {}
-    for f in seeds:
-        if f not in pos:
-            pos[f] = len(elements)
-            elements.append(f)
-    # worklist closure: multiply by the generating set on both sides
-    queue = list(elements)
+    sink = len(next(iter(gens.values())))
+    g = np.array(list(gens.values()), dtype=np.int16)
+    g = np.pad(np.where(g < 0, sink, g), ((0, 0), (0, 1)), constant_values=sink)
+    width = sink + 1
+    # the empty map, then each generator followed by its inverse
+    start = np.concatenate([np.full((1, width), sink, dtype=np.int16),
+                            np.stack([g, _invert_rows(g)], axis=1).reshape(-1, width)])
+    seeds = start[1:]
+    known = _append_new(start[:0], start)
+    # the worklist, one block of parents per gather
+    rows = max(1, _SLAB_CELLS // (2 * len(seeds) * width))
     head = 0
-    while head < len(queue):
-        f = queue[head]
-        head += 1
-        for g in seeds[1:]:
-            for prod in (_compose_partial(f, g), _compose_partial(g, f)):
-                if prod not in pos:
-                    if len(elements) >= closure_budget:
-                        raise ClosureBudgetExceeded(
-                            f"closure exceeded {closure_budget} elements")
-                    pos[prod] = len(elements)
-                    elements.append(prod)
-                    queue.append(prod)
-    size = len(elements)
-    mul = [[pos[_compose_partial(x, y)] for y in elements] for x in elements]
-    star = [pos[_invert_partial(x)] for x in elements]
-    labels = tuple(partial_map_label(f) for f in elements)
-    gen_index = {t: pos[f] for t, f in gens.items()}
+    while head < len(known):
+        if len(known) > closure_budget:
+            raise ClosureBudgetExceeded(f"closure exceeded {closure_budget} elements")
+        f = known[head:head + rows]
+        head += len(f)
+        prods = np.stack([seeds.take(f, axis=1).swapaxes(0, 1), f.take(seeds, axis=1)],
+                         axis=2)
+        known = _append_new(known, prods.reshape(-1, width))
+    keys = _row_keys(known)
+    order = np.argsort(keys)
+
+    def index_of(maps):
+        # every element is a product of seeds and the carrier is closed
+        # under multiplying by a seed, so every product is found
+        return order[np.searchsorted(keys, _row_keys(maps), sorter=order)]
+
+    mul = np.empty((len(known), len(known)), dtype=np.int32)
+    rows = max(1, _SLAB_CELLS // (len(known) * width))
+    for lo in range(0, len(known), rows):
+        # [j, i] is known[lo + i] then known[j]
+        mul[lo:lo + rows] = index_of(known.take(known[lo:lo + rows], axis=1)).T
+    star = index_of(_invert_rows(known))
+    labels = tuple(partial_map_label(f)
+                   for f in np.where(known == sink, -1, known)[:, :sink].tolist())
+    gen_index = dict(zip(gens, index_of(g).tolist()))
     meta = {
         "construction": "kadourek", "n": n, "h": h,
         "generators": {"".join(map(str, t)): i for t, i in gen_index.items()},
@@ -569,38 +575,48 @@ def kadourek_semigroup(n: int, h: int,
 # generic derived algebras
 
 
-def subalgebra_generate(alg: FiniteAlgebra, seeds) -> list[int]:
-    """Least subset containing the seeds and closed under all present operations."""
-    seeds = sorted(int(s) for s in seeds)
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
-    members = set()
-    queue = []
-    for s in seeds:
-        if s not in members:
-            members.add(s)
-            queue.append(s)
-    tables = [alg.mul] + ([alg.add] if alg.add is not None else [])
-    while queue:
-        x = queue.pop()
-        if alg.star is not None:
-            y = int(alg.star[x])
-            if y not in members:
-                members.add(y)
-                queue.append(y)
-        for t in tables:
-            snapshot = list(members)
-            for y in snapshot:
-                for p in (int(t[x, y]), int(t[y, x])):
+def _check_indices(indices, size: int) -> None:
+    for x in indices:
+        if not 0 <= x < size:
+            raise ValueError(f"index {x} is outside 0..{size - 1}")
+
+
+def closure(tables, seeds, star=None) -> list[int]:
+    """Least index set containing the seeds and closed under every binary
+    table in `tables` and, when given, the unary table `star`; sorted."""
+    members = set(map(int, seeds))
+    _check_indices(members, len(tables[0]))
+    rows = [t.tolist() for t in tables]
+    star = None if star is None else star.tolist()
+    found = list(members)
+    # found grows while it is walked; x meets every element up to itself
+    for i, x in enumerate(found):
+        if star is not None and star[x] not in members:
+            members.add(star[x])
+            found.append(star[x])
+        for t in rows:
+            tx = t[x]
+            for y in found[:i + 1]:
+                for p in (tx[y], t[y][x]):
                     if p not in members:
                         members.add(p)
-                        queue.append(p)
-    return sorted(members)
+                        found.append(p)
+    return sorted(found)
+
+
+def subalgebra_generate(alg: FiniteAlgebra, seeds) -> list[int]:
+    """Least subset containing the seeds and closed under all present operations."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must be non-empty")
+    tables = [alg.mul] + ([alg.add] if alg.add is not None else [])
+    return closure(tables, seeds, alg.star)
 
 
 def induced_algebra(alg: FiniteAlgebra, elements) -> tuple[FiniteAlgebra, dict[int, int]]:
     """Restrict every table to a closed element set; returns (algebra, old->new)."""
     old = sorted(int(x) for x in elements)
+    _check_indices(old, alg.size)
     remap = {x: i for i, x in enumerate(old)}
 
     def shrink(table2d):

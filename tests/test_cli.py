@@ -139,6 +139,37 @@ class TestBuild:
                            "--seeds", "1", "-o", str(tmp_path / "s.json"))
         assert code == 0 and "1 elements" in out
 
+    @pytest.mark.parametrize("args,missing", [
+        (["subalgebra", "--algebra", "b2.json"], "--seeds"),
+        (["rees-quotient", "--algebra", "b2.json"], "--ideal"),
+        (["subset-b", "--group", "S3"], "--subgroup"),
+        (["subset-b", "--group", "S3", "--subgroup", "e,(12)"], "--element"),
+        (["group"], "--group"),
+        (["from-meta"], "--algebra"),
+    ])
+    def test_missing_option_exits_2(self, args, missing, inputs, tmp_path, capsys):
+        argv = [str(inputs / a) if a.endswith(".json") else a for a in args]
+        code, _, err = run(capsys, "build", *argv, "-o", str(tmp_path / "x.json"))
+        assert code == 2
+        assert err == f"error: build {args[0]} needs {missing}\n"
+
+    @pytest.mark.parametrize("seeds", ["99", "-1", "1,5"])
+    def test_subalgebra_seed_out_of_range_exits_2(self, seeds, inputs, tmp_path,
+                                                  capsys):
+        code, _, err = run(capsys, "build", "subalgebra", "--algebra",
+                           str(inputs / "b2.json"), "--seeds", seeds,
+                           "-o", str(tmp_path / "x.json"))
+        assert code == 2 and "is outside 0..4" in err
+
+    def test_from_meta_element_out_of_range_exits_2(self, tmp_path, capsys):
+        meta = {"construction": "subalgebra", "elements": [0, 99],
+                "parent": {"construction": "b21"}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(brandt_monoid_b21().to_dict(), meta=meta)))
+        code, _, err = run(capsys, "build", "from-meta", "--algebra", str(path),
+                           "-o", str(tmp_path / "x.json"))
+        assert code == 2 and "index 99 is outside 0..5" in err
+
 
 class TestAnalyze:
     def test_b21_report(self, tmp_path, capsys):

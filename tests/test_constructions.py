@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bglab import constructions as C
+from bglab import corpus
 from bglab.analysis import is_group
 from bglab.core import FiniteAlgebra, mult_reduct, validate
 from bglab.errors import (
@@ -336,6 +337,45 @@ class TestSubsetB:
             C.subset_b(s3, [0, s3.index("(123)")], s3.index("(12)"))
 
 
+def compose_partial(f, g):
+    # act left to right: x -> g[f[x]]
+    return tuple(-1 if f[x] < 0 or g[f[x]] < 0 else g[f[x]] for x in range(len(f)))
+
+
+def invert_partial(f):
+    out = [-1] * len(f)
+    for x, y in enumerate(f):
+        if y >= 0:
+            out[y] = x
+    return tuple(out)
+
+
+def reference_kadourek(n, h):
+    """FIFO worklist over partial maps as tuples (-1 undefined), then the
+    table one composition at a time: (labels, mul, star, gen_index, meta)."""
+    gens = C.kadourek_generators(n, h)
+    seeds = [tuple([-1] * len(next(iter(gens.values()))))]
+    for f in gens.values():
+        seeds += [f, invert_partial(f)]
+    pos = {}
+    for f in seeds:
+        pos.setdefault(f, len(pos))
+    elements = list(pos)
+    for f in elements:  # grows while it is walked
+        for g in seeds[1:]:
+            for prod in (compose_partial(f, g), compose_partial(g, f)):
+                if prod not in pos:
+                    pos[prod] = len(elements)
+                    elements.append(prod)
+    mul = [[pos[compose_partial(x, y)] for y in elements] for x in elements]
+    star = [pos[invert_partial(x)] for x in elements]
+    labels = tuple(C.partial_map_label(f) for f in elements)
+    gen_index = {t: pos[f] for t, f in gens.items()}
+    meta = {"construction": "kadourek", "n": n, "h": h,
+            "generators": {"".join(map(str, t)): i for t, i in gen_index.items()}}
+    return labels, mul, star, gen_index, meta
+
+
 class TestKadourek:
     def test_depth1_generators(self):
         gens = C.kadourek_generators(2, 1)
@@ -356,8 +396,47 @@ class TestKadourek:
         assert alg.labels[gens[(2,)]] == "[1>2,4>3]"
 
     def test_closure_budget(self):
+        assert C.kadourek_semigroup(2, 1, closure_budget=34)[0].size == 34
         with pytest.raises(ClosureBudgetExceeded):
-            C.kadourek_semigroup(2, 1, closure_budget=5)
+            C.kadourek_semigroup(2, 1, closure_budget=33)
+
+    def test_default_budget_is_the_table_cell_budget(self):
+        # kadourek(2,4) has 75,920 elements: a table of 5.8e9 cells
+        with pytest.raises(ClosureBudgetExceeded, match="8192"):
+            C.kadourek_semigroup(2, 4)
+
+    @pytest.mark.parametrize("n,h", [(2, 1), (2, 2), (3, 1), (4, 1)])
+    def test_matches_the_tuple_worklist(self, n, h):
+        alg, gen_index = C.kadourek_semigroup(n, h)
+        labels, mul, star, ref_index, meta = reference_kadourek(n, h)
+        assert alg.labels == labels
+        assert alg.mul.tolist() == mul
+        assert alg.star.tolist() == star
+        assert gen_index == ref_index
+        assert alg.meta == meta
+
+    def test_gathers_stay_within_the_slab(self, monkeypatch):
+        alg, gen_index = C.kadourek_semigroup(2, 2)
+        sizes = []
+        append_new, row_keys = C._append_new, C._row_keys
+
+        def spy_append_new(known, cand):  # cand: one worklist gather
+            sizes.append(cand.size)
+            return append_new(known, cand)
+
+        def spy_row_keys(rows):
+            if rows.ndim == 3:  # one row slab of the table gather
+                sizes.append(rows.size)
+            return row_keys(rows)
+
+        monkeypatch.setattr(C, "_SLAB_CELLS", 20_000)
+        monkeypatch.setattr(C, "_append_new", spy_append_new)
+        monkeypatch.setattr(C, "_row_keys", spy_row_keys)
+        small, small_index = C.kadourek_semigroup(2, 2)
+        assert len(sizes) > 100 and max(sizes) <= 20_000
+        assert small.labels == alg.labels and small_index == gen_index
+        assert np.array_equal(small.mul, alg.mul)
+        assert np.array_equal(small.star, alg.star)
 
     def test_depth2_generators_match_arrow_diagram(self):
         from bglab.suite import KADOUREK_22_GENERATORS
@@ -365,6 +444,45 @@ class TestKadourek:
         for t, arrows in KADOUREK_22_GENERATORS.items():
             got = {x: y for x, y in enumerate(gens[t]) if y >= 0}
             assert got == arrows
+
+
+def naive_closure(tables, seeds, star):
+    """Fixpoint of one round of every product of members, and their stars."""
+    got = set(seeds)
+    while True:
+        step = got | {int(t[x, y]) for t in tables for x in got for y in got}
+        if star is not None:
+            step |= {int(star[x]) for x in got}
+        if step == got:
+            return sorted(got)
+        got = step
+
+
+@st.composite
+def magma_closure_cases(draw):
+    """One or two random tables of order <= 5, an optional unary map, seeds."""
+    n = draw(st.integers(1, 5))
+    cells = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    tables = [np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+              for _ in range(draw(st.integers(1, 2)))]
+    star = np.array(draw(cells)) if draw(st.booleans()) else None
+    seeds = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    return tables, seeds, star
+
+
+class TestClosure:
+    @given(magma_closure_cases())
+    def test_matches_naive_fixpoint_on_random_magmas(self, case):
+        tables, seeds, star = case
+        assert C.closure(tables, seeds, star) == naive_closure(tables, seeds, star)
+
+    def test_matches_naive_fixpoint_on_corpus_tables(self):
+        for order in (1, 2, 3):
+            for table in corpus.semigroup_tables(order):
+                mul = np.array(table)
+                for r in range(1, order + 1):
+                    for seeds in combinations(range(order), r):
+                        assert C.closure([mul], seeds) == naive_closure([mul], seeds, None)
 
 
 class TestDerivedAlgebras:
@@ -378,6 +496,19 @@ class TestDerivedAlgebras:
 
     def test_generate_whole_carrier(self, b21_mul):
         assert C.subalgebra_generate(b21_mul, range(6)) == list(range(6))
+
+    @pytest.mark.parametrize("seeds", [[-1], [6], [0, 99]])
+    def test_generate_rejects_indices_outside_the_carrier(self, b21, b21_mul,
+                                                          seeds):
+        for alg in (b21, b21_mul):
+            with pytest.raises(ValueError, match="outside 0..5"):
+                C.subalgebra_generate(alg, seeds)
+
+    @pytest.mark.parametrize("elements", [[99], [-1, 0]])
+    def test_induced_algebra_rejects_indices_outside_the_carrier(self, b21,
+                                                                 elements):
+        with pytest.raises(ValueError, match="outside 0..5"):
+            C.induced_algebra(b21, elements)
 
     def test_induced_algebra_rejects_unclosed_sets(self, b21_mul, b21):
         with pytest.raises(ValueError, match="closed"):
