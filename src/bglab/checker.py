@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,6 +207,29 @@ def _side_evaluator(alg, lhs: Term, rhs: Term):
     return sides
 
 
+class _Draw(NamedTuple):
+    """A domain made ready for drawing: k values, gathered from `values`, or
+    straight indices 0..k-1 when `values` is None (a whole carrier)."""
+    k: int
+    values: np.ndarray | None
+
+
+def _draw_domains(doms) -> list[_Draw]:
+    """Each domain ready for drawing; variables sharing one domain object
+    (every whole-carrier variable of _domain_lists) share its _Draw."""
+    ready: dict[int, _Draw] = {}
+    out = []
+    for d in doms:
+        if not isinstance(d, _Draw):
+            if id(d) not in ready:
+                dom = np.asarray(d, dtype=np.int32)
+                whole = np.array_equal(dom, np.arange(len(dom)))
+                ready[id(d)] = _Draw(len(dom), None if whole else dom)
+            d = ready[id(d)]
+        out.append(d)
+    return out
+
+
 def sample_assignments(variables, doms, seed: int, start: int, count: int):
     """Deterministic sample block: variable j of sample s uses counter s*V + j.
 
@@ -214,7 +238,8 @@ def sample_assignments(variables, doms, seed: int, start: int, count: int):
     place in buffers reused for every variable (a single count x V draw is
     slower, being bound by memory bandwidth).  A whole-carrier variable's
     values are written straight into the narrowest index dtype (uint8 up
-    to 256 elements); a restricted domain gathers its int32 elements."""
+    to 256 elements); a restricted domain gathers its int32 elements.  The
+    domains may come ready from _draw_domains, once for all chunks."""
     V = len(variables)
     z0 = np.arange(start, start + count, dtype=np.uint64)
     z0 *= np.uint64(V)
@@ -224,20 +249,19 @@ def sample_assignments(variables, doms, seed: int, start: int, count: int):
     z = np.empty_like(z0)
     t = np.empty_like(z0)
     out = {}
-    for v, d in zip(variables, doms):
+    for v, (k, values) in zip(variables, _draw_domains(doms)):
         np.copyto(z, z0)
         _mix64(z, t)
-        # z % k as z - (z // k) * k: floor_divide by a scalar is much faster
-        k = np.uint64(len(d))
-        np.floor_divide(z, k, out=t)
-        np.multiply(t, k, out=t)
-        x = np.empty(count, dtype=np.min_scalar_type(len(d) - 1))
-        np.subtract(z, t, out=x, casting="unsafe")  # < k, so it fits
-        dom = np.asarray(d, dtype=np.int32)
-        if np.array_equal(dom, np.arange(len(dom))):
-            out[v] = x  # the whole carrier: no gather needed
+        x = np.empty(count, dtype=np.min_scalar_type(k - 1))
+        if k & (k - 1) == 0:
+            # z % k keeps the low bits when k is a power of two
+            np.bitwise_and(z, np.uint64(k - 1), out=x, casting="unsafe")
         else:
-            out[v] = dom[x]
+            # z % k as z - (z // k) * k: floor_divide by a scalar is much faster
+            np.floor_divide(z, np.uint64(k), out=t)
+            np.multiply(t, np.uint64(k), out=t)
+            np.subtract(z, t, out=x, casting="unsafe")  # < k, so it fits
+        out[v] = x if values is None else values[x]
         z0 += _SPLITMIX_GAMMA
     return out
 
@@ -253,7 +277,7 @@ def check_identity_sampled(alg: FiniteAlgebra, lhs: Term, rhs: Term,
         return CheckVerdict(BUDGET_EXCEEDED, attempted=samples,
                             note=f"{samples} samples exceed budget {budget}")
     variables = _variables_of(lhs, rhs)
-    doms = _domain_lists(variables, alg, domains)
+    doms = _draw_domains(_domain_lists(variables, alg, domains))
     sides = _side_evaluator(alg, lhs, rhs)
     done = 0
     for start in range(0, samples, _CHUNK):

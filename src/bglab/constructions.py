@@ -16,7 +16,7 @@ from math import isqrt
 import numpy as np
 
 from . import terms
-from .core import _SLAB_CELLS, FiniteAlgebra, validate
+from .core import _SLAB_CELLS, FiniteAlgebra, _check_indices, closure, validate
 from .errors import (
     CarrierTooLarge,
     ClosureBudgetExceeded,
@@ -573,35 +573,6 @@ def kadourek_semigroup(n: int, h: int,
 
 # ---------------------------------------------------------------------------
 # generic derived algebras
-
-
-def _check_indices(indices, size: int) -> None:
-    for x in indices:
-        if not 0 <= x < size:
-            raise ValueError(f"index {x} is outside 0..{size - 1}")
-
-
-def closure(tables, seeds, star=None) -> list[int]:
-    """Least index set containing the seeds and closed under every binary
-    table in `tables` and, when given, the unary table `star`; sorted."""
-    members = set(map(int, seeds))
-    _check_indices(members, len(tables[0]))
-    rows = [t.tolist() for t in tables]
-    star = None if star is None else star.tolist()
-    found = list(members)
-    # found grows while it is walked; x meets every element up to itself
-    for i, x in enumerate(found):
-        if star is not None and star[x] not in members:
-            members.add(star[x])
-            found.append(star[x])
-        for t in rows:
-            tx = t[x]
-            for y in found[:i + 1]:
-                for p in (tx[y], t[y][x]):
-                    if p not in members:
-                        members.add(p)
-                        found.append(p)
-    return sorted(found)
 
 
 def subalgebra_generate(alg: FiniteAlgebra, seeds) -> list[int]:

@@ -11,7 +11,7 @@ from bglab import checker as K
 from bglab import constructions as C
 from bglab import corpus
 from bglab import terms as T
-from bglab.core import FiniteAlgebra, mult_reduct
+from bglab.core import FiniteAlgebra, mult_reduct, validate
 from bglab.errors import MapNotTotal
 
 
@@ -176,9 +176,10 @@ class TestSampled:
         assert got.tolist() == want
 
     def test_sample_assignments_follow_the_reference_stream(self):
-        xs = [T.Variable((i,), 8) for i in range(1, 9)]
+        xs = [T.Variable((i,), 10) for i in range(1, 11)]
         doms = [[0, 1, 2, 3, 4], [4, 2], list(range(257)), [3],
-                [0], list(range(300, 557)), [0, 1, 2, 3, 4], [1, 0]]
+                [0], list(range(300, 557)), [0, 1, 2, 3, 4], [1, 0],
+                list(range(64)), list(range(256))]
         got = K.sample_assignments(xs, doms, seed=7, start=1000, count=50)
         for j, (v, d) in enumerate(zip(xs, doms)):
             want = [d[splitmix_reference(7, s * len(xs) + j) % len(d)]
@@ -186,6 +187,7 @@ class TestSampled:
             assert got[v].tolist() == want
         # a whole carrier is drawn straight into the narrowest index dtype
         assert got[xs[2]].dtype == np.uint16 and got[xs[4]].dtype == np.uint8
+        assert got[xs[8]].dtype == got[xs[9]].dtype == np.uint8
 
     def test_sampling_is_deterministic_and_seed_sensitive(self, b21_mul):
         lhs, rhs = parse("x1 x2 = x2 x1")
@@ -335,6 +337,19 @@ class TestSampledAgainstFrozenOracle:
             tracemalloc.stop()
         assert verdict.evaluations == 32768
         assert peak < 48 * 2**20
+
+    def test_validating_hall3_stays_under_16_mib(self, hall3):
+        # the n^3 slabs of the associativity scan held 47.9 MiB here; a new
+        # object, since validate remembers its verdict per algebra object
+        alg = FiniteAlgebra(hall3.kind, hall3.labels, hall3.mul, hall3.add, hall3.star)
+        tracemalloc.start()
+        try:
+            bad = validate(alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bad is None
+        assert peak < 16 * 2**20
 
 
 class TestFindViolation:

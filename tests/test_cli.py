@@ -1,10 +1,13 @@
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from bglab import core
 from bglab.cli import main
-from bglab.constructions import brandt_monoid_b21
-from bglab.core import load_algebra, mult_reduct
+from bglab.constructions import brandt_monoid_b21, hall_semiring, symmetric_group
+from bglab.core import FiniteAlgebra, load_algebra, mult_reduct
 
 
 def run(capsys, *argv):
@@ -209,6 +212,41 @@ class TestAnalyze:
         }))
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2 and "mul-associative" in err
+
+    # hall(2) with one cell broken, and the message the slab scan gives
+    BROKEN_HALL2 = {
+        # 01|10 + 11|10 = 11|10 + 01|10 set to 11|11
+        "left-distributive": ("add", [(0, 1), (1, 0)], 6,
+                              "left-distributive fails at (01|10, 01|10, 11|10)"),
+        # (01|10)(01|10) set to 01|10
+        "mul-associative": ("mul", [(0, 0)], 0,
+                            "mul-associative fails at (01|10, 01|10, 11|10)"),
+    }
+
+    @pytest.mark.parametrize("light", [False, True], ids=["slab", "light"])
+    @pytest.mark.parametrize("law", sorted(BROKEN_HALL2))
+    def test_broken_hall2_exits_2_with_the_first_bad_triple(self, law, light,
+                                                             tmp_path, capsys):
+        name, cells, value, message = self.BROKEN_HALL2[law]
+        hall2 = hall_semiring(2)
+        tables = {"mul": np.array(hall2.mul), "add": np.array(hall2.add)}
+        for cell in cells:
+            tables[name][cell] = value
+        path = str(tmp_path / "broken.json")
+        FiniteAlgebra(hall2.kind, hall2.labels, star=hall2.star, **tables).save(path)
+        size = 1 if light else core._LIGHT_MIN_SIZE
+        with mock.patch.multiple(core, _LIGHT_MIN_SIZE=size, _LIGHT_MAX_SHARE=1):
+            code, out, err = run(capsys, "analyze", path)
+        assert (code, out, err) == (2, "", f"validation failed: {message}\n")
+
+    @pytest.mark.parametrize("group", ["S4", "S5"])
+    def test_analyze_runs_the_associativity_engine_once(self, group, tmp_path, capsys):
+        # S5 is past the subgroup budget, so exponent and derived length ask too
+        path = str(tmp_path / "g.json")
+        symmetric_group(int(group[1])).save(path)
+        with mock.patch.object(core, "_associativity", wraps=core._associativity) as spy:
+            code, _, _ = run(capsys, "analyze", path)
+        assert code == 0 and spy.call_count == 1
 
 
 class TestWords:

@@ -476,6 +476,14 @@ class TestClosure:
         tables, seeds, star = case
         assert C.closure(tables, seeds, star) == naive_closure(tables, seeds, star)
 
+    @given(magma_closure_cases(), st.lists(st.integers(0, 4), max_size=2))
+    def test_growing_a_closed_set(self, case, more):
+        tables, seeds, star = case
+        more = [x % len(tables[0]) for x in more]
+        closed = C.closure(tables, seeds, star)
+        assert (C.closure(tables, more, star, closed=closed)
+                == naive_closure(tables, seeds + more, star))
+
     def test_matches_naive_fixpoint_on_corpus_tables(self):
         for order in (1, 2, 3):
             for table in corpus.semigroup_tables(order):

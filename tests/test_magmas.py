@@ -1,14 +1,18 @@
 """Tables that need not be associative: evaluation keeps each term's own
-bracketing, and the associativity scan finds the first bad triple."""
+bracketing, the associativity scan finds the first bad triple, and Light's
+test from a generating set reaches the scan's verdict."""
 
 from functools import reduce
+from itertools import product
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bglab import core
+from bglab import constructions as C
+from bglab import core, corpus
 from bglab import terms as T
 from bglab.core import AxiomViolation, FiniteAlgebra
 
@@ -103,3 +107,124 @@ class TestAssociativityScan:
         with mock.patch.object(core, "_SLAB_CELLS", slab_cells):
             got = core._assoc_violation(table, "mul-associative")
         assert got == fancy_assoc_violation(table, "mul-associative", slab_cells)
+
+
+def light_path():
+    """Light's test on every table, whatever its size or generating set."""
+    return mock.patch.multiple(core, _LIGHT_MIN_SIZE=1, _LIGHT_MAX_SHARE=1)
+
+
+def slab_path():
+    """The n^3 slab scan on every table: the oracle."""
+    return mock.patch.object(core, "_LIGHT_MIN_SIZE", 1 << 30)
+
+
+def indecomposables(table):
+    n = len(table)
+    return {x for x in range(n)
+            if all(table[y, z] != x for y in range(n) for z in range(n) if x not in (y, z))}
+
+
+@st.composite
+def perturbed_semigroups(draw):
+    """A semigroup of order <= 4 from the corpus with up to two cells
+    overwritten."""
+    table = np.array(draw(st.sampled_from(corpus.all_semigroups_upto(4))))
+    n = len(table)
+    for _ in range(draw(st.integers(0, 2))):
+        table[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.integers(0, n - 1))
+    return FiniteAlgebra("semigroup", tuple(map(str, range(n))), table)
+
+
+def semilattices(n):
+    """Every commutative idempotent associative table on 0..n-1."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = []
+    for values in product(range(n), repeat=len(pairs)):
+        add = np.diag(np.arange(n))
+        for (i, j), v in zip(pairs, values):
+            add[i, j] = add[j, i] = v
+        if core._assoc_violation(add, "add-associative") is None:
+            out.append(add)
+    return out
+
+
+SEMILATTICES = {n: semilattices(n) for n in (1, 2, 3)}
+SEMIRINGS = [C.brandt_monoid_b21(), C.hall_semiring(2, with_star=False),
+             C.power_semiring(C.cyclic_group(3)), C.power_semiring(C.symmetric_group(3))]
+
+
+def semiring(mul, add):
+    return FiniteAlgebra("ai-semiring", tuple(map(str, range(len(mul)))), mul, add)
+
+
+@st.composite
+def perturbed_semirings(draw):
+    """An order <= 3 semigroup and semilattice with one product cell
+    overwritten (this breaks one distributive law or the other), or a larger
+    ai-semiring with one sum y + z = z + y overwritten."""
+    if draw(st.booleans()):
+        mul = np.array(draw(st.sampled_from(corpus.all_semigroups_upto(3))))
+        add = draw(st.sampled_from(SEMILATTICES[len(mul)]))
+        cell = st.integers(0, len(mul) - 1)
+        mul[draw(cell), draw(cell)] = draw(cell)
+        return semiring(mul, add)
+    base = draw(st.sampled_from(SEMIRINGS))
+    cell = st.integers(0, base.size - 1)
+    add = np.array(base.add)
+    y, z = draw(cell), draw(cell)
+    add[y, z] = add[z, y] = draw(cell)
+    return semiring(base.mul, add)
+
+
+class TestLightsTest:
+    @given(st.one_of(magmas(), perturbed_semigroups()))
+    @settings(max_examples=300)
+    def test_same_verdict_and_witness_as_the_slab_scan(self, alg):
+        table = alg.mul
+        with light_path():
+            gens = core._generators(table)
+            got = core.validate_semigroup(alg)
+        assert core.closure([table], gens) == list(range(alg.size))
+        assert indecomposables(table) <= set(gens)
+        oracle = core._assoc_violation(table, "mul-associative")
+        assert core._light_holds(table, gens) == (oracle is None)
+        assert got == oracle
+
+    @given(perturbed_semirings())
+    @settings(max_examples=300)
+    def test_semirings_with_one_broken_cell(self, alg):
+        with light_path():
+            got = core.validate_ai_semiring(alg)
+        with slab_path():
+            assert got == core.validate_ai_semiring(alg)
+
+    @pytest.mark.parametrize("mul, add, cell, want", [
+        # set 1*1 = 1: 1(1+2) = 1*1 = 1, but 1*1 + 1*2 = 1 + 0 = 0
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+         (1, 1, 1), AxiomViolation("left-distributive", (1, 1, 2))),
+        # set 2*1 = 1: (0+2)1 = 2*1 = 1, but 0*1 + 2*1 = 0 + 1 = 0
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 2]], [[0, 0, 2], [0, 1, 2], [2, 2, 2]],
+         (2, 1, 1), AxiomViolation("right-distributive", (1, 0, 2))),
+    ])
+    def test_one_broken_distributive_cell_on_each_side(self, mul, add, cell, want):
+        mul = np.array(mul)
+        assert core.validate_ai_semiring(semiring(mul, add)) is None
+        x, y, value = cell
+        mul[x, y] = value
+        with slab_path():
+            assert core.validate_ai_semiring(semiring(mul, add)) == want
+        with light_path():
+            assert core.validate_ai_semiring(semiring(mul, add)) == want
+
+    def test_large_tables_take_lights_path(self):
+        hall3 = C.hall_semiring(3)
+        assert hall3.size >= core._LIGHT_MIN_SIZE
+        mul_gens, add_gens = core._generators(hall3.mul), core._generators(hall3.add)
+        assert (len(mul_gens), len(add_gens)) == (6, 42)
+        assert core._light_holds(hall3.mul, mul_gens)
+        assert core._distributes(hall3.mul, hall3.add, mul_gens)
+        # a left-zero band needs every element: the slab scan decides
+        band = np.repeat(np.arange(64)[:, None], 64, axis=1)
+        assert core._generators(band) is None
