@@ -160,6 +160,59 @@ def idempotent_generated(alg: FiniteAlgebra) -> list[int]:
     return closure([alg.mul], idempotents(alg))
 
 
+def block_group_tests(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three block-group tests on a (T, n, n) stack of tables at once.
+
+    Returns Boolean arrays (block_group, unique_inverse, j_trivial_core) of
+    length T, equal table by table to is_block_group, unique_inverse_check
+    and j_trivial(alg, idempotent_generated(alg))[0], also on tables that
+    are not associative.  A table with no idempotent has an empty core,
+    which counts as J-trivial."""
+    mul = np.asarray(stack)
+    T, n, _ = mul.shape
+    s = np.arange(n)
+    t = np.arange(T)[:, None, None]
+    distinct = ~np.eye(n, dtype=bool)
+
+    def swap(m):
+        return m.transpose(0, 2, 1)
+
+    # is_left[e, f]: ef = e, is_right[e, f]: ef = f; idempotents e != f
+    # break the block-group law when ef = e, fe = f or ef = f, fe = e
+    is_left = mul == s[:, None]
+    is_right = mul == s
+    idem = is_left[:, s, s]
+    pairs = idem[:, :, None] & idem[:, None, :] & distinct
+    bad = pairs & ((is_left & swap(is_left)) | (is_right & swap(is_right)))
+    block_group = ~bad.any(axis=(1, 2))
+
+    # [a, b]: (ab)a = a, and with its transpose (ba)b = b
+    half = mul[t, mul, s[:, None]] == s[:, None]
+    unique_inverse = ((half & swap(half)).sum(axis=2) <= 1).all(axis=1)
+
+    # the core: close the idempotent masks under products of members
+    core = idem
+    while True:
+        k, x, y = np.nonzero(core[:, :, None] & core[:, None, :])
+        grown = core.copy()
+        grown[k, mul[k, x, y]] = True
+        if np.array_equal(grown, core):
+            break
+        core = grown
+    # [a, x]: x in aS'^1 (right) and x in S'^1 a (left), s running over the
+    # core; row a of left @ right is S'^1 a S'^1, inside the core for a in it
+    k, a, c = np.nonzero(np.broadcast_to(core[:, None, :], mul.shape))
+    right = np.tile(np.eye(n, dtype=bool), (T, 1, 1))
+    left = right.copy()
+    right[k, a, mul[k, a, c]] = True
+    left[k, a, mul[k, c, a]] = True
+    ideals = left @ right
+    same = (ideals[:, :, None, :] == ideals[:, None, :, :]).all(axis=3)
+    twins = same & core[:, :, None] & core[:, None, :] & distinct
+    j_trivial_core = ~twins.any(axis=(1, 2))
+    return block_group, unique_inverse, j_trivial_core
+
+
 def maximal_subgroups(alg: FiniteAlgebra) -> list[tuple[int, list[int]]]:
     """For each idempotent e, the group of units of the local monoid eSe."""
     mul = alg.mul

@@ -51,6 +51,12 @@ class CheckVerdict:
         return self.status in (HOLDS, NO_COUNTEREXAMPLE)
 
 
+def check_seed(seed: int) -> None:
+    """A sampling seed is a splitmix64 state: it must lie in [0, 2^64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
+
+
 def splitmix64(counters: np.ndarray, seed: int) -> np.ndarray:
     """Counter-based splitmix64 output stream for the given seed."""
     z = (np.uint64(seed) + (counters.astype(np.uint64) + np.uint64(1))
@@ -270,7 +276,11 @@ def check_identity_sampled(alg: FiniteAlgebra, lhs: Term, rhs: Term,
                            samples: int, seed: int, domains=None,
                            budget: int | None = None) -> CheckVerdict:
     """Seeded search; reports a counterexample or no_counterexample_found,
-    never "holds".  More samples than the budget are refused before any draw."""
+    never "holds".  More samples than the budget are refused before any draw;
+    a sample count below 1 or a seed outside [0, 2^64) raises ValueError."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    check_seed(seed)
     if budget is None:
         budget = default_budget()
     if samples > budget:

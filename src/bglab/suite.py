@@ -122,30 +122,35 @@ def check_axioms(wb: Workbench, profile: str, seed: int):
     return evals, "b21, power(S3), involution power(S3), hall(2), hall(3) validate"
 
 
-def check_block_group_equivalences(wb: Workbench, profile: str, seed: int):
-    max_order = 3 if profile == "quick" else 4
+def block_group_algebras(wb: Workbench) -> list[FiniteAlgebra]:
+    """The constructed semigroups a02 tests, in the order it tests them."""
     algs = [wb.get(n) for n in
             ("b21_mul", "b2", "b3", "bz2", "ps3_mul", "s3", "q8")]
     algs.append(mult_reduct(wb.get("hall2")))
     algs.append(wb.get("kad21")[0])
-    tested = 0
-    for alg in algs:
-        _equiv_or_fail(alg)
-        tested += 1
-    for table in corpus.all_semigroups_upto(max_order):
-        _equiv_or_fail(corpus.as_algebra(table))
-        tested += 1
+    return algs
+
+
+def check_block_group_equivalences(wb: Workbench, profile: str, seed: int):
+    max_order = 3 if profile == "quick" else 4
+    stacks = [alg.mul[None] for alg in block_group_algebras(wb)]
+    stacks += [corpus.semigroup_stack(n) for n in range(1, max_order + 1)]
+    for stack in stacks:
+        _block_group_tests_agree(stack)
+    tested = sum(len(stack) for stack in stacks)
     return tested, f"{tested} semigroups agree on all three block-group tests"
 
 
-def _equiv_or_fail(alg: FiniteAlgebra):
-    bg = analysis.is_block_group(alg)
-    ui = analysis.unique_inverse_check(alg)
-    core_set = analysis.idempotent_generated(alg)
-    jt = analysis.j_trivial(alg, core_set)[0]
-    _need(bg == ui == jt,
-          f"disagreement on a {alg.size}-element semigroup: "
-          f"block-group={bg} unique-inverse={ui} j-trivial-core={jt}")
+def _block_group_tests_agree(stack):
+    """Fail on the first table of a (T, n, n) stack on which the three
+    block-group tests disagree."""
+    bg, ui, jt = analysis.block_group_tests(stack)
+    disagree = (bg != ui) | (bg != jt)
+    if disagree.any():
+        k = disagree.argmax()
+        raise _Fail(f"disagreement on a {stack.shape[1]}-element semigroup: "
+                    f"block-group={bool(bg[k])} unique-inverse={bool(ui[k])} "
+                    f"j-trivial-core={bool(jt[k])}")
 
 
 def check_u_words_in_subgroups(wb: Workbench, profile: str, seed: int):
@@ -466,6 +471,7 @@ def run_suite(profile: str = "quick", seed: int = SAMPLED_CHECK_SEED,
               ids=None) -> SuiteReport:
     if profile not in ("quick", "full"):
         raise ValueError("profile must be quick or full")
+    checker.check_seed(seed)
     wb = Workbench()
     return SuiteReport(profile, seed, [run_check(wb, check, profile, seed)
                                        for check in CHECKS

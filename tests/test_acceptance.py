@@ -10,6 +10,7 @@ injections.
 import pytest
 
 from bglab import suite
+from bglab.core import FiniteAlgebra
 
 # Wall-time bounds in seconds on a check's whole run at the full profile.
 # They stay here, not in the suite: under load a01 nears its bound, and a
@@ -46,3 +47,26 @@ def test_suite_quick_profile_agrees():
     a02 = next(r for r in rep.results if r.id == "a02-block-group-equivalences")
     assert a02.wall_ms < 60_000
     print("ACCEPTANCE suite-quick: PASS — 11 mandatory checks pass; a08b recorded red")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_is_refused_before_any_check(seed, monkeypatch):
+    def no_check(*args):
+        raise AssertionError("ran a check")
+
+    monkeypatch.setattr(suite, "run_check", no_check)
+    with pytest.raises(ValueError):
+        suite.run_suite("quick", seed=seed)
+
+
+def test_a02_names_the_first_disagreement(monkeypatch):
+    # two magmas on which the block-group tests disagree, each differently;
+    # a02 names the first in its wording from before the batched kernel
+    magmas = [[[0, 0, 0], [0, 1, 1], [2, 0, 2]], [[0, 0, 0], [0, 0, 0], [1, 0, 2]]]
+    monkeypatch.setattr(suite, "block_group_algebras", lambda wb: [
+        FiniteAlgebra("semigroup", ("a", "b", "c"), m) for m in magmas])
+    check = next(c for c in suite.CHECKS if c[0] == "a02-block-group-equivalences")
+    result = suite.run_check(suite.Workbench(), check, "quick")
+    assert (result.status, result.evaluations) == ("fail", 0)
+    assert result.detail == ("disagreement on a 3-element semigroup: block-group=False "
+                             "unique-inverse=False j-trivial-core=True")

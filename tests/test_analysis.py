@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bglab import analysis as A
 from bglab import constructions as C
-from bglab import corpus
+from bglab import corpus, suite
 from bglab import terms as T
 from bglab.checker import check_identity_exhaustive
 from bglab.core import FiniteAlgebra, mult_reduct
@@ -467,6 +469,55 @@ class TestCorpusInvariants:
             e = (2**rep.h) * rep.m
             ok, bad = A.satisfies_power_identity(alg, e, 2 * e)
             assert ok, f"failed at element {bad}"
+
+
+def per_table_block_group_tests(alg):
+    """Oracle for analysis.block_group_tests: the per-table functions."""
+    core = A.idempotent_generated(alg)
+    return [A.is_block_group(alg), A.unique_inverse_check(alg),
+            A.j_trivial(alg, core)[0] if core else True]
+
+
+def batched_block_group_tests(stack):
+    return np.stack(A.block_group_tests(stack), axis=1).tolist()
+
+
+@st.composite
+def magma_stacks(draw):
+    """One to six tables of one order <= 5: random magmas, associative or
+    not, and up to order 4 corpus semigroups among them."""
+    n = draw(st.integers(1, 5))
+    cell = st.integers(0, n - 1)
+    table = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+    if n <= 4:
+        table = st.one_of(table, st.sampled_from(corpus.semigroup_stack(n).tolist()))
+    return np.array(draw(st.lists(table, min_size=1, max_size=6)), dtype=np.uint8)
+
+
+class TestBatchedBlockGroupTests:
+    """block_group_tests agrees table by table with the per-table functions."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_corpus_table(self, n):
+        stack = corpus.semigroup_stack(n)
+        assert batched_block_group_tests(stack) == [
+            per_table_block_group_tests(corpus.as_algebra(t)) for t in stack]
+
+    def test_a02_constructed_algebras(self, workbench):
+        algs = suite.block_group_algebras(workbench)
+        assert len(algs) == 9
+        for alg in algs:
+            assert batched_block_group_tests(alg.mul[None]) == [
+                per_table_block_group_tests(alg)]
+
+    @given(magma_stacks())
+    @settings(max_examples=150)
+    # idempotents 0 and 2; the core {0, 1, 2, 3} takes two rounds of products
+    @example(np.array([[[0, 0, 3, 3], [1, 0, 3, 1], [3, 3, 2, 3], [3, 3, 3, 1]]],
+                      dtype=np.uint8))
+    def test_random_magmas(self, stack):
+        assert batched_block_group_tests(stack) == [
+            per_table_block_group_tests(corpus.as_algebra(t)) for t in stack]
 
 
 class TestStabilizingPower:

@@ -224,6 +224,24 @@ class TestSampled:
                                            budget=100)
         assert verdict.status == K.COUNTEREXAMPLE
 
+    @pytest.mark.parametrize("samples, seed", [(0, 1), (-5, 1), (100, -1), (100, 2**64)])
+    def test_bad_sample_count_or_seed_raises_before_drawing(self, b21_mul, monkeypatch,
+                                                             samples, seed):
+        lhs, rhs = parse("x1 x2 = x2 x1")
+
+        def no_draw(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(K, "sample_assignments", no_draw)
+        with pytest.raises(ValueError):
+            K.check_identity_sampled(b21_mul, lhs, rhs, samples=samples, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_the_ends_of_the_range_draw(self, b21_mul, seed):
+        lhs, rhs = parse("x1^2 = x1^4")
+        verdict = K.check_identity_sampled(b21_mul, lhs, rhs, samples=10, seed=seed)
+        assert verdict.status == K.NO_COUNTEREXAMPLE and verdict.seed == seed
+
 
 # The sampled engine as it was before the offset fold and the narrow draws,
 # frozen as an oracle: int32 draws and every product one flat take.

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from bglab import core
+import bglab
+from bglab import core, suite
 from bglab.cli import main
 from bglab.constructions import brandt_monoid_b21, hall_semiring, symmetric_group
 from bglab.core import FiniteAlgebra, load_algebra, mult_reduct
@@ -322,6 +327,13 @@ class TestCheck:
         assert payload["status"] == "no_counterexample_found"
         assert payload["seed"] == 1
 
+    @pytest.mark.parametrize("bad", [["--samples", "0"], ["--samples", "-5"],
+                                     ["--seed", "-1"], ["--seed", str(2**64)]])
+    def test_bad_sample_count_or_seed_exits_2(self, b21_path, capsys, bad):
+        code, out, err = run(capsys, "check", "--algebra", b21_path,
+                             "--identity", "x1^2 = x1^4", "--mode", "sampled", *bad)
+        assert code == 2 and out == "" and "error" in err
+
     def test_block_mode(self, tmp_path, capsys):
         path = str(tmp_path / "b2.json")
         run(capsys, "build", "brandt", "--group", "C1", "--indices", "2",
@@ -421,3 +433,20 @@ class TestVerifySuite:
         mandatory = [c for c in report["checks"] if c["mandatory"]]
         assert all(c["status"] == "pass" for c in mandatory)
         assert len(mandatory) == 11
+
+    def test_out_of_range_seed_exits_2_before_any_check(self, capsys, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("ran a check")
+
+        monkeypatch.setattr(suite, "run_check", no_check)
+        code, out, err = run(capsys, "verify-suite", "--seed", "-1")
+        assert code == 2 and out == "" and "seed -1" in err
+
+    def test_runs_as_python_dash_m(self):
+        src = str(Path(bglab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "bglab", "verify-suite",
+                               "--profile", "quick"], env=env, capture_output=True,
+                              text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        assert "suite: PASS (quick profile)" in done.stdout

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
 from bglab import corpus
@@ -18,6 +19,78 @@ def brute_force_count(n):
     return count
 
 
+def _consistent(t, n, i, j):
+    """Associativity triples that could involve the just-filled cell (i, j)."""
+    v = t[i * n + j]
+    # (i, j, c): inner-left product is the new cell
+    for c in range(n):
+        q = t[j * n + c]
+        if q >= 0:
+            left = t[v * n + c]
+            right = t[i * n + q]
+            if left >= 0 and right >= 0 and left != right:
+                return False
+    # (a, i, j): inner-right product is the new cell
+    for a in range(n):
+        p = t[a * n + i]
+        if p >= 0:
+            left = t[p * n + j]
+            right = t[a * n + v]
+            if left >= 0 and right >= 0 and left != right:
+                return False
+    # (a, b, j) where t[a][b] = i: new cell is the outer-left lookup
+    for a in range(n):
+        row = a * n
+        for b in range(n):
+            if t[row + b] == i:
+                q = t[b * n + j]
+                if q >= 0:
+                    right = t[row + q]
+                    if right >= 0 and right != v:
+                        return False
+    # (i, b, c) where t[b][c] = j: new cell is the outer-right lookup
+    for b in range(n):
+        tb = t[i * n + b]
+        row = b * n
+        for c in range(n):
+            if t[row + c] == j:
+                if tb >= 0:
+                    left = t[tb * n + c]
+                    if left >= 0 and left != v:
+                        return False
+    return True
+
+
+def backtracked_tables(n):
+    """Oracle: every associative table in ascending order, by backtracking
+    over cells in row-major order with incremental associativity pruning."""
+    cells = n * n
+    t = [-1] * cells
+    pos = 0
+    value = [0] * cells
+    while pos >= 0:
+        if pos == cells:
+            yield tuple(tuple(t[i * n : (i + 1) * n]) for i in range(n))
+            pos -= 1
+            value[pos] += 1
+            t[pos] = -1
+            continue
+        v = value[pos]
+        if v == n:
+            value[pos] = 0
+            t[pos] = -1
+            pos -= 1
+            if pos >= 0:
+                value[pos] += 1
+                t[pos] = -1
+            continue
+        t[pos] = v
+        if _consistent(t, n, pos // n, pos % n):
+            pos += 1
+        else:
+            value[pos] += 1
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_counts_match_brute_force(self, n):
@@ -30,6 +103,28 @@ class TestEnumeration:
 
     def test_order_four_count(self):
         assert sum(1 for _ in corpus.semigroup_tables(4)) == 3492
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tables_match_the_backtracker_in_order(self, n):
+        assert list(corpus.semigroup_tables(n)) == list(backtracked_tables(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_is_a_read_only_uint8_array(self, n):
+        stack = corpus.semigroup_stack(n)
+        count = (1, 8, 113, 3492)[n - 1]
+        assert stack.shape == (count, n, n)
+        assert stack.dtype == np.uint8
+        assert stack.flags.c_contiguous and not stack.flags.writeable
+        assert corpus.semigroup_stack(n) is stack
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one_is_refused(self, n):
+        with pytest.raises(ValueError):
+            corpus.semigroup_stack(n)
+        with pytest.raises(ValueError):
+            next(corpus.semigroup_tables(n))
 
     def test_tables_are_emitted_in_ascending_order(self):
         tables = list(corpus.semigroup_tables(2))
