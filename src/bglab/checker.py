@@ -12,11 +12,12 @@ import os
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import FiniteAlgebra
+from .core import FiniteAlgebra, _check_indices
 from .errors import MapNotTotal, MissingTable
 from .terms import PowerOf, Term, Variable, evaluate_batch, flat_kernel
 
@@ -92,6 +93,7 @@ def _domain_lists(variables, alg, domains):
             dom = [int(x) for x in domains[v]]
             if not dom:
                 raise ValueError(f"empty domain for {v.name}")
+            _check_indices(dom, alg.size)
             out.append(dom)
         else:
             out.append(full)
@@ -137,54 +139,22 @@ def _decode_witness(variables, doms, position) -> dict[Variable, int]:
     return out
 
 
-def check_identity_exhaustive(alg: FiniteAlgebra, lhs: Term, rhs: Term,
-                              domains=None, budget: int | None = None) -> CheckVerdict:
-    """Enumerate every substitution; first counterexample in odometer order."""
-    if budget is None:
-        budget = default_budget()
-    if lhs == rhs:
-        return CheckVerdict(HOLDS, evaluations=0, note="syntactic equality")
-    variables = _variables_of(lhs, rhs)
+def _odometer_scan(alg, terms, domains, budget, mismatch) -> CheckVerdict:
+    """Walk every substitution of the terms' variables in odometer order, a
+    block at a time.  Past the budget refusal, mismatch() gives the test of
+    a block: assign -> its failures as a Boolean array; the first failure
+    is the counterexample."""
+    budget = default_budget() if budget is None else budget
+    variables = _variables_of(*terms)
     doms = _domain_lists(variables, alg, domains)
-    space = 1
-    for d in doms:
-        space *= len(d)
+    space = prod(len(d) for d in doms)
     if space > budget:
         return CheckVerdict(BUDGET_EXCEEDED, attempted=space,
                             note=f"{space} substitutions exceed budget {budget}")
-    sides = _side_evaluator(alg, lhs, rhs)
+    failures = mismatch()
     done = 0
     for assign, origin in _substitution_blocks(variables, doms):
-        left, right = sides(assign)
-        neq = np.atleast_1d(left != right)
-        done += neq.size
-        if neq.any():
-            at = origin + int(np.argmax(neq))
-            return CheckVerdict(COUNTEREXAMPLE,
-                                witness=_decode_witness(variables, doms, at),
-                                evaluations=done)
-    return CheckVerdict(HOLDS, evaluations=done)
-
-
-def check_membership_exhaustive(alg: FiniteAlgebra, term: Term, allowed,
-                                domains=None, budget: int | None = None) -> CheckVerdict:
-    """Check that every substitution value lands in the allowed element set."""
-    if budget is None:
-        budget = default_budget()
-    variables = _variables_of(term)
-    doms = _domain_lists(variables, alg, domains)
-    space = 1
-    for d in doms:
-        space *= len(d)
-    if space > budget:
-        return CheckVerdict(BUDGET_EXCEEDED, attempted=space,
-                            note=f"{space} substitutions exceed budget {budget}")
-    mask = np.zeros(alg.size, dtype=bool)
-    mask[sorted(int(x) for x in allowed)] = True
-    done = 0
-    for assign, origin in _substitution_blocks(variables, doms):
-        values = np.atleast_1d(evaluate_batch(term, assign, alg))
-        bad = ~mask[values]
+        bad = np.atleast_1d(failures(assign))
         done += bad.size
         if bad.any():
             at = origin + int(np.argmax(bad))
@@ -192,6 +162,30 @@ def check_membership_exhaustive(alg: FiniteAlgebra, term: Term, allowed,
                                 witness=_decode_witness(variables, doms, at),
                                 evaluations=done)
     return CheckVerdict(HOLDS, evaluations=done)
+
+
+def check_identity_exhaustive(alg: FiniteAlgebra, lhs: Term, rhs: Term,
+                              domains=None, budget: int | None = None) -> CheckVerdict:
+    """Enumerate every substitution; first counterexample in odometer order."""
+    if lhs == rhs:
+        return CheckVerdict(HOLDS, evaluations=0, note="syntactic equality")
+
+    def mismatch():
+        sides = _side_evaluator(alg, lhs, rhs)
+        return lambda assign: np.not_equal(*sides(assign))
+
+    return _odometer_scan(alg, (lhs, rhs), domains, budget, mismatch)
+
+
+def check_membership_exhaustive(alg: FiniteAlgebra, term: Term, allowed,
+                                domains=None, budget: int | None = None) -> CheckVerdict:
+    """Check that every substitution value lands in the allowed element set."""
+    def mismatch():
+        mask = np.zeros(alg.size, dtype=bool)
+        mask[sorted(int(x) for x in allowed)] = True
+        return lambda assign: ~mask[evaluate_batch(term, assign, alg)]
+
+    return _odometer_scan(alg, (term,), domains, budget, mismatch)
 
 
 def _side_evaluator(alg, lhs: Term, rhs: Term):
@@ -305,30 +299,17 @@ def check_identity_sampled(alg: FiniteAlgebra, lhs: Term, rhs: Term,
     return CheckVerdict(NO_COUNTEREXAMPLE, evaluations=done, seed=seed)
 
 
-def find_identity_violation(alg: FiniteAlgebra, lhs: Term, rhs: Term,
-                            strategy: str = "exhaustive", generators=None,
-                            budget: int | None = None, samples: int = 10_000,
-                            seed: int = 1) -> CheckVerdict:
-    """Counterexample search with a pluggable substitution order.
-
-    generator-biased reorders every domain so a designated generator set is
-    tried first; the reported witness is minimal in that biased order.
-    """
-    if strategy == "exhaustive":
-        return check_identity_exhaustive(alg, lhs, rhs, budget=budget)
-    if strategy == "generator-biased":
-        if not generators:
-            raise ValueError("generator-biased strategy needs a generator set")
-        gens = [int(g) for g in generators]
-        rest = [x for x in range(alg.size) if x not in set(gens)]
-        biased = gens + rest
-        domains = {v: biased for v in _variables_of(lhs, rhs)}
-        return check_identity_exhaustive(alg, lhs, rhs, domains=domains,
-                                         budget=budget)
-    if strategy == "sampled":
-        return check_identity_sampled(alg, lhs, rhs, samples=samples, seed=seed,
-                                      budget=budget)
-    raise ValueError(f"unknown strategy {strategy!r}")
+def find_identity_violation(alg: FiniteAlgebra, lhs: Term, rhs: Term, generators,
+                            budget: int | None = None) -> CheckVerdict:
+    """Exhaustive counterexample search that tries a generator set first:
+    every domain lists the generators, then the other elements, so the
+    reported witness is minimal in that biased order."""
+    if not generators:
+        raise ValueError("the generator-first search needs a generator set")
+    gens = [int(g) for g in generators]
+    biased = gens + [x for x in range(alg.size) if x not in set(gens)]
+    domains = {v: biased for v in _variables_of(lhs, rhs)}
+    return check_identity_exhaustive(alg, lhs, rhs, domains=domains, budget=budget)
 
 
 # ---------------------------------------------------------------------------

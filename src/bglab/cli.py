@@ -13,62 +13,19 @@ import re
 import sys
 
 from . import analysis, checker, constructions, suite, terms
-from .core import FiniteAlgebra, load_algebra, mult_reduct, validate
+from .core import load_algebra, mult_reduct, validate
 from .errors import BglabError
 
-_GROUP_SPEC = re.compile(r"^(S|C|D)(\d+)$|^Q8$")
+_FAMILIES = {"S": "symmetric", "C": "cyclic", "D": "dihedral"}
+
+# One verb per registered construction, then two that only the command line
+# knows: subset-b picks its elements from a group, from-meta reads a file.
+BUILD_CHOICES = [*constructions.REGISTRY, "subset-b", "from-meta"]
 
 
-def _group_from_spec(spec: str) -> FiniteAlgebra:
-    m = _GROUP_SPEC.match(spec)
-    if m:
-        if spec == "Q8":
-            return constructions.quaternion_group()
-        family = {"S": "symmetric", "C": "cyclic", "D": "dihedral"}[m.group(1)]
-        return constructions.make_group(family, int(m.group(2)))
-    return load_algebra(spec)
-
-
-def build_from_meta(meta: dict) -> FiniteAlgebra:
-    """Rebuild a constructed algebra from its recorded parameters; a meta
-    with `reduct_of` rebuilds the multiplicative reduct."""
-    alg = _build_construction(meta)
-    return mult_reduct(alg) if "reduct_of" in meta else alg
-
-
-def _build_construction(meta: dict) -> FiniteAlgebra:
-    kind = meta.get("construction")
-    if kind == "group":
-        return constructions.make_group(meta["family"], meta.get("n"))
-    if kind == "b21":
-        return constructions.brandt_monoid_b21()
-    if kind == "brandt":
-        return constructions.brandt_semigroup(build_from_meta(meta["group"]),
-                                              meta["index_count"])
-    if kind == "power-semiring":
-        return constructions.power_semiring(build_from_meta(meta["group"]),
-                                            nonempty_only=meta.get("nonempty", False),
-                                            with_star=meta.get("with_star", False))
-    if kind == "involution-power":
-        return constructions.involution_power(build_from_meta(meta["group"]))
-    if kind == "hall":
-        return constructions.hall_semiring(meta["n"], meta.get("with_star", True))
-    if kind == "kadourek":
-        return constructions.kadourek_semigroup(meta["n"], meta["h"])[0]
-    if kind == "subalgebra":
-        parent = build_from_meta(meta["parent"])
-        return constructions.induced_algebra(parent, meta["elements"])[0]
-    if kind == "rees-quotient":
-        parent = build_from_meta(meta["parent"])
-        return constructions.rees_quotient(parent, meta["ideal"])
-    if kind == "adjoin-zero":
-        return constructions.adjoin_zero(build_from_meta(meta["parent"]))
-    if kind == "adjoin-identity":
-        return constructions.adjoin_identity(build_from_meta(meta["parent"]))
-    raise BglabError(f"cannot rebuild construction {kind!r}")
-
-
-def _cmd_build(args) -> int:
+def _build_spec(args):
+    """The options of one `build` verb as the meta of its construction;
+    `group` with a file gives the loaded algebra, saved as it is."""
     what = args.what
 
     def need(option):
@@ -76,45 +33,54 @@ def _cmd_build(args) -> int:
             raise BglabError(f"build {what} needs --{option}")
         return getattr(args, option)
 
+    def group():
+        # a group spec (S3, C6, D4, Q8) as its meta, or the algebra in a file
+        spec = need("group")
+        if spec == "Q8":
+            return {"construction": "group", "family": "quaternion8"}
+        m = re.match(r"([SCD])(\d+)$", spec)
+        if not m:
+            return load_algebra(spec)
+        return {"construction": "group", "family": _FAMILIES[m[1]], "n": int(m[2])}
+
+    def parent():
+        return load_algebra(need("algebra"))
+
+    def indices(option):
+        return [int(s) for s in need(option).split(",")]
+
     if what == "group":
-        alg = _group_from_spec(need("group"))
-    elif what == "brandt":
-        alg = constructions.brandt_semigroup(_group_from_spec(need("group")), args.indices)
-    elif what == "b21":
-        alg = constructions.brandt_monoid_b21()
-    elif what == "power-semiring":
-        alg = constructions.power_semiring(_group_from_spec(need("group")),
-                                           nonempty_only=args.nonempty,
-                                           with_star=args.with_star)
-    elif what == "involution-power":
-        alg = constructions.involution_power(_group_from_spec(need("group")))
-    elif what == "hall":
-        alg = constructions.hall_semiring(args.n, with_star=not args.no_star)
-    elif what == "kadourek":
-        alg = constructions.kadourek_semigroup(args.n, args.height)[0]
-    elif what == "subset-b":
-        group = _group_from_spec(need("group"))
-        members = [group.index(s.strip()) for s in need("subgroup").split(",")]
-        g = group.index(need("element"))
-        masks = constructions.subset_b(group, members, g)
-        power = constructions.power_semiring(group, with_star=args.with_star)
-        alg, _ = constructions.induced_algebra(power, masks)
-    elif what == "subalgebra":
-        parent = load_algebra(need("algebra"))
-        seeds = [int(s) for s in need("seeds").split(",")]
-        members = constructions.subalgebra_generate(parent, seeds)
-        alg, _ = constructions.induced_algebra(parent, members)
-    elif what == "rees-quotient":
-        parent = load_algebra(need("algebra"))
-        alg = constructions.rees_quotient(parent, [int(s) for s in need("ideal").split(",")])
-    elif what == "adjoin-zero":
-        alg = constructions.adjoin_zero(load_algebra(need("algebra")))
-    elif what == "adjoin-identity":
-        alg = constructions.adjoin_identity(load_algebra(need("algebra")))
-    elif what == "from-meta":
-        alg = build_from_meta(load_algebra(need("algebra")).meta)
-    else:
-        raise BglabError(f"unknown construction {what!r}")
+        return group()
+    if what == "from-meta":
+        return parent().meta
+    if what == "subset-b":
+        g = constructions.build(group())
+        members = [g.index(s.strip()) for s in need("subgroup").split(",")]
+        masks = constructions.subset_b(g, members, g.index(need("element")))
+        power = {"construction": "power-semiring", "group": g,
+                 "with_star": args.with_star}
+        return {"construction": "subalgebra", "parent": power, "elements": masks}
+    if what == "subalgebra":
+        alg = parent()
+        return {"construction": what, "parent": alg,
+                "elements": constructions.subalgebra_generate(alg, indices("seeds"))}
+    options = {
+        "brandt": lambda: {"group": group(), "index_count": args.indices},
+        "b21": dict,
+        "power-semiring": lambda: {"group": group(), "nonempty": args.nonempty,
+                                   "with_star": args.with_star},
+        "involution-power": lambda: {"group": group()},
+        "hall": lambda: {"n": args.n, "with_star": not args.no_star},
+        "kadourek": lambda: {"n": args.n, "h": args.height},
+        "rees-quotient": lambda: {"parent": parent(), "ideal": indices("ideal")},
+        "adjoin-zero": lambda: {"parent": parent()},
+        "adjoin-identity": lambda: {"parent": parent()},
+    }
+    return {"construction": what, **options[what]()}
+
+
+def _cmd_build(args) -> int:
+    alg = constructions.build(_build_spec(args))
     alg.save(args.output)
     print(f"{args.output}: {alg.kind} with {alg.size} elements")
     return 0
@@ -185,13 +151,8 @@ def _parse_side(text: str):
     if not m:
         return terms.parse_term(text)
     params = [int(x) for x in m.group("args").split(",")]
-    fam = m.group("fam")
-    if fam == "v":
-        base = terms.v_word(*params)
-    elif fam == "u":
-        base = terms.u_word(*params)
-    else:
-        base = terms.w_word(*params)
+    family = {"v": terms.v_word, "u": terms.u_word, "w": terms.w_word}[m.group("fam")]
+    base = family(*params)
     exp = m.group("exp")
     return terms.PowerOf(base, int(exp)) if exp else base
 
@@ -211,7 +172,9 @@ def _cmd_check(args) -> int:
     lhs, rhs = _parse_identity_arg(args.identity)
     domains = {}
     for spec in args.domain or []:
-        name, path = spec.split("=", 1)
+        name, eq, path = spec.partition("=")
+        if not eq:
+            raise BglabError(f"--domain expects NAME=FILE, got {spec!r}")
         with open(path) as fh:
             values = json.load(fh)
         elems = [alg.index(v) if isinstance(v, str) else int(v) for v in values]
@@ -229,7 +192,7 @@ def _cmd_check(args) -> int:
         verdict = checker.check_identity_sampled(
             alg, lhs, rhs, samples=args.samples, seed=args.seed,
             domains=domains or None, budget=args.budget)
-    elif args.mode == "block":
+    else:  # block
         if not (isinstance(lhs, terms.BlockWord) and isinstance(rhs, terms.PowerOf)
                 and rhs.base == lhs and rhs.exponent == 2):
             raise BglabError("block mode expects v[n,m,h] = v[n,m,h]^2")
@@ -237,8 +200,6 @@ def _cmd_check(args) -> int:
                                            budget=args.budget)
         verdict = checker.CheckVerdict(img.status, witness=img.witness,
                                        evaluations=img.evaluations, note=img.note)
-    else:
-        raise BglabError(f"unknown mode {args.mode!r}")
     payload = {"status": verdict.status, "evaluations": verdict.evaluations}
     if verdict.seed is not None:
         payload["seed"] = verdict.seed
@@ -278,10 +239,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct an algebra and write it as JSON")
-    b.add_argument("what", choices=[
-        "group", "brandt", "b21", "power-semiring", "involution-power", "hall",
-        "kadourek", "subset-b", "subalgebra", "rees-quotient", "adjoin-zero",
-        "adjoin-identity", "from-meta"])
+    b.add_argument("what", choices=BUILD_CHOICES)
     b.add_argument("--group", help="group spec (S3, C6, D4, Q8) or algebra file")
     b.add_argument("--indices", type=int, default=2, help="Brandt index count")
     b.add_argument("--n", type=int, default=2)
@@ -338,10 +296,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BglabError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as ex:
+    except (BglabError, OSError, ValueError, KeyError) as ex:  # JSONDecodeError too
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

@@ -16,8 +16,10 @@ from math import isqrt
 import numpy as np
 
 from . import terms
-from .core import _SLAB_CELLS, FiniteAlgebra, _check_indices, closure, validate
+from .core import (_SLAB_CELLS, FiniteAlgebra, _check_indices, closure, mult_reduct,
+                   validate)
 from .errors import (
+    BglabError,
     CarrierTooLarge,
     ClosureBudgetExceeded,
     NormalSubgroup,
@@ -128,6 +130,8 @@ def quaternion_group() -> FiniteAlgebra:
 
 
 def make_group(family: str, n: int | None = None) -> FiniteAlgebra:
+    if n is None and family in ("cyclic", "symmetric", "dihedral"):
+        raise UnsupportedSize(f"group family {family!r} needs n")
     if family == "cyclic":
         return cyclic_group(n)
     if family == "symmetric":
@@ -696,3 +700,66 @@ def _nested_meta(alg: FiniteAlgebra):
     if alg.meta.get("construction"):
         return dict(alg.meta)
     return {"construction": None, "size": alg.size, "labels": list(alg.labels)}
+
+
+# ---------------------------------------------------------------------------
+# the registry: the meta each builder above records, read back
+
+
+# What a parameter of each type accepts, and how a message names it: an int
+# is no bool, and an algebra is a nested meta, rebuilt, or an algebra as it is.
+_PARAM_TYPES = {
+    int: (lambda v: type(v) is int, "an int"),
+    bool: (lambda v: type(v) is bool, "a bool"),
+    str: (lambda v: type(v) is str, "a string"),
+    list: (lambda v: type(v) is list and all(type(x) is int for x in v),
+           "a list of ints"),
+    FiniteAlgebra: (lambda v: isinstance(v, (dict, FiniteAlgebra)),
+                    "a construction meta or an algebra"),
+}
+_REQUIRED = object()
+
+# meta["construction"] -> (constructor, then its positional parameters as
+# (meta key, type) or (meta key, type, default when the key is absent))
+REGISTRY = {
+    "group": (make_group, ("family", str), ("n", int, None)),
+    "brandt": (brandt_semigroup, ("group", FiniteAlgebra), ("index_count", int)),
+    "b21": (brandt_monoid_b21,),
+    "power-semiring": (power_semiring, ("group", FiniteAlgebra),
+                       ("nonempty", bool, False), ("with_star", bool, False)),
+    "involution-power": (involution_power, ("group", FiniteAlgebra)),
+    "hall": (hall_semiring, ("n", int), ("with_star", bool, True)),
+    "kadourek": (lambda n, h: kadourek_semigroup(n, h)[0], ("n", int), ("h", int)),
+    "subalgebra": (lambda parent, elements: induced_algebra(parent, elements)[0],
+                   ("parent", FiniteAlgebra), ("elements", list)),
+    "rees-quotient": (rees_quotient, ("parent", FiniteAlgebra), ("ideal", list)),
+    "adjoin-zero": (adjoin_zero, ("parent", FiniteAlgebra)),
+    "adjoin-identity": (adjoin_identity, ("parent", FiniteAlgebra)),
+}
+
+
+def _param(kind: str, meta: dict, key: str, type_, default=_REQUIRED):
+    if key not in meta:
+        if default is _REQUIRED:
+            raise BglabError(f"{kind} meta has no {key!r}")
+        return default
+    accepts, name = _PARAM_TYPES[type_]
+    if not accepts(meta[key]):
+        raise BglabError(f"{kind} meta: {key!r} must be {name}, got {meta[key]!r}")
+    return meta[key]
+
+
+def build(meta: dict | FiniteAlgebra) -> FiniteAlgebra:
+    """Rebuild the algebra a construction meta records; an algebra is
+    returned as it is.  Every parameter is type-checked first (a BglabError
+    names the construction and the key), then each nested meta is rebuilt;
+    a meta with `reduct_of` gives the multiplicative reduct."""
+    if isinstance(meta, FiniteAlgebra):
+        return meta
+    kind = meta.get("construction")
+    if not isinstance(kind, str) or kind not in REGISTRY:
+        raise BglabError(f"cannot rebuild construction {kind!r}")
+    constructor, *params = REGISTRY[kind]
+    args = [_param(kind, meta, *p) for p in params]
+    alg = constructor(*(build(a) if isinstance(a, dict) else a for a in args))
+    return mult_reduct(alg) if "reduct_of" in meta else alg

@@ -13,7 +13,6 @@ import gzip
 import json
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -98,10 +97,9 @@ class FiniteAlgebra:
         return len(self.labels)
 
     def index(self, label: str) -> int:
+        if label not in self.labels:
+            raise ValueError(f"no element is labelled {label!r}")
         return self.labels.index(label)
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.size))
 
     def to_dict(self) -> dict:
         d = {
@@ -133,10 +131,6 @@ class FiniteAlgebra:
 
     def save(self, path) -> None:
         save_algebra(self, path)
-
-    @classmethod
-    def load(cls, path) -> "FiniteAlgebra":
-        return load_algebra(path)
 
 
 def save_algebra(alg: FiniteAlgebra, path) -> None:

@@ -286,9 +286,7 @@ def check_kadourek_violation(wb: Workbench, profile: str, seed: int):
     gen_elems = sorted(gens.values())
     gen_elems += [int(alg.star[g]) for g in gen_elems]
     v = terms.v_word(2, 1, 1)
-    verdict = checker.find_identity_violation(
-        alg, v, terms.PowerOf(v, 2), strategy="generator-biased",
-        generators=gen_elems)
+    verdict = checker.find_identity_violation(alg, v, terms.PowerOf(v, 2), gen_elems)
     _need(verdict.status == checker.COUNTEREXAMPLE,
           "no violation of v(2,1,1) = square found")
     left = terms.evaluate(v, verdict.witness, alg)

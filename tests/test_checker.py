@@ -376,9 +376,7 @@ class TestFindViolation:
         gen_elems = sorted(gens.values())
         gen_elems += [int(alg.star[g]) for g in gen_elems]
         v = T.v_word(2, 1, 1)
-        verdict = K.find_identity_violation(alg, v, T.PowerOf(v, 2),
-                                            strategy="generator-biased",
-                                            generators=gen_elems)
+        verdict = K.find_identity_violation(alg, v, T.PowerOf(v, 2), gen_elems)
         assert verdict.status == K.COUNTEREXAMPLE
         named = {var.name: alg.labels[i] for var, i in verdict.witness.items()}
         assert named == {"x1": "[0>1,3>2]", "x2": "[1>2,4>3]",
@@ -390,20 +388,14 @@ class TestFindViolation:
     def test_exhaustive_strategy_agrees(self, kad21):
         alg, _ = kad21
         v = T.v_word(2, 1, 1)
-        verdict = K.find_identity_violation(alg, v, T.PowerOf(v, 2),
-                                            strategy="exhaustive")
+        verdict = K.check_identity_exhaustive(alg, v, T.PowerOf(v, 2))
         assert verdict.status == K.COUNTEREXAMPLE
 
     def test_abelian_group_satisfies_depth1_identity(self, z4):
         # exponent 4: the whole word is a 16th power times commutators = 1
         v = T.v_word(1, 4, 1)
-        verdict = K.find_identity_violation(z4, v, T.PowerOf(v, 2))
+        verdict = K.check_identity_exhaustive(z4, v, T.PowerOf(v, 2))
         assert verdict.status == K.HOLDS
-
-    def test_unknown_strategy(self, b21_mul):
-        with pytest.raises(ValueError):
-            K.find_identity_violation(b21_mul, T.parse_term("x1"),
-                                      T.parse_term("x1"), strategy="psychic")
 
 
 class TestMorphisms:
@@ -465,6 +457,24 @@ class TestRestrictedDomains:
             b21_mul, T.v_word(2, 4, 1), subgroup_union(b21_mul))
         assert verdict.status == K.HOLDS
         assert verdict.evaluations == 6**4
+
+    @pytest.mark.parametrize("bad", [-1, 6, 99])
+    @pytest.mark.parametrize("engine", ["exhaustive", "membership", "sampled"])
+    def test_domain_outside_the_carrier_is_refused(self, b21_mul, engine, bad):
+        # -1 once read as element 5, and 6 or 99 raised an IndexError
+        lhs, rhs = parse("x1 x2 = x1")
+        x2 = next(v for v in lhs.variables() if v.name == "x2")
+        domains = {x2: [0, bad]}
+        run = {
+            "exhaustive": lambda: K.check_identity_exhaustive(
+                b21_mul, lhs, rhs, domains=domains),
+            "membership": lambda: K.check_membership_exhaustive(
+                b21_mul, lhs, {0}, domains=domains),
+            "sampled": lambda: K.check_identity_sampled(
+                b21_mul, lhs, rhs, samples=100, seed=1, domains=domains),
+        }[engine]
+        with pytest.raises(ValueError, match=f"^index {bad} is outside 0..5$"):
+            run()
 
     def test_budget_env_override(self, b21_mul, monkeypatch):
         lhs, rhs = parse("x1 x2 x3 = x3 x2 x1")

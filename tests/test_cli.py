@@ -10,7 +10,7 @@ import pytest
 
 import bglab
 from bglab import core, suite
-from bglab.cli import main
+from bglab.cli import BUILD_CHOICES, main
 from bglab.constructions import brandt_monoid_b21, hall_semiring, symmetric_group
 from bglab.core import FiniteAlgebra, load_algebra, mult_reduct
 
@@ -106,6 +106,10 @@ class TestBuild:
         with open(first, "rb") as f1, open(second, "rb") as f2:
             assert f1.read() == f2.read()
 
+    def test_every_build_choice_has_a_round_trip(self):
+        assert sorted({args[0] for args in ROUND_TRIPS.values()}) == \
+            sorted(set(BUILD_CHOICES) - {"from-meta"})
+
     @pytest.mark.parametrize("args", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
     def test_from_meta_round_trip(self, args, inputs, tmp_path, capsys):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -177,6 +181,50 @@ class TestBuild:
         code, _, err = run(capsys, "build", "from-meta", "--algebra", str(path),
                            "-o", str(tmp_path / "x.json"))
         assert code == 2 and "index 99 is outside 0..5" in err
+
+
+    B21_PARENT = {"construction": "b21"}
+    MALFORMED_METAS = {
+        "n-a-string": ({"construction": "group", "family": "cyclic", "n": "3"},
+                       "group meta: 'n' must be an int, got '3'"),
+        "n-missing": ({"construction": "group", "family": "cyclic"},
+                      "group family 'cyclic' needs n"),
+        "n-a-bool": ({"construction": "hall", "n": True},
+                     "hall meta: 'n' must be an int, got True"),
+        "h-a-string": ({"construction": "kadourek", "n": 2, "h": "1"},
+                       "kadourek meta: 'h' must be an int, got '1'"),
+        "group-missing": ({"construction": "brandt", "index_count": 2},
+                          "brandt meta has no 'group'"),
+        "group-a-spec": ({"construction": "power-semiring", "group": "S3"},
+                         "power-semiring meta: 'group' must be a construction "
+                         "meta or an algebra, got 'S3'"),
+        "with-star-an-int": ({"construction": "hall", "n": 2, "with_star": 1},
+                             "hall meta: 'with_star' must be a bool, got 1"),
+        "elements-a-string": ({"construction": "subalgebra", "elements": "01",
+                               "parent": B21_PARENT},
+                              "subalgebra meta: 'elements' must be a list of "
+                              "ints, got '01'"),
+        "nested-malformed": ({"construction": "adjoin-zero",
+                              "parent": {"construction": "rees-quotient",
+                                         "parent": B21_PARENT}},
+                             "rees-quotient meta has no 'ideal'"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED_METAS)
+    def test_malformed_meta_exits_2_naming_the_key(self, case, tmp_path, capsys):
+        meta, message = self.MALFORMED_METAS[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(brandt_monoid_b21().to_dict(), meta=meta)))
+        code, out, err = run(capsys, "build", "from-meta", "--algebra", str(path),
+                             "-o", str(tmp_path / "x.json"))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "x.json").exists()
+
+    def test_unknown_element_label_exits_2_naming_it(self, tmp_path, capsys):
+        code, out, err = run(capsys, "build", "subset-b", "--group", "S3",
+                             "--subgroup", "e,(12)", "--element", "zz",
+                             "-o", str(tmp_path / "x.json"))
+        assert (code, out, err) == (2, "", "error: no element is labelled 'zz'\n")
 
 
 class TestAnalyze:
@@ -392,6 +440,32 @@ class TestCheck:
                              "--identity", "x1 x2 = x2 x1",
                              "--domain", f"x3={dom}")
         assert code == 2 and "x3" in err and out == ""
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize("bad", [-1, 7, 99])
+    def test_domain_outside_the_carrier_exits_2(self, b21_path, tmp_path, capsys,
+                                                bad, mode):
+        # [-1] once read as element 5 ("f"), [7] and [99] raised an IndexError
+        dom = tmp_path / "dom.json"
+        dom.write_text(json.dumps([bad]))
+        code, out, err = run(capsys, "check", "--algebra", b21_path,
+                             "--identity", "x1 x2 = x1", "--mode", mode,
+                             "--domain", f"x2={dom}")
+        assert (code, out, err) == (2, "", f"error: index {bad} is outside 0..5\n")
+
+    def test_domain_label_not_in_the_carrier_exits_2(self, b21_path, tmp_path,
+                                                     capsys):
+        dom = tmp_path / "dom.json"
+        dom.write_text(json.dumps(["1", "zz"]))
+        code, out, err = run(capsys, "check", "--algebra", b21_path,
+                             "--identity", "x1 x2 = x1", "--domain", f"x2={dom}")
+        assert (code, out, err) == (2, "", "error: no element is labelled 'zz'\n")
+
+    def test_domain_without_a_file_exits_2(self, b21_path, capsys):
+        code, out, err = run(capsys, "check", "--algebra", b21_path,
+                             "--identity", "x1 x2 = x1", "--domain", "x2")
+        assert (code, out, err) == (
+            2, "", "error: --domain expects NAME=FILE, got 'x2'\n")
 
     def test_block_mode_beyond_n_2(self, b21_path, tmp_path, capsys):
         from bglab.terms import PowerOf, evaluate, v_word

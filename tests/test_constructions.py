@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bglab import constructions as C
-from bglab import corpus
+from bglab import corpus, suite
 from bglab.analysis import is_group
 from bglab.core import FiniteAlgebra, mult_reduct, validate
 from bglab.errors import (
+    BglabError,
     CarrierTooLarge,
     ClosureBudgetExceeded,
     NormalSubgroup,
@@ -111,6 +112,11 @@ class TestGroups:
     def test_make_group_dispatch(self):
         assert C.make_group("quaternion8").size == 8
         assert C.make_group("cyclic", 5).size == 5
+
+    @pytest.mark.parametrize("family", ["cyclic", "symmetric", "dihedral"])
+    def test_make_group_needs_n_outside_quaternion8(self, family):
+        with pytest.raises(UnsupportedSize, match=f"^group family '{family}' needs n$"):
+            C.make_group(family)
 
 
 class TestBrandt:
@@ -570,3 +576,28 @@ class TestDerivedAlgebras:
                                                 ips3, hall2, hall3, kad21):
         for alg in (s3, q8, b2, b3, bz2, ps3, ips3, hall2, hall3, kad21[0]):
             assert validate(alg) is None
+
+
+class TestRegistry:
+    def test_every_suite_algebra_rebuilds_from_its_meta(self, workbench):
+        rebuilt = 0
+        for name in suite.BUILDERS:
+            alg = workbench.get(name)
+            if isinstance(alg, tuple):  # a Kadourek (algebra, generator index)
+                alg = alg[0]
+            if isinstance(alg, FiniteAlgebra):
+                assert C.build(alg.meta).to_dict() == alg.to_dict(), name
+                rebuilt += 1
+        assert rebuilt == len(suite.BUILDERS) - 2  # all but the two series
+
+    def test_an_algebra_stands_for_itself(self, s3):
+        assert C.build(s3) is s3
+        nested = C.build({"construction": "brandt", "group": s3, "index_count": 2})
+        assert nested.to_dict() == C.brandt_semigroup(s3, 2).to_dict()
+
+    @pytest.mark.parametrize("meta", [{}, {"construction": None},
+                                      {"construction": "free"},
+                                      {"construction": ["b21"]}])
+    def test_unknown_construction(self, meta):
+        with pytest.raises(BglabError, match="^cannot rebuild construction "):
+            C.build(meta)
