@@ -15,11 +15,13 @@ from math import lcm
 import numpy as np
 
 from .constructions import (
+    _brandt_table,
     brandt_semigroup,
     closure,
     ensure_group,
     group_inverses,
     induced_algebra,
+    rees_table,
 )
 from .core import FiniteAlgebra, mult_reduct
 from .errors import NotAGroup, SubgroupEnumerationBudget
@@ -253,7 +255,11 @@ class BrandtRecognition:
     group: FiniteAlgebra
     index_count: int
     iso: tuple[int, ...]       # source index -> index in `target`
-    target: FiniteAlgebra      # brandt_semigroup(group, index_count)
+
+    @property
+    def target(self) -> FiniteAlgebra:
+        """brandt_semigroup(group, index_count), built on each call."""
+        return brandt_semigroup(self.group, self.index_count)
 
 
 def is_brandt(alg: FiniteAlgebra) -> BrandtRecognition | None:
@@ -291,7 +297,6 @@ def is_brandt(alg: FiniteAlgebra) -> BrandtRecognition | None:
     count = len(idems)
     if n != count * count * g_n + 1:
         return None
-    target = brandt_semigroup(group, count)
     iso = [0] * n
     for x in range(n):
         if x == z:
@@ -308,9 +313,10 @@ def is_brandt(alg: FiniteAlgebra) -> BrandtRecognition | None:
     iso_arr = np.array(iso)
     if sorted(iso) != list(range(n)):
         return None
-    if not np.array_equal(iso_arr[mul], target.mul[np.ix_(iso_arr, iso_arr)]):
+    target = _brandt_table(group.mul, count)
+    if not np.array_equal(iso_arr[mul], target[iso_arr[:, None], iso_arr]):
         return None
-    return BrandtRecognition(group, count, tuple(iso), target)
+    return BrandtRecognition(group, count, tuple(iso))
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +357,8 @@ def _classify_bottom(alg: FiniteAlgebra, kernel: list[int]) -> dict:
 
 def _classify_factor(alg: FiniteAlgebra, cls: list[int]) -> dict:
     # Rees quotient of one J-class over everything below it: class + fresh zero
-    size = len(cls) + 1
-    members = np.asarray(cls)
-    remap = np.zeros(alg.size, dtype=np.int32)
-    remap[members] = np.arange(1, size)
-    table = np.zeros((size, size), dtype=np.int32)
-    table[1:, 1:] = remap[alg.mul[members[:, None], members]]
+    table = rees_table(alg.mul, cls)
+    size = len(table)
     if not table.any():
         return {"kind": "zero", "size": size}
     labels = ["0"] + [f"c{i}" for i in range(1, size)]

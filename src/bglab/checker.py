@@ -445,7 +445,6 @@ def _least_preimage(pair, size, power, vals, layers, n, value) -> tuple[int, ...
 
 
 def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
-                         keep_preimages: bool = True,
                          budget: int | None = None) -> ImageCheck:
     """Exact check of v = v^2 at depth h via level-by-level image sets.
 
@@ -486,15 +485,14 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     if not bad.size:
         return ImageCheck(HOLDS, level_sizes, total)
     bad_value = int(bad[0])
-    witness = None
-    if keep_preimages:
-        @cache
-        def preimage(level, value):
-            at = min(level, last)
-            layers = _forward_states(pair, size, inputs[at], n)
-            return _least_preimage(pair, size, power, inputs[at], layers, n, value)
 
-        witness = _expand_witness(preimage, bad_value, n, h)
+    @cache
+    def preimage(level, value):
+        at = min(level, last)
+        layers = _forward_states(pair, size, inputs[at], n)
+        return _least_preimage(pair, size, power, inputs[at], layers, n, value)
+
+    witness = _expand_witness(preimage, bad_value, n, h)
     return ImageCheck(COUNTEREXAMPLE, level_sizes, total, bad_value=bad_value,
                       witness=witness)
 

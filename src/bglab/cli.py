@@ -167,6 +167,20 @@ def _parse_identity_arg(text: str):
     return tuple(terms.with_width(t, width) for t in sides)
 
 
+def _read_domain(path, alg) -> list[int]:
+    """The elements a --domain file lists: a JSON list of labels or indices."""
+    with open(path) as fh:
+        try:
+            values = json.load(fh)
+        except ValueError:
+            values = None
+    if not isinstance(values, list) or not all(
+            isinstance(v, str) or type(v) is int for v in values):
+        raise BglabError(f"--domain file {path} must hold a JSON list of element "
+                         "labels or indices")
+    return [alg.index(v) if isinstance(v, str) else v for v in values]
+
+
 def _cmd_check(args) -> int:
     alg = load_algebra(args.algebra)
     lhs, rhs = _parse_identity_arg(args.identity)
@@ -175,9 +189,7 @@ def _cmd_check(args) -> int:
         name, eq, path = spec.partition("=")
         if not eq:
             raise BglabError(f"--domain expects NAME=FILE, got {spec!r}")
-        with open(path) as fh:
-            values = json.load(fh)
-        elems = [alg.index(v) if isinstance(v, str) else int(v) for v in values]
+        elems = _read_domain(path, alg)
         matches = [v for v in set(lhs.variables()) | set(rhs.variables())
                    if v.name == name]
         if not matches:

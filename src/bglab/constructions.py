@@ -10,18 +10,17 @@ Conventions baked in here:
 
 from __future__ import annotations
 
-from itertools import islice, permutations
+from itertools import permutations
 from math import isqrt
 
 import numpy as np
 
 from . import terms
-from .core import (_SLAB_CELLS, FiniteAlgebra, _check_indices, closure, mult_reduct,
-                   validate)
+from .core import (_SLAB_CELLS, FiniteAlgebra, _check_indices, _first_true, closure,
+                   mult_reduct, validate)
 from .errors import (
     BglabError,
     CarrierTooLarge,
-    ClosureBudgetExceeded,
     NormalSubgroup,
     NotAGroup,
     NotAnIdeal,
@@ -29,10 +28,19 @@ from .errors import (
     UnsupportedSize,
 )
 
-POWER_BIT_BUDGET = 16
 HALL_MAX_N = 4
-# Largest table (size^2 cells) the Hall and Kadourek builders will fill.
+# Largest table (size^2 cells) any builder fills: at most 8,192 elements.
 MAX_TABLE_CELLS = 1 << 26
+
+
+def _table_budget(size: int, what: str) -> None:
+    """Refuse a carrier whose size x size table passes MAX_TABLE_CELLS.
+    Every builder calls this once the size is known, before any table work."""
+    if size * size > MAX_TABLE_CELLS:
+        raise CarrierTooLarge(
+            f"{what}: {size} elements need {size * size} table cells, more than "
+            f"MAX_TABLE_CELLS = {MAX_TABLE_CELLS} (at most {isqrt(MAX_TABLE_CELLS)} "
+            "elements)")
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +77,10 @@ def _table_from(elements, op):
 def cyclic_group(n: int) -> FiniteAlgebra:
     if n < 1:
         raise UnsupportedSize("cyclic group needs n >= 1")
+    _table_budget(n, f"cyclic group C{n}")
     labels = ["e"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    i = np.arange(n, dtype=np.int32)
+    table = (i[:, None] + i) % n
     return FiniteAlgebra("semigroup", tuple(labels), table,
                          meta={"construction": "group", "family": "cyclic", "n": n})
 
@@ -89,21 +99,19 @@ def dihedral_group(n: int) -> FiniteAlgebra:
     """Group of order 2n: rotations r^a and reflections r^a s, with s r s = r^-1."""
     if n < 1:
         raise UnsupportedSize("dihedral group needs n >= 1")
-    elems = [(a, 0) for a in range(n)] + [(a, 1) for a in range(n)]
+    _table_budget(2 * n, f"dihedral group D{n}")
+    # r^a s^b at index a + b n
+    x = np.arange(2 * n, dtype=np.int32)
+    a, b = x % n, x // n
+    rot = np.where(b[:, None] == 0, a[:, None] + a, a[:, None] - a) % n
+    table = rot + n * (b[:, None] ^ b)
 
-    def op(x, y):
-        a, b = x
-        c, d = y
-        return ((a + c) % n if b == 0 else (a - c) % n, b ^ d)
-
-    def label(x):
-        a, b = x
+    def label(a, b):
         rot = "" if a == 0 else ("r" if a == 1 else f"r{a}")
-        ref = "s" if b else ""
-        return (rot + ref) or "e"
+        return (rot + ("s" if b else "")) or "e"
 
-    table = _table_from(elems, op)
-    return FiniteAlgebra("semigroup", tuple(label(x) for x in elems), table,
+    labels = tuple(label(a, b) for b in (0, 1) for a in range(n))
+    return FiniteAlgebra("semigroup", labels, table,
                          meta={"construction": "group", "family": "dihedral", "n": n})
 
 
@@ -183,35 +191,33 @@ def ensure_group(alg: FiniteAlgebra) -> tuple[int, list[int]]:
 # Brandt semigroups and the 6-element Brandt monoid
 
 
+def _brandt_table(gmul: np.ndarray, count: int) -> np.ndarray:
+    """The table of I x G x I + 0 over I = 1..count and the group table gmul:
+    the zero at index 0, (l, g, r) at 1 + ((l-1)|G| + g) count + (r-1), and
+    (l, g, r)(r', h, s) = (l, gh, s) when r = r', the zero otherwise."""
+    g_n, n = len(gmul), count
+    i = np.arange(n)
+    block = np.zeros((n, g_n, n, n, g_n, n), dtype=np.int32)
+    # [l, g, k, k, h, s]: (l, g, k)(k, h, s) = (l, gh, s)
+    block[:, :, i, i] = 1 + (i[:, None, None, None, None] * g_n
+                             + gmul[:, None, :, None]) * n + i
+    table = np.zeros((n * n * g_n + 1,) * 2, dtype=np.int32)
+    table[1:, 1:] = block.reshape(len(table) - 1, -1)
+    return table
+
+
 def brandt_semigroup(group: FiniteAlgebra, index_count: int) -> FiniteAlgebra:
     """I x G x I plus a zero, with the coordinate-matching product."""
     if index_count < 1:
         raise UnsupportedSize("index_count must be >= 1")
-    ensure_group(group)
-    g_n = group.size
     n = index_count
-    size = n * n * g_n + 1
-
-    def idx(l, g, r):  # l, r are 1-based
-        return 1 + ((l - 1) * g_n + g) * n + (r - 1)
-
-    labels = ["0"]
-    for l in range(1, n + 1):
-        for g in range(g_n):
-            for r in range(1, n + 1):
-                labels.append(f"({l},{group.labels[g]},{r})")
-    table = [[0] * size for _ in range(size)]
-    gmul = group.mul
-    for l1 in range(1, n + 1):
-        for g1 in range(g_n):
-            for r1 in range(1, n + 1):
-                i = idx(l1, g1, r1)
-                for g2 in range(g_n):
-                    for r2 in range(1, n + 1):
-                        # non-zero only when inner indices match
-                        table[i][idx(r1, g2, r2)] = idx(l1, int(gmul[g1, g2]), r2)
+    _table_budget(n * n * group.size + 1, f"Brandt semigroup over {n} indices")
+    ensure_group(group)
+    labels = ["0"] + [f"({l},{g},{r})" for l in range(1, n + 1)
+                      for g in group.labels for r in range(1, n + 1)]
     meta = {"construction": "brandt", "index_count": n, "group": _nested_meta(group)}
-    return FiniteAlgebra("semigroup", tuple(labels), table, meta=meta)
+    return FiniteAlgebra("semigroup", tuple(labels), _brandt_table(group.mul, n),
+                         meta=meta)
 
 
 _B21_MATRICES = (
@@ -225,12 +231,23 @@ _B21_MATRICES = (
 B21_LABELS = ("0", "1", "a", "b", "e", "f")
 
 
-def _bool_mat_mul(x, y):
-    n = len(x)
-    return tuple(
-        tuple(int(any(x[i][k] and y[k][j] for k in range(n))) for j in range(n))
-        for i in range(n)
-    )
+def _matrix_tables(mats: np.ndarray, add):
+    """(mul, add, star) index tables of a (k, n, n) stack of Boolean
+    matrices: the Boolean product, the entrywise `add` (a NumPy logical
+    ufunc) and the transpose.  Each result is looked up through an index
+    array over all 2^(n^2) bit integers; a result outside the stack gives
+    -1, which FiniteAlgebra refuses."""
+    k, n, _ = mats.shape
+    bits = 1 << np.arange(n * n).reshape(n, n)
+    index = np.full(1 << n * n, -1, dtype=np.int32)
+    index[(mats * bits).sum(axis=(1, 2))] = np.arange(k)
+
+    def look(m):
+        return index[(m * bits).sum(axis=(-2, -1))]
+
+    ints = mats.astype(np.uint8)
+    return (look(ints[:, None] @ ints > 0), look(add(mats[:, None], mats)),
+            look(mats.transpose(0, 2, 1)))
 
 
 def brandt_monoid_b21() -> FiniteAlgebra:
@@ -239,15 +256,8 @@ def brandt_monoid_b21() -> FiniteAlgebra:
     mul is matrix product, add the Hadamard (entry-wise) product, star the
     transpose; labels 0, 1, a, b, e, f in the fixed matrix order.
     """
-    mats = _B21_MATRICES
-    index = {m: i for i, m in enumerate(mats)}
-    mul = [[index[_bool_mat_mul(x, y)] for y in mats] for x in mats]
-    add = [
-        [index[tuple(tuple(a & b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))]
-         for y in mats]
-        for x in mats
-    ]
-    star = [index[tuple(zip(*m))] for m in mats]
+    mul, add, star = _matrix_tables(np.array(_B21_MATRICES, dtype=bool),
+                                    np.logical_and)
     return FiniteAlgebra("involution-ai-semiring", B21_LABELS, mul, add, star,
                          meta={"construction": "b21"})
 
@@ -261,49 +271,26 @@ def subset_label(group: FiniteAlgebra, mask: int) -> str:
     return "{" + ",".join(members) + "}"
 
 
-def _mask_translates(group: FiniteAlgebra) -> list[list[int]]:
-    # translate[g][B] = bitmask of {g*b : b in B}
-    m = group.size
-    full = 1 << m
-    mul = group.mul
-    out = []
-    for g in range(m):
-        row = [0] * full
-        images = [1 << int(mul[g, b]) for b in range(m)]
-        for mask in range(1, full):
-            low = mask & -mask
-            row[mask] = row[mask ^ low] | images[low.bit_length() - 1]
-        out.append(row)
-    return out
-
-
 def _power_tables(group: FiniteAlgebra):
+    """(mul, add, star) of P(G) over subset bitmasks, G a group."""
     m = group.size
-    full = 1 << m
-    translates = _mask_translates(group)
-    trans_rows = [np.array(t, dtype=np.int64) for t in translates]
-    mul = np.zeros((full, full), dtype=np.int64)
-    for mask in range(1, full):
-        low = mask & -mask
-        mul[mask] = mul[mask ^ low] | trans_rows[low.bit_length() - 1]
-    masks = np.arange(full, dtype=np.int64)
-    add = np.bitwise_or.outer(masks, masks)
-    inv = group_inverses(group)
-    star = [0] * full
-    for mask in range(1, full):
-        low = mask & -mask
-        star[mask] = star[mask ^ low] | (1 << inv[low.bit_length() - 1])
-    return mul, add, np.array(star, dtype=np.int64)
+    masks = np.arange(1 << m, dtype=np.int32)
+    members = (masks[:, None] >> np.arange(m)) & 1  # [B, b]: b in B
+    # [g, B]: the mask of gB; x -> gx permutes G, so the bits summed are distinct
+    translates = (members @ (1 << group.mul.T)).T
+    # the masks with top bit k are those below 2^k with k added: XB = X'B | kB
+    mul = np.zeros((len(masks), len(masks)), dtype=np.int32)
+    for k in range(m):
+        mul[1 << k:2 << k] = mul[:1 << k] | translates[k]
+    add = masks[:, None] | masks
+    return mul, add, members @ (1 << np.array(group_inverses(group), dtype=np.int32))
 
 
 def power_semiring(group: FiniteAlgebra, nonempty_only: bool = False,
-                   with_star: bool = False,
-                   bit_budget: int = POWER_BIT_BUDGET) -> FiniteAlgebra:
+                   with_star: bool = False) -> FiniteAlgebra:
     """(P(G), union, elementwise product); all subsets or the non-empty ones."""
+    _table_budget(1 << group.size, f"power semiring of a {group.size}-element group")
     ensure_group(group)
-    if group.size > bit_budget:
-        raise CarrierTooLarge(
-            f"2^{group.size} subsets exceed the {bit_budget}-bit budget")
     mul, add, star = _power_tables(group)
     labels = [subset_label(group, mask) for mask in range(1 << group.size)]
     if nonempty_only:
@@ -316,13 +303,10 @@ def power_semiring(group: FiniteAlgebra, nonempty_only: bool = False,
                          star if with_star else None, meta=meta)
 
 
-def involution_power(group: FiniteAlgebra,
-                     bit_budget: int = POWER_BIT_BUDGET) -> FiniteAlgebra:
+def involution_power(group: FiniteAlgebra) -> FiniteAlgebra:
     """(P(G), elementwise product, elementwise inversion)."""
+    _table_budget(1 << group.size, f"involution power of a {group.size}-element group")
     ensure_group(group)
-    if group.size > bit_budget:
-        raise CarrierTooLarge(
-            f"2^{group.size} subsets exceed the {bit_budget}-bit budget")
     mul, _, star = _power_tables(group)
     labels = tuple(subset_label(group, mask) for mask in range(1 << group.size))
     meta = {"construction": "involution-power", "group": _nested_meta(group)}
@@ -333,82 +317,33 @@ def involution_power(group: FiniteAlgebra,
 # Hall relations
 
 
-def _is_hall(mask: int, n: int, perms) -> bool:
-    for p in perms:
-        if all(mask >> (i * n + p[i]) & 1 for i in range(n)):
-            return True
-    return False
-
-
-def _iter_hall_masks(n: int):
-    """hall_masks(n), enumerated lazily in ascending order."""
-    perms = list(permutations(range(n)))
-    return (m for m in range(1 << (n * n)) if _is_hall(m, n, perms))
+def _hall_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, matrices) of every n x n Boolean matrix that contains a
+    permutation matrix, ascending: one permutation gather over all 2^(n^2)
+    matrices, the one with bit i n + j set having entry (i, j)."""
+    if n < 1 or n > HALL_MAX_N:
+        raise CarrierTooLarge(f"hall_semiring supports 1 <= n <= {HALL_MAX_N}")
+    every = (np.arange(1 << n * n)[:, None] >> np.arange(n * n) & 1).astype(bool)
+    every = every.reshape(-1, n, n)
+    perms = np.array(list(permutations(range(n))))
+    masks = np.flatnonzero(every[:, np.arange(n), perms].all(axis=2).any(axis=1))
+    return masks, every[masks]
 
 
 def hall_masks(n: int) -> list[int]:
     """All n x n Boolean matrices containing a permutation, as bit integers."""
-    return list(_iter_hall_masks(n))
+    return _hall_matrices(n)[0].tolist()
 
 
-def _mask_rows(mask: int, n: int) -> list[int]:
-    return [(mask >> (i * n)) & ((1 << n) - 1) for i in range(n)]
-
-
-def _hall_mul(x: int, y: int, n: int) -> int:
-    yrows = _mask_rows(y, n)
-    out = 0
-    for i in range(n):
-        row = 0
-        bits = (x >> (i * n)) & ((1 << n) - 1)
-        while bits:
-            low = bits & -bits
-            row |= yrows[low.bit_length() - 1]
-            bits ^= low
-        out |= row << (i * n)
-    return out
-
-
-def hall_semiring(n: int, with_star: bool = True,
-                  max_table_cells: int = MAX_TABLE_CELLS) -> FiniteAlgebra:
+def hall_semiring(n: int, with_star: bool = True) -> FiniteAlgebra:
     """Semiring of Hall relations on an n-element set (union, composition)."""
-    if n < 1 or n > HALL_MAX_N:
-        raise CarrierTooLarge(f"hall_semiring supports 1 <= n <= {HALL_MAX_N}")
-    # size^2 > max_table_cells iff size > isqrt(max_table_cells): stop the
-    # enumeration at the first mask past that
-    most = isqrt(max_table_cells)
-    masks = list(islice(_iter_hall_masks(n), most + 1))
-    if len(masks) > most:
-        raise CarrierTooLarge(
-            f"carrier of more than {most} relations needs more than "
-            f"{max_table_cells} table cells; raise max_table_cells to force it")
-    size = len(masks)
-    index = {m: i for i, m in enumerate(masks)}
-
-    def look(m):
-        try:
-            return index[m]
-        except KeyError:  # would mean the carrier is not closed
-            raise ValueError("product left the Hall carrier") from None
-
-    mul = [[look(_hall_mul(x, y, n)) for y in masks] for x in masks]
-    add = [[index[x | y] for y in masks] for x in masks]
-
-    def transpose(mask):
-        out = 0
-        for i in range(n):
-            for j in range(n):
-                if mask >> (i * n + j) & 1:
-                    out |= 1 << (j * n + i)
-        return out
-
-    star = [index[transpose(m)] for m in masks] if with_star else None
-    labels = tuple(
-        "|".join("".join(str(m >> (i * n + j) & 1) for j in range(n)) for i in range(n))
-        for m in masks
-    )
+    masks, mats = _hall_matrices(n)
+    _table_budget(len(masks), f"hall({n})")
+    mul, add, star = _matrix_tables(mats, np.logical_or)
+    labels = tuple("|".join("".join(map(str, row)) for row in m)
+                   for m in mats.astype(np.uint8).tolist())
     kind = "involution-ai-semiring" if with_star else "ai-semiring"
-    return FiniteAlgebra(kind, labels, mul, add, star,
+    return FiniteAlgebra(kind, labels, mul, add, star if with_star else None,
                          meta={"construction": "hall", "n": n, "with_star": with_star})
 
 
@@ -422,6 +357,7 @@ def subset_b(group: FiniteAlgebra, subgroup, g: int) -> list[int]:
     Returns subset bitmasks (= indices into the full power semiring), sorted.
     Requires H to be a subgroup that g does not normalize.
     """
+    _table_budget(1 << group.size, f"power semiring of a {group.size}-element group")
     H = frozenset(int(x) for x in subgroup)
     # a non-empty subset of a finite group is a subgroup iff it is closed
     outside = sorted(set(closure([group.mul], H)) - H)
@@ -435,39 +371,22 @@ def subset_b(group: FiniteAlgebra, subgroup, g: int) -> list[int]:
     if conj == H:
         raise NormalSubgroup("g normalizes H; need g^-1 H g != H")
 
-    def mask_of(s):
-        out = 0
-        for x in s:
-            out |= 1 << x
-        return out
-
     e = group_identity(group)
     gH = frozenset(int(mul[ginv, h]) for h in H)
     Hg = frozenset(int(mul[h, g]) for h in H)
     if gH == Hg:
         raise NormalSubgroup("g^-1 H = H g forces g^-1 H g = H")
-    small = [frozenset([e]), H, gH, Hg, conj]
-    big = [m for m in range(1 << group.size)
-           if bin(m).count("1") > len(H)]
-    carrier = sorted(set(mask_of(s) for s in small) | set(big))
-    if len(set(mask_of(s) for s in small)) != 5:
+    small = {sum(1 << x for x in s) for s in (frozenset([e]), H, gH, Hg, conj)}
+    if len(small) != 5:
         raise ValueError("the five distinguished subsets are not distinct")
-
+    big = [m for m in range(1 << group.size) if bin(m).count("1") > len(H)]
+    carrier = sorted(small.union(big))
     # closure sanity: union and product stay inside
-    carrier_set = set(carrier)
-    trans = _mask_translates(group)
-    for x in carrier:
-        for y in carrier:
-            if x | y not in carrier_set:
-                raise ValueError("carrier not closed under union")
-            prod = 0
-            bits = x
-            while bits:
-                low = bits & -bits
-                prod |= trans[low.bit_length() - 1][y]
-                bits ^= low
-            if prod not in carrier_set:
-                raise ValueError("carrier not closed under product")
+    inside = np.zeros(1 << group.size, dtype=bool)
+    inside[carrier] = True
+    for name, table in zip(("product", "union"), _power_tables(group)):
+        if not inside[table[np.ix_(carrier, carrier)]].all():
+            raise ValueError(f"carrier not closed under {name}")
     return carrier
 
 
@@ -519,15 +438,15 @@ def kadourek_generators(n: int, h: int) -> dict[tuple[int, ...], tuple[int, ...]
     return {t: tuple(f) for t, f in sorted(gens.items())}
 
 
-def kadourek_semigroup(n: int, h: int,
-                       closure_budget: int = isqrt(MAX_TABLE_CELLS)):
+def kadourek_semigroup(n: int, h: int):
     """Inverse semigroup generated by the kadourek_generators and their inverses.
 
     Returns (algebra, generator_index) where generator_index maps each index
     tuple to the generator's carrier position.  The empty map is the zero.
     Elements are numbered in FIFO worklist order (each element times every
-    generator and inverse, on the right, then on the left).  More than
-    closure_budget elements raise ClosureBudgetExceeded before any table.
+    generator and inverse, on the right, then on the left).  The worklist
+    stops with CarrierTooLarge as soon as it holds more elements than
+    MAX_TABLE_CELLS allows, before any table.
     """
     gens = kadourek_generators(n, h)
     sink = len(next(iter(gens.values())))
@@ -539,17 +458,25 @@ def kadourek_semigroup(n: int, h: int,
                             np.stack([g, _invert_rows(g)], axis=1).reshape(-1, width)])
     seeds = start[1:]
     known = _append_new(start[:0], start)
+
+    def domain_and_image(maps):  # Boolean masks over the P points
+        return [m[:, :sink] < sink for m in (maps, _invert_rows(maps))]
+
+    seed_dom, seed_img = domain_and_image(seeds)
     # the worklist, one block of parents per gather
     rows = max(1, _SLAB_CELLS // (2 * len(seeds) * width))
     head = 0
     while head < len(known):
-        if len(known) > closure_budget:
-            raise ClosureBudgetExceeded(f"closure exceeded {closure_budget} elements")
+        _table_budget(len(known), f"kadourek({n},{h}), closure so far")
         f = known[head:head + rows]
         head += len(f)
-        prods = np.stack([seeds.take(f, axis=1).swapaxes(0, 1), f.take(seeds, axis=1)],
-                         axis=2)
-        known = _append_new(known, prods.reshape(-1, width))
+        # [i, s, 0]: f_i then seed s, [i, s, 1]: seed s then f_i, gathered only
+        # where an image meets a domain; every other product is the empty map,
+        # known from the start
+        dom, img = domain_and_image(f)
+        i, s, left = np.nonzero(np.stack([img @ seed_dom.T, dom @ seed_img.T], axis=2))
+        prods = np.where(left[:, None], f[i[:, None], seeds[s]], seeds[s[:, None], f[i]])
+        known = _append_new(known, prods)
     keys = _row_keys(known)
     order = np.argsort(keys)
 
@@ -622,13 +549,22 @@ def induced_algebra(alg: FiniteAlgebra, elements) -> tuple[FiniteAlgebra, dict[i
 
 def ideal_violation(alg: FiniteAlgebra, ideal) -> tuple[int, int] | None:
     """First (i, s) with i*s or s*i outside the set, scanning ascending."""
-    ideal_set = set(int(x) for x in ideal)
-    mul = alg.mul
-    for i in sorted(ideal_set):
-        for s in range(alg.size):
-            if int(mul[i, s]) not in ideal_set or int(mul[s, i]) not in ideal_set:
-                return (i, s)
-    return None
+    members = np.array(sorted(set(int(x) for x in ideal)), dtype=np.intp)
+    inside = np.zeros(alg.size, dtype=bool)
+    inside[members] = True
+    bad = _first_true(~(inside[alg.mul[members]] & inside[alg.mul[:, members].T]))
+    return None if bad is None else (int(members[bad[0]]), bad[1])
+
+
+def rees_table(mul: np.ndarray, kept) -> np.ndarray:
+    """The table of a Rees quotient: the sorted elements `kept` become
+    1..len(kept) and everything else collapses to the zero at index 0."""
+    kept = np.asarray(kept, dtype=np.intp)
+    remap = np.zeros(len(mul), dtype=np.int32)
+    remap[kept] = np.arange(1, len(kept) + 1)
+    table = np.zeros((len(kept) + 1,) * 2, dtype=np.int32)
+    table[1:, 1:] = remap[mul[kept[:, None], kept]]
+    return table
 
 
 def rees_quotient(alg: FiniteAlgebra, ideal) -> FiniteAlgebra:
@@ -649,16 +585,10 @@ def rees_quotient(alg: FiniteAlgebra, ideal) -> FiniteAlgebra:
     survivors = [x for x in range(alg.size) if x not in ideal_set]
     zero_label = alg.labels[min(ideal_set)]
     labels = [zero_label] + [alg.labels[x] for x in survivors]
-    remap = {x: i + 1 for i, x in enumerate(survivors)}
-    size = len(labels)
-    table = [[0] * size for _ in range(size)]
-    for i, x in enumerate(survivors):
-        for j, y in enumerate(survivors):
-            p = int(alg.mul[x, y])
-            table[i + 1][j + 1] = remap.get(p, 0)
     meta = {"construction": "rees-quotient", "ideal": sorted(ideal_set),
             "parent": _nested_meta(alg)}
-    return FiniteAlgebra("semigroup", tuple(labels), table, meta=meta)
+    return FiniteAlgebra("semigroup", tuple(labels), rees_table(alg.mul, survivors),
+                         meta=meta)
 
 
 def _fresh_label(labels, want):
@@ -674,10 +604,8 @@ def adjoin_zero(alg: FiniteAlgebra) -> FiniteAlgebra:
         raise ValueError("adjoin_zero expects a plain semigroup")
     n = alg.size
     labels = (_fresh_label(alg.labels, "0"),) + alg.labels
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            table[i + 1][j + 1] = int(alg.mul[i, j]) + 1
+    table = np.zeros((n + 1, n + 1), dtype=np.int32)
+    table[1:, 1:] = alg.mul + 1
     return FiniteAlgebra("semigroup", labels, table,
                          meta={"construction": "adjoin-zero", "parent": _nested_meta(alg)})
 
@@ -688,8 +616,9 @@ def adjoin_identity(alg: FiniteAlgebra) -> FiniteAlgebra:
         raise ValueError("adjoin_identity expects a plain semigroup")
     n = alg.size
     labels = alg.labels + (_fresh_label(alg.labels, "1"),)
-    table = [[int(alg.mul[i, j]) for j in range(n)] + [i] for i in range(n)]
-    table.append(list(range(n + 1)))
+    table = np.empty((n + 1, n + 1), dtype=np.int32)
+    table[:n, :n] = alg.mul
+    table[n] = table[:, n] = np.arange(n + 1)
     return FiniteAlgebra("semigroup", labels, table,
                          meta={"construction": "adjoin-identity",
                                "parent": _nested_meta(alg)})

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingTable
+from .errors import BglabError, MissingTable
 
 KINDS = ("semigroup", "ai-semiring", "involution-semigroup", "involution-ai-semiring")
 
@@ -117,6 +117,11 @@ class FiniteAlgebra:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FiniteAlgebra":
+        if not isinstance(d, dict):
+            raise BglabError("algebra data must be a JSON object")
+        for key in ("kind", "labels", "mul"):
+            if key not in d:
+                raise BglabError(f"algebra data has no {key!r}")
         alg = cls(
             kind=d["kind"],
             labels=tuple(d["labels"]),

@@ -14,7 +14,7 @@ class MissingStar(MissingTable):
 
 
 class CarrierTooLarge(BglabError):
-    """A construction would exceed its configured carrier budget."""
+    """A construction's table would pass the table budget, MAX_TABLE_CELLS."""
 
 
 class UnsupportedSize(BglabError):
@@ -42,10 +42,6 @@ class NotAnIdeal(BglabError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class ClosureBudgetExceeded(BglabError):
-    """A generated closure grew past its element budget."""
 
 
 class LengthBudgetExceeded(BglabError):

@@ -273,8 +273,7 @@ def check_square_identities(wb: Workbench, profile: str, seed: int):
         rep = wb.get("ps3_series")
         _need((rep.q, rep.r) == (3072, 29),
               f"power(S3): (q,r)=({rep.q},{rep.r}), expected (3072,29)")
-        img = checker.check_v_square_image(wb.get("ps3_mul"), 2, rep.q, rep.r,
-                                           keep_preimages=False)
+        img = checker.check_v_square_image(wb.get("ps3_mul"), 2, rep.q, rep.r)
         evals += img.evaluations
         _need(img.ok, f"power(S3): v(2,{rep.q},{rep.r}) = square fails")
         detail += f"; exact at computed (q,r)=({rep.q},{rep.r}) on power(S3)"

@@ -517,7 +517,7 @@ class TestImageTechnique:
         assert K.check_v_square_image(b21_mul, 2, 1, 2).ok
 
     def test_fixed_point_levels_repeat(self, ps3_mul):
-        report = K.check_v_square_image(ps3_mul, 2, 3072, 29, keep_preimages=False)
+        report = K.check_v_square_image(ps3_mul, 2, 3072, 29)
         assert report.ok
         assert report.level_sizes == [24, 13] + [7] * 27
         assert report.evaluations == 64**4 + 24**4 + 13**4 + 26 * 7**4

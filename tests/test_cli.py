@@ -302,6 +302,13 @@ class TestAnalyze:
         assert code == 0 and spy.call_count == 1
 
 
+    def test_missing_key_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "nolabels.json"
+        path.write_text(json.dumps({"kind": "semigroup", "mul": [[0]]}))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out, err) == (2, "", "error: algebra data has no 'labels'\n")
+
+
 class TestWords:
     def test_v_word_text(self, capsys):
         code, out, _ = run(capsys, "words", "v", "--n", "1", "--m", "1",
@@ -460,6 +467,20 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--algebra", b21_path,
                              "--identity", "x1 x2 = x1", "--domain", f"x2={dom}")
         assert (code, out, err) == (2, "", "error: no element is labelled 'zz'\n")
+
+    @pytest.mark.parametrize("content", ["[null]", "[1.5]", '{"a": 1}', "[true]",
+                                         "not json"],
+                             ids=["null", "float", "object", "bool", "not-json"])
+    def test_domain_file_of_other_content_exits_2(self, b21_path, tmp_path, capsys,
+                                                  content):
+        # [null] once crashed, [1.5] was read as element 1 and {"a": 1} as its keys
+        dom = tmp_path / "dom.json"
+        dom.write_text(content)
+        code, out, err = run(capsys, "check", "--algebra", b21_path,
+                             "--identity", "x1 x2 = x1", "--domain", f"x2={dom}")
+        assert (code, out, err) == (
+            2, "", f"error: --domain file {dom} must hold a JSON list of element "
+                   "labels or indices\n")
 
     def test_domain_without_a_file_exits_2(self, b21_path, capsys):
         code, out, err = run(capsys, "check", "--algebra", b21_path,

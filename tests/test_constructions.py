@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations, permutations
 
 import numpy as np
@@ -8,11 +9,10 @@ from hypothesis import strategies as st
 from bglab import constructions as C
 from bglab import corpus, suite
 from bglab.analysis import is_group
-from bglab.core import FiniteAlgebra, mult_reduct, validate
+from bglab.core import FiniteAlgebra, mult_reduct, save_algebra, validate
 from bglab.errors import (
     BglabError,
     CarrierTooLarge,
-    ClosureBudgetExceeded,
     NormalSubgroup,
     NotAGroup,
     NotAnIdeal,
@@ -146,6 +146,20 @@ class TestBrandt:
                                     want = 0
                                 assert got == want
 
+    def test_product_rule_read_from_labels(self):
+        # Brandt(C2, 3): (l, g, r)(r', h, s) = (l, gh, s) if r = r', else 0
+        c2 = C.cyclic_group(2)
+        alg = C.brandt_semigroup(c2, 3)
+        assert alg.size == 19 and alg.labels[0] == "0"
+        triples = [None] + [tuple(x.strip("()").split(",")) for x in alg.labels[1:]]
+        for x, tx in enumerate(triples):
+            for y, ty in enumerate(triples):
+                want = None
+                if tx is not None and ty is not None and tx[2] == ty[0]:
+                    gh = c2.labels[c2.mul[c2.index(tx[1]), c2.index(ty[1])]]
+                    want = (tx[0], gh, ty[2])
+                assert triples[alg.mul[x, y]] == want
+
     def test_mismatched_inner_indices_give_zero(self, b2):
         a = b2.labels.index("(1,e,2)")
         assert b2.mul[a, a] == 0
@@ -253,9 +267,6 @@ class TestPowerSemiring:
         grown = C.adjoin_zero(mult_reduct(part))
         assert np.array_equal(grown.mul, mult_reduct(ps3).mul)
 
-    def test_bit_budget(self):
-        with pytest.raises(CarrierTooLarge):
-            C.power_semiring(C.symmetric_group(3), bit_budget=5)
 
 
 class TestInvolutionPower:
@@ -299,23 +310,34 @@ class TestHall:
     def test_size_limits(self, monkeypatch):
         with pytest.raises(CarrierTooLarge):
             C.hall_semiring(5)
-        # the refusal comes as soon as the carrier is known to be too large:
-        # after the 101st Hall mask for isqrt(10_000) = 100, not after all 2^16
-        scanned, found = [], []
-        is_hall = C._is_hall
 
-        def counting(mask, n, perms):
-            scanned.append(mask)
-            hit = is_hall(mask, n, perms)
-            if hit:
-                found.append(mask)
-            return hit
+        def no_products(*args):
+            raise AssertionError("the product step ran")
 
-        monkeypatch.setattr(C, "_is_hall", counting)
-        with pytest.raises(CarrierTooLarge):
-            C.hall_semiring(4, max_table_cells=10_000)
-        assert len(found) == 101
-        assert scanned == list(range(found[-1] + 1)) and len(scanned) < 1 << 16
+        # the refusal comes once the relations are counted, before any product
+        monkeypatch.setattr(C, "_matrix_tables", no_products)
+        with pytest.raises(CarrierTooLarge, match="hall\\(4\\): 37823 elements"):
+            C.hall_semiring(4)
+        monkeypatch.setattr(C, "MAX_TABLE_CELLS", 247 * 247 - 1)
+        with pytest.raises(CarrierTooLarge, match="hall\\(3\\): 247 elements"):
+            C.hall_semiring(3)
+
+    @staticmethod
+    def relation(label):
+        return {(i, j) for i, row in enumerate(label.split("|"))
+                for j, bit in enumerate(row) if bit == "1"}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tables_against_relation_composition(self, n):
+        alg = C.hall_semiring(n)
+        rels = [frozenset(self.relation(x)) for x in alg.labels]
+        assert len(set(rels)) == alg.size
+        for x, rx in enumerate(rels):
+            assert rels[alg.star[x]] == {(j, i) for i, j in rx}
+            for y, ry in enumerate(rels):
+                assert rels[alg.mul[x, y]] == {(i, k) for i, j in rx
+                                               for j2, k in ry if j == j2}
+                assert rels[alg.add[x, y]] == rx | ry
 
 
 class TestSubsetB:
@@ -401,14 +423,9 @@ class TestKadourek:
         assert alg.labels[gens[(1,)]] == "[0>1,3>2]"
         assert alg.labels[gens[(2,)]] == "[1>2,4>3]"
 
-    def test_closure_budget(self):
-        assert C.kadourek_semigroup(2, 1, closure_budget=34)[0].size == 34
-        with pytest.raises(ClosureBudgetExceeded):
-            C.kadourek_semigroup(2, 1, closure_budget=33)
-
     def test_default_budget_is_the_table_cell_budget(self):
         # kadourek(2,4) has 75,920 elements: a table of 5.8e9 cells
-        with pytest.raises(ClosureBudgetExceeded, match="8192"):
+        with pytest.raises(CarrierTooLarge, match="8192"):
             C.kadourek_semigroup(2, 4)
 
     @pytest.mark.parametrize("n,h", [(2, 1), (2, 2), (3, 1), (4, 1)])
@@ -550,6 +567,22 @@ class TestDerivedAlgebras:
         prod2 = int(b21_mul.mul[s, i])
         assert prod != a or prod2 != a
 
+    def test_ideal_violation_matches_the_loop_scan(self):
+        def loop_scan(mul, ideal):
+            for i in sorted(ideal):
+                for s in range(len(mul)):
+                    if mul[i, s] not in ideal or mul[s, i] not in ideal:
+                        return (i, s)
+            return None
+
+        for order in (1, 2, 3):
+            for table in corpus.semigroup_tables(order):
+                alg = corpus.as_algebra(table)
+                for r in range(1, order + 1):
+                    for ideal in combinations(range(order), r):
+                        assert (C.ideal_violation(alg, ideal)
+                                == loop_scan(alg.mul, set(ideal)))
+
     def test_adjoin_zero_to_singleton(self):
         one = FiniteAlgebra("semigroup", ("u",), [[0]])
         grown = C.adjoin_zero(one)
@@ -601,3 +634,101 @@ class TestRegistry:
     def test_unknown_construction(self, meta):
         with pytest.raises(BglabError, match="^cannot rebuild construction "):
             C.build(meta)
+
+
+def _s3_subset_b():
+    s3 = C.symmetric_group(3)
+    return C.subset_b(s3, [0, s3.index("(12)")], s3.index("(13)"))
+
+
+def _fail(*args):
+    raise AssertionError("the table step ran")
+
+
+# builder, the size its budget is charged for, and the step that fills its
+# tables (None where the tables are filled inline)
+BUDGETED = {
+    "cyclic": (lambda: C.cyclic_group(12), 12, None),
+    "dihedral": (lambda: C.dihedral_group(6), 12, None),
+    "brandt": (lambda: C.brandt_semigroup(C.cyclic_group(2), 3), 19, "_brandt_table"),
+    "power-semiring": (lambda: C.power_semiring(C.symmetric_group(3)), 64,
+                       "_power_tables"),
+    "involution-power": (lambda: C.involution_power(C.cyclic_group(3)), 8,
+                         "_power_tables"),
+    "subset-b": (_s3_subset_b, 64, "_power_tables"),
+    "hall": (lambda: C.hall_semiring(2), 7, "_matrix_tables"),
+    "kadourek": (lambda: C.kadourek_semigroup(2, 1)[0], 34, None),
+}
+
+
+class TestTableBudget:
+    @pytest.mark.parametrize("name", sorted(BUDGETED))
+    def test_refuses_past_the_budget(self, name, monkeypatch):
+        build, size, step = BUDGETED[name]
+        monkeypatch.setattr(C, "MAX_TABLE_CELLS", size * size)
+        build()
+        monkeypatch.setattr(C, "MAX_TABLE_CELLS", size * size - 1)
+        if step is not None:
+            monkeypatch.setattr(C, step, _fail)
+        with pytest.raises(CarrierTooLarge, match=f": {size} elements need "):
+            build()
+
+
+def _power_s3_without_small_sets():
+    # the empty set and the sets of 4 or more elements form an ideal
+    ps3 = mult_reduct(C.power_semiring(C.symmetric_group(3)))
+    return C.rees_quotient(ps3, [m for m in range(64)
+                                 if m == 0 or bin(m).count("1") >= 4])
+
+
+# sha256 of the save_algebra bytes: `build from-meta` reproduces a file byte
+# for byte, so any change to a table, a label or a meta shows here
+PINNED = {
+    "b21": (C.brandt_monoid_b21,
+            "8fdf779cbf7c480826e8f742b6c3368586278b8f763adc031dceab3ea41c0df4"),
+    "brandt-c1-2": (lambda: C.brandt_semigroup(C.cyclic_group(1), 2),
+                    "3619388b9b8abf7ba82f2d65ee17d8ed37ecdf912cc46c7397705aaa6f620dfb"),
+    "brandt-s3-5": (lambda: C.brandt_semigroup(C.symmetric_group(3), 5),
+                    "a92c74e5639277308f834eebd4dbbdb1244489e991ed562fe5f94ecec3750c91"),
+    "power-s3": (lambda: C.power_semiring(C.symmetric_group(3)),
+                 "bdd7073f05d0007eeb666e8f83005d52b4dee9ca09c3eb447179a10a6928f2f3"),
+    "power-d3-nonempty-star": (
+        lambda: C.power_semiring(C.dihedral_group(3), nonempty_only=True, with_star=True),
+        "1454d69e9e6deceb13b55b8c824094a5fcc9245c189cea60222e6b19ff571887"),
+    "involution-power-s3": (lambda: C.involution_power(C.symmetric_group(3)),
+                            "17534a9e5527ac9f37ba4e90f99266eee8f974d1cb4155fda9ce5fe021bebdbe"),
+    "hall1": (lambda: C.hall_semiring(1),
+              "2fabcf308799756877deda0f3ff2e3a50ef00320c29867b7e9978c782fd84819"),
+    "hall1-nostar": (lambda: C.hall_semiring(1, with_star=False),
+                     "19bcf8917efc48da5f687091741f621b236f1e6b828d5b988f9febd84c1dab7b"),
+    "hall2": (lambda: C.hall_semiring(2),
+              "ed435bba8435d57043e0544f841922a078561994b0928583a8252be3f22e6ee6"),
+    "hall2-nostar": (lambda: C.hall_semiring(2, with_star=False),
+                     "2571164ce054c44f7ae7cfd9805033cda7a1e7c6c19cf0e2af0460c4270829a9"),
+    "hall3": (lambda: C.hall_semiring(3),
+              "8a3ccaff0b0f7df9572ef5dc5dd78b4528db0d9962a355f09cea087513b576b9"),
+    "hall3-nostar": (lambda: C.hall_semiring(3, with_star=False),
+                     "e5286c42c886336d12dfac27096df9ca2a512dfafa10b974fcc6806c2a33d100"),
+    "kadourek-2-2": (lambda: C.kadourek_semigroup(2, 2)[0],
+                     "7994e0f6fda6b6518039490b5fe144087ecd9170ac55621e10176d19b2ffdb23"),
+    "c8": (lambda: C.cyclic_group(8),
+           "88997327da29d11f86ddbc19aed9c77d1bdcbfe1dcf97e3212a3e8cb74c06a76"),
+    "d5": (lambda: C.dihedral_group(5),
+           "f3eb6a9c4dfc6a82b4f3606f8e716a3f71a5ff516dbd80aecc1554962f4bd6e7"),
+    "rees-power-s3": (_power_s3_without_small_sets,
+                      "bd4ec9c316ea35d8af61288004c22c615c0ea12c26eb787ddae65e156be981d6"),
+    "adjoin-zero-brandt-s3-2": (
+        lambda: C.adjoin_zero(C.brandt_semigroup(C.symmetric_group(3), 2)),
+        "9651caa04b147227280901baeaf94d209c592af6e60b66a48f4488ceb8cf0ddb"),
+    "adjoin-identity-brandt-s3-2": (
+        lambda: C.adjoin_identity(C.brandt_semigroup(C.symmetric_group(3), 2)),
+        "ccb19bc76ea7c1bff95a9c118c9a577dbbbffb0e37be9164496c46dca45608e9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_saved_bytes_are_pinned(name, tmp_path):
+    build, digest = PINNED[name]
+    path = tmp_path / "alg.json"
+    save_algebra(build(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

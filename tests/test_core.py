@@ -14,7 +14,7 @@ from bglab.core import (
     validate_involution,
     validate_semigroup,
 )
-from bglab.errors import MissingTable
+from bglab.errors import BglabError, MissingTable
 
 
 def brute_assoc_violation(table):
@@ -185,3 +185,14 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="size"):
             FiniteAlgebra.from_dict(
                 {"kind": "semigroup", "size": 3, "labels": ["x"], "mul": [[0]]})
+
+    @pytest.mark.parametrize("key", ["kind", "labels", "mul"])
+    def test_missing_key_is_named(self, key):
+        d = {"kind": "semigroup", "labels": ["x"], "mul": [[0]]}
+        del d[key]
+        with pytest.raises(BglabError, match=f"^algebra data has no '{key}'$"):
+            FiniteAlgebra.from_dict(d)
+
+    def test_data_that_is_no_object_is_refused(self):
+        with pytest.raises(BglabError, match="^algebra data must be a JSON object$"):
+            FiniteAlgebra.from_dict([["semigroup"]])
