@@ -23,8 +23,9 @@ from .constructions import (
     induced_algebra,
     rees_table,
 )
-from .core import FiniteAlgebra, mult_reduct
-from .errors import NotAGroup, SubgroupEnumerationBudget
+from .core import FiniteAlgebra, mult_reduct, validate
+from .errors import BglabError, NotAGroup, SubgroupEnumerationBudget
+from .terms import flat_kernel
 
 SUBGROUP_SIZE_BUDGET = 16
 SUBGROUP_MAX_GENERATORS = 3
@@ -115,12 +116,6 @@ def ideal_masks(alg: FiniteAlgebra) -> np.ndarray:
     S^1 a S^1 = {a} + aS + Sa + SaS, the union of c S^1 over c in S^1 a:
     one Boolean matrix product, with nothing of size n^3 built."""
     return _reach(alg.mul.T) @ _reach(alg.mul)
-
-
-def principal_ideal(alg: FiniteAlgebra, a: int) -> frozenset[int]:
-    """S^1 a S^1 = {a} + aS + Sa + SaS."""
-    row = _reach(alg.mul.T)[a] @ _reach(alg.mul)
-    return frozenset(np.flatnonzero(row).tolist())
 
 
 def _equal_rows(masks: np.ndarray) -> list[list[int]]:
@@ -327,16 +322,18 @@ def is_brandt(alg: FiniteAlgebra) -> BrandtRecognition | None:
 class SeriesReport:
     """A maximal chain of ideals with per-factor classification and the derived
     parameters: h the height, m the lcm of subgroup exponents, k the largest
-    subgroup derived length (floored at 1), q = 2^h m, r = kh + h + k."""
+    subgroup derived length (floored at 1), q = 2^h m, r = kh + h + k.  A
+    maximal subgroup that is not solvable has no derived length: then k and
+    r are None and k_floored is False."""
 
     chain: list[list[int]]
     factors: list[dict]
     h: int
     m: int
-    k: int
+    k: int | None
     k_floored: bool
     q: int
-    r: int
+    r: int | None
     brandt_series: bool = field(default=False)
 
     def to_dict(self) -> dict:
@@ -349,10 +346,13 @@ class SeriesReport:
 
 
 def _classify_bottom(alg: FiniteAlgebra, kernel: list[int]) -> dict:
-    sub, _ = induced_algebra(mult_reduct(alg), kernel)
-    if is_group(sub):
-        return {"kind": "group", "order": sub.size}
-    return {"kind": "other", "size": sub.size}
+    # the kernel is completely simple, a rectangle of copies of one group,
+    # so it is a group exactly when it holds one idempotent (Howie,
+    # Fundamentals of Semigroup Theory, 1995, ch. 3)
+    mul = alg.mul
+    if sum(int(mul[x, x]) == x for x in kernel) == 1:
+        return {"kind": "group", "order": len(kernel)}
+    return {"kind": "other", "size": len(kernel)}
 
 
 def _classify_factor(alg: FiniteAlgebra, cls: list[int]) -> dict:
@@ -372,7 +372,17 @@ def _classify_factor(alg: FiniteAlgebra, cls: list[int]) -> dict:
 
 def principal_series(alg: FiniteAlgebra) -> SeriesReport:
     """Maximal ideal chain built one J-class at a time along the J-order,
-    ties broken by least element index; factors classified; (h,m,k,q,r) filled."""
+    ties broken by least element index; factors classified; (h,m,k,q,r) filled.
+
+    The table must be associative; it is validated once, and a table that
+    is not is refused with a BglabError naming the law and the triple.  Each
+    maximal subgroup H_e is then a group (Green's theorem), so its exponent
+    and derived series are read off the parent's rows restricted to H_e,
+    with e as identity."""
+    bad = validate(mult_reduct(alg))
+    if bad is not None:
+        raise BglabError(f"principal series needs an associative table: "
+                         f"{bad.describe(alg)}")
     masks = ideal_masks(alg)
     classes = _equal_rows(masks)  # ascending least members
     reps = [cls[0] for cls in classes]
@@ -399,30 +409,34 @@ def principal_series(alg: FiniteAlgebra) -> SeriesReport:
                 heappush(ready, k)
     h = len(chain) - 1
     m = 1
-    k = 1
-    floored = True
+    lengths = []
     for e, members in maximal_subgroups(alg):
-        sub, _ = induced_algebra(mult_reduct(alg), members)
-        m = lcm(m, group_exponent(sub))
-        d = derived_length(sub)
-        if d is not None and d > 1:
-            k = max(k, d)
-            floored = False
-    q = (2**h) * m
-    r = k * h + h + k
+        if len(members) == 1:
+            continue  # exponent 1, derived length 0
+        # H_e's rows, renumbered 0..|H_e|-1 in the order of its members
+        local = {a: i for i, a in enumerate(members)}
+        rows = [[local[row[b]] for b in members] for row in alg.mul[members].tolist()]
+        m = lcm(m, _exponent(rows, local[e]))
+        lengths.append(_length(_derived_series(rows, local[e])))
+    if None in lengths:
+        k, floored, r = None, False, None
+    else:
+        k = max([1, *lengths])
+        floored, r = k == 1, k * h + h + k
     brandt = factors[0]["kind"] == "group" and all(
         f["kind"] in ("brandt", "zero") for f in factors[1:])
-    return SeriesReport(chain, factors, h, m, k, floored, q, r, brandt)
+    return SeriesReport(chain, factors, h, m, k, floored, (2**h) * m, r, brandt)
 
 
 def satisfies_power_identity(alg: FiniteAlgebra, e1: int, e2: int):
-    """Element-wise check of x^e1 = x^e2; returns (ok, first bad element)."""
-    from .terms import element_power
-
-    for x in range(alg.size):
-        if element_power(alg, x, e1) != element_power(alg, x, e2):
-            return False, x
-    return True, None
+    """Element-wise check of x^e1 = x^e2, e1, e2 >= 1 (huge exponents
+    welcome), on the kernel's power tables; returns (ok, first bad element)."""
+    if min(e1, e2) < 1:
+        raise ValueError("exponent must be >= 1")
+    kernel = flat_kernel(alg)
+    carrier = np.arange(alg.size)
+    bad = np.flatnonzero(kernel.power(carrier, e1) != kernel.power(carrier, e2))
+    return (True, None) if not bad.size else (False, int(bad[0]))
 
 
 def stabilizing_power(alg: FiniteAlgebra) -> int | None:
@@ -438,49 +452,54 @@ def stabilizing_power(alg: FiniteAlgebra) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# group analytics
+# group analytics, on a group's table or a maximal subgroup's
 
 
-def element_order(alg: FiniteAlgebra, x: int, identity: int) -> int:
-    mul = alg.mul
-    order = 1
-    y = x
-    while y != identity:
-        y = int(mul[y, x])
-        order += 1
-        if order > alg.size:
-            raise ValueError("element order exceeds the carrier; not a group?")
-    return order
+def _exponent(rows: list[list[int]], one: int) -> int:
+    """lcm of the element orders of the group table rows with identity one."""
+    out = 1
+    for x in range(len(rows)):
+        y, order = x, 1
+        while y != one:
+            y = rows[y][x]
+            order += 1
+        out = lcm(out, order)
+    return out
 
 
-def group_exponent(alg: FiniteAlgebra) -> int:
-    e, _ = ensure_group(alg)
-    return lcm(*[element_order(alg, x, e) for x in range(alg.size)]) if alg.size else 1
-
-
-def derived_series(alg: FiniteAlgebra) -> list[frozenset[int]]:
-    """G, G', G'', ... down to the first repetition."""
-    e, inv = ensure_group(alg)
-    mul = alg.mul
-    series = [frozenset(range(alg.size))]
+def _derived_series(rows: list[list[int]], one: int) -> list[frozenset[int]]:
+    """G, G', G'', ... down to the first repetition, for the group table rows
+    with identity one."""
+    inv = [row.index(one) for row in rows]
+    series = [frozenset(range(len(rows)))]
     while True:
         cur = series[-1]
-        comms = {e}
-        for a in cur:
-            for b in cur:
-                comms.add(int(mul[mul[mul[inv[a], inv[b]], a], b]))
-        nxt = frozenset(closure([mul], comms))
+        comms = {rows[rows[rows[inv[a]][inv[b]]][a]][b] for a in cur for b in cur}
+        nxt = frozenset(closure([rows], comms))
         if nxt == cur:
             return series
         series.append(nxt)
 
 
+def _length(series: list[frozenset[int]]) -> int | None:
+    """Steps until a derived series hits the trivial group; None otherwise."""
+    return len(series) - 1 if len(series[-1]) == 1 else None
+
+
+def group_exponent(alg: FiniteAlgebra) -> int:
+    e, _ = ensure_group(alg)
+    return _exponent(alg.mul.tolist(), e)
+
+
+def derived_series(alg: FiniteAlgebra) -> list[frozenset[int]]:
+    """G, G', G'', ... down to the first repetition."""
+    e, _ = ensure_group(alg)
+    return _derived_series(alg.mul.tolist(), e)
+
+
 def derived_length(alg: FiniteAlgebra) -> int | None:
     """Steps until the derived series hits the trivial group; None otherwise."""
-    series = derived_series(alg)
-    if len(series[-1]) != 1:
-        return None
-    return len(series) - 1
+    return _length(derived_series(alg))
 
 
 def subgroups_of(alg: FiniteAlgebra,

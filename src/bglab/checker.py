@@ -9,7 +9,7 @@ verdicts from sampling never claim "holds".
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import prod
@@ -40,12 +40,17 @@ def default_budget() -> int:
 
 @dataclass
 class CheckVerdict:
+    """The verdict of every engine.  seed is set by the sampler; level_sizes
+    and bad_value by the block-value image check."""
+
     status: str
     witness: dict[Variable, int] | None = None
     evaluations: int = 0
     seed: int | None = None
     attempted: int | None = None
     note: str = ""
+    level_sizes: list[int] | None = None
+    bad_value: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -376,29 +381,6 @@ def verify_morphism(spec: MorphismSpec) -> MorphismReport:
 # block-value image technique for the v-family square identities
 
 
-@dataclass
-class ImageCheck:
-    """Exact verdict for "depth-h block word = its square" computed from the
-    per-level image sets of block values (valid because sibling blocks use
-    disjoint alphabets, so block values vary independently).
-
-    level_sizes[l] is the size of the level-l image set.  evaluations is the
-    number of block-value tuples the check decides, the sum over levels of
-    k_l^(2n) with k_l the number of block values at level l; it is computed,
-    not counted, because the pair-state sweep never visits the tuples."""
-
-    status: str
-    level_sizes: list[int] = field(default_factory=list)
-    evaluations: int = 0
-    bad_value: int | None = None
-    witness: dict[Variable, int] | None = None
-    note: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == HOLDS
-
-
 def _step(pair, size, states, b, i, n):
     """Pair states coded P*size + M after block i (1-based) takes value b:
     P is the product of the blocks so far and M their product in middle
@@ -445,16 +427,24 @@ def _least_preimage(pair, size, power, vals, layers, n, value) -> tuple[int, ...
 
 
 def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
-                         budget: int | None = None) -> ImageCheck:
-    """Exact check of v = v^2 at depth h via level-by-level image sets.
+                         budget: int | None = None) -> CheckVerdict:
+    """Exact check of v = v^2 at depth h via level-by-level image sets
+    (valid because sibling blocks use disjoint alphabets, so block values
+    vary independently).
 
     Level l's image is the set of tuple values over block values from level
     l-1's image (the carrier at level 0), found by a sweep over reachable
     pair states.  Images only shrink with depth, and once a level's image
     equals its block values every deeper level repeats it, so at most
     min(h, size) levels are swept.  The witness, if any, binds each block to
-    the lexicographically least preimage of its value.  The table must be
-    associative, since the sweep multiplies M from both ends."""
+    the lexicographically least preimage of its value, bad_value.  The table
+    must be associative, since the sweep multiplies M from both ends.
+
+    level_sizes[l] is the size of the level-l image set (empty when the
+    budget refuses).  evaluations is the number of block-value tuples the
+    check decides, the sum over levels of k_l^(2n) with k_l the number of
+    block values at level l; it is computed, not counted, because the
+    pair-state sweep never visits the tuples."""
     if n < 1 or m < 1 or h < 1:
         raise ValueError("need n, m, h >= 1")
     size = alg.size
@@ -463,8 +453,8 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     # states x block values per block, over the 2n blocks of every sweep
     work = min(h, size) * size * sum(size ** min(i, 2) for i in range(2 * n))
     if work > budget:
-        return ImageCheck(BUDGET_EXCEEDED,
-                          note=f"{work} pair-state steps exceed budget {budget}")
+        return CheckVerdict(BUDGET_EXCEEDED, level_sizes=[],
+                            note=f"{work} pair-state steps exceed budget {budget}")
     size = np.intp(size)  # state codes P*size + M are computed in np.intp
     kernel = flat_kernel(alg)
     pair = kernel.pair
@@ -483,7 +473,7 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     top = inputs[min(h, last)]
     bad = top[pair(top, top) != top]
     if not bad.size:
-        return ImageCheck(HOLDS, level_sizes, total)
+        return CheckVerdict(HOLDS, evaluations=total, level_sizes=level_sizes)
     bad_value = int(bad[0])
 
     @cache
@@ -493,8 +483,8 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
         return _least_preimage(pair, size, power, inputs[at], layers, n, value)
 
     witness = _expand_witness(preimage, bad_value, n, h)
-    return ImageCheck(COUNTEREXAMPLE, level_sizes, total, bad_value=bad_value,
-                      witness=witness)
+    return CheckVerdict(COUNTEREXAMPLE, witness, total, level_sizes=level_sizes,
+                        bad_value=bad_value)
 
 
 def _expand_witness(preimage, bad_value, n, h) -> dict[Variable, int]:

@@ -208,10 +208,8 @@ def _cmd_check(args) -> int:
         if not (isinstance(lhs, terms.BlockWord) and isinstance(rhs, terms.PowerOf)
                 and rhs.base == lhs and rhs.exponent == 2):
             raise BglabError("block mode expects v[n,m,h] = v[n,m,h]^2")
-        img = checker.check_v_square_image(alg, lhs.n, lhs.m, lhs.depth,
-                                           budget=args.budget)
-        verdict = checker.CheckVerdict(img.status, witness=img.witness,
-                                       evaluations=img.evaluations, note=img.note)
+        verdict = checker.check_v_square_image(alg, lhs.n, lhs.m, lhs.depth,
+                                               budget=args.budget)
     payload = {"status": verdict.status, "evaluations": verdict.evaluations}
     if verdict.seed is not None:
         payload["seed"] = verdict.seed

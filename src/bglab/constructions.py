@@ -351,6 +351,32 @@ def hall_semiring(n: int, with_star: bool = True) -> FiniteAlgebra:
 # the subsemiring B inside a power semiring
 
 
+def subset_b_masks(group: FiniteAlgebra, subgroup, g: int) -> tuple[int, ...]:
+    """The bitmasks of {E}, H, g^-1 H, H g and g^-1 H g, in that order: the
+    five small subsets of subset_b's carrier.  Requires H to be a subgroup
+    that g does not normalize."""
+    H = frozenset(int(x) for x in subgroup)
+    # a non-empty subset of a finite group is a subgroup iff it is closed
+    outside = sorted(set(closure([group.mul], H)) - H)
+    if not H or outside:
+        raise NotASubgroup("the subgroup is empty" if not H else
+                           f"products reach {group.labels[outside[0]]}, outside the set")
+    mul = group.mul
+    ginv = group_inverses(group)[g]
+    gH = frozenset(int(mul[ginv, h]) for h in H)
+    conj = frozenset(int(mul[x, g]) for x in gH)
+    if conj == H:
+        raise NormalSubgroup("g normalizes H; need g^-1 H g != H")
+    Hg = frozenset(int(mul[h, g]) for h in H)
+    if gH == Hg:
+        raise NormalSubgroup("g^-1 H = H g forces g^-1 H g = H")
+    masks = tuple(sum(1 << x for x in s)
+                  for s in ({group_identity(group)}, H, gH, Hg, conj))
+    if len(set(masks)) != 5:
+        raise ValueError("the five distinguished subsets are not distinct")
+    return masks
+
+
 def subset_b(group: FiniteAlgebra, subgroup, g: int) -> list[int]:
     """Carrier of the subsemiring {E, H, g^-1 H, H g, g^-1 H g} + big sets.
 
@@ -358,29 +384,10 @@ def subset_b(group: FiniteAlgebra, subgroup, g: int) -> list[int]:
     Requires H to be a subgroup that g does not normalize.
     """
     _table_budget(1 << group.size, f"power semiring of a {group.size}-element group")
-    H = frozenset(int(x) for x in subgroup)
-    # a non-empty subset of a finite group is a subgroup iff it is closed
-    outside = sorted(set(closure([group.mul], H)) - H)
-    if not H or outside:
-        raise NotASubgroup("the subgroup is empty" if not H else
-                           f"products reach {group.labels[outside[0]]}, outside the set")
-    inv = group_inverses(group)
-    mul = group.mul
-    ginv = inv[g]
-    conj = frozenset(int(mul[int(mul[ginv, h]), g]) for h in H)
-    if conj == H:
-        raise NormalSubgroup("g normalizes H; need g^-1 H g != H")
-
-    e = group_identity(group)
-    gH = frozenset(int(mul[ginv, h]) for h in H)
-    Hg = frozenset(int(mul[h, g]) for h in H)
-    if gH == Hg:
-        raise NormalSubgroup("g^-1 H = H g forces g^-1 H g = H")
-    small = {sum(1 << x for x in s) for s in (frozenset([e]), H, gH, Hg, conj)}
-    if len(small) != 5:
-        raise ValueError("the five distinguished subsets are not distinct")
-    big = [m for m in range(1 << group.size) if bin(m).count("1") > len(H)]
-    carrier = sorted(small.union(big))
+    small = subset_b_masks(group, subgroup, g)
+    order = bin(small[1]).count("1")  # |H|
+    big = [m for m in range(1 << group.size) if bin(m).count("1") > order]
+    carrier = sorted(set(small).union(big))
     # closure sanity: union and product stay inside
     inside = np.zeros(1 << group.size, dtype=bool)
     inside[carrier] = True

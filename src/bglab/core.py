@@ -194,7 +194,8 @@ def _check_indices(indices, size: int) -> None:
 
 def closure(tables, seeds, star=None, closed=()) -> list[int]:
     """Least index set containing the seeds and closed under every binary
-    table in `tables` and, when given, the unary table `star`; sorted.
+    table in `tables` (arrays or row lists) and, when given, the unary table
+    `star`; sorted.
     `closed`, a list of indices already closed under them (such as an
     earlier result), joins the result without its own pairs being walked
     again."""
@@ -203,7 +204,7 @@ def closure(tables, seeds, star=None, closed=()) -> list[int]:
     found = [*closed, *members.difference(closed)] if closed else list(members)
     members.update(closed)
     walked = len(closed)
-    rows = [t.tolist() for t in tables]
+    rows = [t if isinstance(t, list) else t.tolist() for t in tables]
     star = None if star is None else star.tolist()
     # found grows while it is walked; x meets every element up to itself,
     # and the elements of closed have met each other already

@@ -330,21 +330,8 @@ def subset_b_onto_b21(wb: Workbench):
     g = s3.index("(13)")
     masks = constructions.subset_b(s3, H, g)
     balg, _ = constructions.induced_algebra(wb.get("ps3_star"), masks)
-    inv = constructions.group_inverses(s3)
-    mul = s3.mul
-
-    def mask_of(xs):
-        m = 0
-        for x in xs:
-            m |= 1 << x
-        return m
-
-    em = 1 << e
-    hm = mask_of(H)
-    gh = mask_of(int(mul[inv[g], h]) for h in H)
-    hg = mask_of(int(mul[h, g]) for h in H)
-    conj = mask_of(int(mul[int(mul[inv[g], h]), g]) for h in H)
-    special = {em: "1", hg: "a", gh: "b", hm: "e", conj: "f"}
+    # {e}, H, g^-1 H, H g, g^-1 H g
+    special = dict(zip(constructions.subset_b_masks(s3, H, g), "1ebaf"))
     b21 = wb.get("b21")
     mapping = tuple(b21.index(special.get(m, "0")) for m in masks)
     return balg, b21, mapping

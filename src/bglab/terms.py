@@ -429,14 +429,6 @@ def evaluate_batch(term: Term, sub: Mapping[Variable, np.ndarray], alg) -> np.nd
     return _evaluate(term, sub, flat_kernel(alg))
 
 
-def element_power(alg, x: int, e: int) -> int:
-    """x^e in the multiplicative reduct, e >= 1 (huge exponents welcome)."""
-    if e < 1:
-        raise ValueError("exponent must be >= 1")
-    mul = alg.mul
-    return _pow_fold(int(x), e, lambda a, b: int(mul[a, b]))
-
-
 # ---------------------------------------------------------------------------
 # the textual identity DSL
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +11,8 @@ from bglab import constructions as C
 from bglab import corpus, suite
 from bglab import terms as T
 from bglab.checker import check_identity_exhaustive
-from bglab.core import FiniteAlgebra, mult_reduct
-from bglab.errors import SubgroupEnumerationBudget
+from bglab.core import FiniteAlgebra, mult_reduct, validate
+from bglab.errors import BglabError, SubgroupEnumerationBudget
 
 
 def left_zero(n):
@@ -155,7 +158,6 @@ class TestKernelsAgainstSetOracles:
             assert np.array_equal(A.ideal_masks(alg), masks)
             assert np.array_equal(A.inverse_matrix(alg), inverses)
             for a in range(alg.size):
-                assert A.principal_ideal(alg, a) == oracle_principal_ideal(alg, a)
                 assert A.inverses_of(alg, a) == oracle_inverses_of(alg, a)
             assert A.j_classes(alg) == oracle_j_classes(alg)
             assert A.j_trivial(alg) == oracle_j_trivial(alg)
@@ -264,7 +266,7 @@ class TestJTriviality:
         ok, witness = A.j_trivial(s3)
         assert not ok and witness is not None
         a, b = witness
-        assert A.principal_ideal(s3, a) == A.principal_ideal(s3, b)
+        assert oracle_principal_ideal(s3, a) == oracle_principal_ideal(s3, b)
 
     def test_chain_semilattice_is_j_trivial(self):
         ok, _ = A.j_trivial(chain_semilattice(3))
@@ -312,6 +314,55 @@ class TestPrincipalSeries:
         for lo, hi in zip(chain, chain[1:]):
             between = [i for i in ideals if lo < i < hi]
             assert between == []
+
+    def test_order4_corpus_reports_are_pinned(self):
+        # sha256 over every order-4 table's report and subgroup orders,
+        # recorded when each subgroup was still built as its own algebra
+        digest = hashlib.sha256()
+        for table in corpus.semigroup_tables(4):
+            alg = corpus.as_algebra(table)
+            orders = [len(members) for _, members in A.maximal_subgroups(alg)]
+            digest.update(json.dumps([A.principal_series(alg).to_dict(), orders],
+                                     sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "d12a993ad2dded982f6bb1c743ec8b7165be7355c5a54ef531b9bbb329d9a8e5")
+
+    def test_derived_length_three_and_a_non_solvable_subgroup(self):
+        rep = A.principal_series(C.brandt_semigroup(C.symmetric_group(4), 2))
+        assert (rep.h, rep.m, rep.k, rep.k_floored, rep.q, rep.r) == (
+            1, 12, 3, False, 24, 7)
+        # S5 is not solvable, so no k exists and r = kh + h + k is undefined
+        rep = A.principal_series(C.brandt_semigroup(C.symmetric_group(5), 1))
+        assert (rep.h, rep.m, rep.k, rep.k_floored, rep.q, rep.r) == (
+            1, 60, None, False, 120, None)
+        assert rep.to_dict()["k"] is None and rep.to_dict()["r"] is None
+
+    def test_subgroups_read_off_the_parent_table(self, ps3_mul, hall3, monkeypatch):
+        calls = []
+
+        def boom(alg):
+            raise AssertionError("a subgroup or the kernel was built as a group")
+
+        def counted(alg):
+            calls.append(alg)
+            return validate(alg)
+
+        monkeypatch.setattr(A, "ensure_group", boom)
+        monkeypatch.setattr(A, "is_group", boom)
+        monkeypatch.setattr(A, "validate", counted)
+        for alg, params in ((ps3_mul, (9, 6, 2, 3072, 29)),
+                            (mult_reduct(hall3), (14, 6, 2, 98304, 44))):
+            before = len(calls)
+            rep = A.principal_series(alg)
+            assert (rep.h, rep.m, rep.k, rep.q, rep.r) == params
+            assert len(calls) == before + 1
+
+    def test_non_associative_table_is_refused(self):
+        # (aa)b = bb = a but a(ab) = aa = b
+        alg = FiniteAlgebra("semigroup", ("a", "b"), [[1, 0], [0, 0]])
+        with pytest.raises(BglabError,
+                           match=r"mul-associative fails at \(a, a, b\)"):
+            A.principal_series(alg)
 
     def test_every_corpus_algebra_gets_a_full_chain(self):
         for table in corpus.all_semigroups_upto(3):
@@ -469,6 +520,13 @@ class TestCorpusInvariants:
             e = (2**rep.h) * rep.m
             ok, bad = A.satisfies_power_identity(alg, e, 2 * e)
             assert ok, f"failed at element {bad}"
+
+    def test_power_identity_failure_and_bad_exponent(self, s3):
+        # x = x^2 holds only at the identity, element 0
+        assert A.satisfies_power_identity(s3, 1, 2) == (False, 1)
+        assert A.satisfies_power_identity(s3, 2**80 * 6 + 1, 1) == (True, None)
+        with pytest.raises(ValueError, match="exponent must be >= 1"):
+            A.satisfies_power_identity(s3, 0, 6)
 
 
 def per_table_block_group_tests(alg):

@@ -513,6 +513,7 @@ class TestImageTechnique:
         monkeypatch.setenv("BGLAB_BUDGET", "100")
         report = K.check_v_square_image(b21_mul, 2, 1, 2)
         assert report.status == K.BUDGET_EXCEEDED and "budget 100" in report.note
+        assert isinstance(report, K.CheckVerdict) and report.level_sizes == []
         monkeypatch.setenv("BGLAB_BUDGET", "10000")
         assert K.check_v_square_image(b21_mul, 2, 1, 2).ok
 
