@@ -21,9 +21,8 @@ from .constructions import (
     ensure_group,
     group_inverses,
     induced_algebra,
-    rees_table,
 )
-from .core import FiniteAlgebra, mult_reduct, validate
+from .core import FiniteAlgebra, _check_indices, _first_true, mult_reduct, validate
 from .errors import BglabError, NotAGroup, SubgroupEnumerationBudget
 from .terms import flat_kernel
 
@@ -37,11 +36,9 @@ def idempotents(alg: FiniteAlgebra) -> list[int]:
 
 
 def zero_element(alg: FiniteAlgebra) -> int | None:
-    mul = alg.mul
-    for z in range(alg.size):
-        if (mul[z] == z).all() and (mul[:, z] == z).all():
-            return z
-    return None
+    ar = np.arange(alg.size)
+    zeros = np.flatnonzero((alg.mul == ar[:, None]).all(axis=1) & (alg.mul == ar).all(axis=0))
+    return int(zeros[0]) if zeros.size else None
 
 
 def block_group_violation(alg: FiniteAlgebra) -> tuple[int, int] | None:
@@ -134,22 +131,32 @@ def j_classes(alg: FiniteAlgebra) -> list[list[int]]:
 def j_trivial(alg: FiniteAlgebra, subset=None) -> tuple[bool, tuple[int, int] | None]:
     """True iff distinct elements generate distinct principal ideals.
 
-    With a subset, the check runs inside the induced subsemigroup but the
-    witness is reported in the parent's indices.
+    With a closed subset, the check runs on the parent's products among its
+    members, with no subalgebra built; the witness is in the parent's indices.
     """
+    members, table = range(alg.size), alg.mul
     if subset is not None:
-        sub, _ = induced_algebra(mult_reduct(alg), subset)
-        ok, w = j_trivial(sub)
-        if w is None:
-            return ok, None
-        old = sorted(int(x) for x in subset)
-        return ok, (old[w[0]], old[w[1]])
+        members = sorted(int(x) for x in subset)
+        _check_indices(members, alg.size)
+        if not members:
+            raise ValueError("subset must be non-empty")
+        twice = [x for x, y in zip(members, members[1:]) if x == y]
+        members = np.array(members)
+        local = np.full(alg.size, -1)
+        local[members] = np.arange(members.size)
+        table = local[alg.mul[members[:, None], members]]  # renumbered 0..len-1
+        if (table < 0).any():
+            x, y = (alg.labels[members[i]] for i in _first_true(table < 0))
+            raise ValueError(f"set not closed: {x} o {y} escapes")
+        if twice:
+            raise ValueError(f"subset repeats index {twice[0]}")
     # the first repeated ideal is the class whose second member comes first
-    repeats = [cls[:2] for cls in _equal_rows(ideal_masks(alg)) if len(cls) > 1]
+    repeats = [cls[:2] for cls in _equal_rows(_reach(table.T) @ _reach(table))
+               if len(cls) > 1]
     if not repeats:
         return True, None
     a, b = min(repeats, key=lambda pair: pair[1])
-    return False, (a, b)
+    return False, (int(members[a]), int(members[b]))
 
 
 def idempotent_generated(alg: FiniteAlgebra) -> list[int]:
@@ -227,10 +234,7 @@ def maximal_subgroups(alg: FiniteAlgebra) -> list[tuple[int, list[int]]]:
 
 def subgroup_union(alg: FiniteAlgebra) -> set[int]:
     """Union of all maximal subgroups: the elements lying in some subgroup."""
-    out: set[int] = set()
-    for _, members in maximal_subgroups(alg):
-        out.update(members)
-    return out
+    return set().union(*(members for _, members in maximal_subgroups(alg)))
 
 
 def is_group(alg: FiniteAlgebra) -> bool:
@@ -345,29 +349,26 @@ class SeriesReport:
         }
 
 
-def _classify_bottom(alg: FiniteAlgebra, kernel: list[int]) -> dict:
-    # the kernel is completely simple, a rectangle of copies of one group,
-    # so it is a group exactly when it holds one idempotent (Howie,
-    # Fundamentals of Semigroup Theory, 1995, ch. 3)
-    mul = alg.mul
+def _classify_bottom(mul: np.ndarray, kernel: list[int]) -> dict:
+    # the kernel is completely simple, a rectangle of copies of one group, so
+    # it is a group exactly when it holds one idempotent (Howie 1995, ch. 3)
     if sum(int(mul[x, x]) == x for x in kernel) == 1:
         return {"kind": "group", "order": len(kernel)}
     return {"kind": "other", "size": len(kernel)}
 
 
-def _classify_factor(alg: FiniteAlgebra, cls: list[int]) -> dict:
-    # Rees quotient of one J-class over everything below it: class + fresh zero
-    table = rees_table(alg.mul, cls)
-    size = len(table)
-    if not table.any():
-        return {"kind": "zero", "size": size}
-    labels = ["0"] + [f"c{i}" for i in range(1, size)]
-    factor = FiniteAlgebra("semigroup", tuple(labels), table)
-    rec = is_brandt(factor)
-    if rec is not None:
-        return {"kind": "brandt", "group_order": rec.group.size,
-                "index_count": rec.index_count}
-    return {"kind": "other", "size": size}
+def _classify_factor(mul: np.ndarray, right: np.ndarray, left: np.ndarray,
+                     cls: list[int]) -> dict:
+    # J^0 is null exactly when J holds no idempotent, else completely 0-simple,
+    # and then Brandt exactly when each R-class (equal aS^1 rows) and L-class
+    # (equal S^1a rows) of J holds one idempotent (Howie 1995, ch. 3 and 5)
+    idems = sum(int(mul[x, x]) == x for x in cls)
+    if not idems:
+        return {"kind": "zero", "size": len(cls) + 1}
+    if idems == len(_equal_rows(right[cls])) == len(_equal_rows(left[cls])):
+        return {"kind": "brandt", "group_order": len(cls) // idems**2,
+                "index_count": idems}
+    return {"kind": "other", "size": len(cls) + 1}
 
 
 def principal_series(alg: FiniteAlgebra) -> SeriesReport:
@@ -383,7 +384,8 @@ def principal_series(alg: FiniteAlgebra) -> SeriesReport:
     if bad is not None:
         raise BglabError(f"principal series needs an associative table: "
                          f"{bad.describe(alg)}")
-    masks = ideal_masks(alg)
+    right, left = _reach(alg.mul), _reach(alg.mul.T)
+    masks = left @ right  # ideal_masks(alg), with the rows aS^1 and S^1a kept
     classes = _equal_rows(masks)  # ascending least members
     reps = [cls[0] for cls in classes]
     below = masks[reps][:, reps]  # [i, j]: class j lies in the ideal of class i
@@ -397,10 +399,8 @@ def principal_series(alg: FiniteAlgebra) -> SeriesReport:
     while ready:
         i = heappop(ready)
         cls = classes[i]
-        if not chain:
-            factors.append(_classify_bottom(alg, cls))
-        else:
-            factors.append(_classify_factor(alg, cls))
+        factors.append(_classify_factor(alg.mul, right, left, cls) if chain
+                       else _classify_bottom(alg.mul, cls))
         current.update(cls)
         chain.append(sorted(current))
         for k in np.flatnonzero(below[:, i]).tolist():

@@ -66,6 +66,16 @@ def oracle_principal_ideal(alg, a):
     return frozenset(out)
 
 
+def oracle_right_ideal(alg, a):
+    """aS^1 = {a} + aS, built as a Python set."""
+    return {int(a)} | {int(x) for x in alg.mul[a]}
+
+
+def oracle_left_ideal(alg, a):
+    """S^1a = {a} + Sa, built as a Python set."""
+    return {int(a)} | {int(x) for x in alg.mul[:, a]}
+
+
 def oracle_inverses_of(alg, a):
     """All b with aba = a and bab = b, by a scalar scan."""
     mul = alg.mul
@@ -136,6 +146,39 @@ def brandt_key(rec):
     return None if rec is None else (rec.index_count, rec.group.mul.tolist(), rec.iso)
 
 
+def boom(*args, **kwargs):
+    raise AssertionError("called where the parent's table should be read")
+
+
+def oracle_factor_kinds(alg, chain):
+    """Each factor's kind the way the series once found it: the kernel as
+    its own algebra, tested by is_group; every other J-class as its Rees
+    factor (class + fresh zero) built as an algebra and tested by is_brandt."""
+    kernel = C.induced_algebra(alg, chain[0])[0]
+    kinds = [{"kind": "group", "order": kernel.size} if A.is_group(kernel)
+             else {"kind": "other", "size": kernel.size}]
+    for lo, hi in zip(chain, chain[1:]):
+        table = C.rees_table(alg.mul, sorted(set(hi) - set(lo)))
+        size = len(table)
+        if not table.any():
+            kinds.append({"kind": "zero", "size": size})
+            continue
+        factor = FiniteAlgebra("semigroup", tuple(map(str, range(size))), table)
+        rec = A.is_brandt(factor)
+        kinds.append({"kind": "other", "size": size} if rec is None else
+                     {"kind": "brandt", "group_order": rec.group.size,
+                      "index_count": rec.index_count})
+    return kinds
+
+
+def oracle_restricted_j_trivial(alg, subset):
+    """j_trivial inside the subsemigroup built as its own algebra, the
+    witness mapped back to the parent's indices."""
+    ok, w = A.j_trivial(C.induced_algebra(alg, subset)[0])
+    members = sorted(subset)
+    return ok, None if w is None else (members[w[0]], members[w[1]])
+
+
 def oracle_cases():
     s3 = C.symmetric_group(3)
     yield from (corpus.as_algebra(t) for t in corpus.all_semigroups_upto(3))
@@ -156,6 +199,8 @@ class TestKernelsAgainstSetOracles:
             masks = oracle_rows(alg, oracle_principal_ideal)
             inverses = oracle_rows(alg, oracle_inverses_of)
             assert np.array_equal(A.ideal_masks(alg), masks)
+            assert np.array_equal(A._reach(alg.mul), oracle_rows(alg, oracle_right_ideal))
+            assert np.array_equal(A._reach(alg.mul.T), oracle_rows(alg, oracle_left_ideal))
             assert np.array_equal(A.inverse_matrix(alg), inverses)
             for a in range(alg.size):
                 assert A.inverses_of(alg, a) == oracle_inverses_of(alg, a)
@@ -177,14 +222,26 @@ class TestKernelsAgainstSetOracles:
             rep = A.principal_series(alg)
             assert rep.chain == oracle_chain(alg)
             got.append((brandt_key(rec), rep.to_dict()))
-        # the same reports with both kernels computed from the set oracles
+        # the same reports with every kernel computed from the set oracles:
+        # the series reads the rows aS^1 and S^1a, as _reach of mul and mul.T
+        reached = []
+
+        def oracle_reach(table):
+            reached.append(table)
+            alg = FiniteAlgebra("semigroup", tuple(map(str, range(len(table)))),
+                                np.array(table))
+            return oracle_rows(alg, oracle_right_ideal)
+
         monkeypatch.setattr(A, "ideal_masks",
                             lambda alg: oracle_rows(alg, oracle_principal_ideal))
         monkeypatch.setattr(A, "inverse_matrix",
                             lambda alg: oracle_rows(alg, oracle_inverses_of))
+        monkeypatch.setattr(A, "_reach", oracle_reach)
         for alg, (rec, series) in zip(cases, got):
             assert rec == brandt_key(A.is_brandt(alg))
+            before = len(reached)
             assert series == A.principal_series(alg).to_dict()
+            assert len(reached) == before + 2
 
     def test_large_carrier_series_values(self, hall3):
         rep = A.principal_series(mult_reduct(hall3))
@@ -272,6 +329,41 @@ class TestJTriviality:
         ok, _ = A.j_trivial(chain_semilattice(3))
         assert ok
 
+    def test_subsets_agree_with_the_subalgebra_oracle(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 5):
+            for table in corpus.semigroup_stack(n):
+                alg = corpus.as_algebra(table)
+                two = C.closure([alg.mul], rng.integers(0, n, 2).tolist())
+                for subset in (A.idempotent_generated(alg), two):
+                    assert A.j_trivial(alg, subset) == oracle_restricted_j_trivial(
+                        alg, subset)
+
+    def test_subsets_build_no_subalgebra(self, ps3_mul, monkeypatch):
+        subset = C.closure([ps3_mul.mul], [3, 5])
+        want = oracle_restricted_j_trivial(ps3_mul, subset)
+        monkeypatch.setattr(A, "induced_algebra", boom)
+        monkeypatch.setattr(A, "FiniteAlgebra", boom)
+        assert A.j_trivial(ps3_mul, subset) == want
+        assert A.j_trivial(ps3_mul, A.idempotent_generated(ps3_mul)) == (True, None)
+
+    def test_bad_subsets_are_refused(self, b21_mul, b21):
+        e, a = b21.index("e"), b21.index("a")
+        with pytest.raises(ValueError, match=r"^index 6 is outside 0\.\.5$"):
+            A.j_trivial(b21_mul, [0, 6, 7])
+        with pytest.raises(ValueError, match=r"^index -1 is outside 0\.\.5$"):
+            A.j_trivial(b21_mul, [0, -1])
+        with pytest.raises(ValueError, match="^subset must be non-empty$"):
+            A.j_trivial(b21_mul, [])
+        with pytest.raises(ValueError, match=f"^subset repeats index {e}$"):
+            A.j_trivial(b21_mul, [e, e])
+        # the first escape in (x, y) order, as induced_algebra reports it
+        with pytest.raises(ValueError) as oracle:
+            C.induced_algebra(b21_mul, [e, a])
+        with pytest.raises(ValueError, match=r"^set not closed: ") as got:
+            A.j_trivial(b21_mul, [a, e])
+        assert str(got.value) == str(oracle.value)
+
 
 class TestPrincipalSeries:
     def test_b21_series_exact(self, b21_mul, b21):
@@ -356,6 +448,44 @@ class TestPrincipalSeries:
             rep = A.principal_series(alg)
             assert (rep.h, rep.m, rep.k, rep.q, rep.r) == params
             assert len(calls) == before + 1
+
+    def test_factors_agree_with_the_rees_factor_oracle(self, hall3):
+        algs = [corpus.as_algebra(t) for n in range(1, 5)
+                for t in corpus.semigroup_stack(n)]
+        algs += [*oracle_cases(), mult_reduct(hall3)]
+        kinds = set()
+        for alg in algs:
+            rep = A.principal_series(alg)
+            assert rep.factors == oracle_factor_kinds(alg, rep.chain)
+            kinds.update(f["kind"] for f in rep.factors)
+        assert kinds == {"group", "zero", "brandt", "other"}
+
+    def test_factor_kinds_are_pinned(self):
+        null = FiniteAlgebra("semigroup", ("0", "a", "b"), np.zeros((3, 3), dtype=int))
+        assert A.principal_series(null).factors == [
+            {"kind": "group", "order": 1}, {"kind": "zero", "size": 2},
+            {"kind": "zero", "size": 2}]
+        # a 2 x 2 rectangular band with a zero adjoined: four idempotents in
+        # two R-classes and two L-classes, so not Brandt
+        band = FiniteAlgebra("semigroup", ("0", "00", "01", "10", "11"),
+                             np.pad(rectangular_band().mul + 1, ((1, 0), (1, 0))))
+        assert A.principal_series(band).factors == [
+            {"kind": "group", "order": 1}, {"kind": "other", "size": 5}]
+        brandt = C.brandt_semigroup(C.symmetric_group(3), 3)
+        assert A.principal_series(brandt).factors == [
+            {"kind": "group", "order": 1},
+            {"kind": "brandt", "group_order": 6, "index_count": 3}]
+
+    def test_factors_read_off_the_parent_table(self, ps3_mul, b21_mul, hall3,
+                                               monkeypatch):
+        algs = [ps3_mul, b21_mul, mult_reduct(hall3),
+                C.brandt_semigroup(C.symmetric_group(3), 3)]
+        algs += [corpus.as_algebra(t) for t in corpus.semigroup_stack(3)]
+        want = [A.principal_series(alg).to_dict() for alg in algs]
+        for name in ("is_brandt", "induced_algebra", "FiniteAlgebra"):
+            monkeypatch.setattr(A, name, boom)
+        monkeypatch.setattr(C, "rees_table", boom)
+        assert [A.principal_series(alg).to_dict() for alg in algs] == want
 
     def test_non_associative_table_is_refused(self):
         # (aa)b = bb = a but a(ab) = aa = b
