@@ -19,7 +19,8 @@ import numpy as np
 
 from .core import FiniteAlgebra, _check_indices
 from .errors import MapNotTotal, MissingTable
-from .terms import PowerOf, Term, Variable, evaluate_batch, flat_kernel
+from .terms import (PowerOf, Term, Variable, _advance, _step, _tuple_values, evaluate_batch,
+                    flat_kernel)
 
 HOLDS = "holds"
 COUNTEREXAMPLE = "counterexample"
@@ -239,12 +240,13 @@ def sample_assignments(variables, doms, seed: int, start: int, count: int):
     """Deterministic sample block: variable j of sample s uses counter s*V + j.
 
     Equal to splitmix64 on those counters: z = seed + (s*V + j + 1) * gamma
-    steps by gamma from one variable to the next, and the mixing runs in
-    place in buffers reused for every variable (a single count x V draw is
-    slower, being bound by memory bandwidth).  A whole-carrier variable's
-    values are written straight into the narrowest index dtype (uint8 up
-    to 256 elements); a restricted domain gathers its int32 elements.  The
-    domains may come ready from _draw_domains, once for all chunks."""
+    is variable 0's z plus j*gamma, one add per variable, and the mixing
+    runs in place in buffers reused for every variable (a single count x V
+    draw is slower, being bound by memory bandwidth).  A whole-carrier
+    variable's values are written straight into the narrowest index dtype
+    (uint8 up to 256 elements); a restricted domain gathers its int32
+    elements.  The domains may come ready from _draw_domains, once for all
+    chunks."""
     V = len(variables)
     z0 = np.arange(start, start + count, dtype=np.uint64)
     z0 *= np.uint64(V)
@@ -253,9 +255,11 @@ def sample_assignments(variables, doms, seed: int, start: int, count: int):
     z0 += np.uint64(seed)
     z = np.empty_like(z0)
     t = np.empty_like(z0)
+    gamma = int(_SPLITMIX_GAMMA)
     out = {}
-    for v, (k, values) in zip(variables, _draw_domains(doms)):
-        np.copyto(z, z0)
+    for j, (v, (k, values)) in enumerate(zip(variables, _draw_domains(doms))):
+        # j*gamma mod 2^64 in Python ints: a uint64 scalar product would warn
+        np.add(z0, np.uint64(j * gamma % 2**64), out=z)
         _mix64(z, t)
         x = np.empty(count, dtype=np.min_scalar_type(k - 1))
         if k & (k - 1) == 0:
@@ -267,7 +271,6 @@ def sample_assignments(variables, doms, seed: int, start: int, count: int):
             np.multiply(t, np.uint64(k), out=t)
             np.subtract(z, t, out=x, casting="unsafe")  # < k, so it fits
         out[v] = x if values is None else values[x]
-        z0 += _SPLITMIX_GAMMA
     return out
 
 
@@ -381,46 +384,32 @@ def verify_morphism(spec: MorphismSpec) -> MorphismReport:
 # block-value image technique for the v-family square identities
 
 
-def _step(pair, size, states, b, i, n):
-    """Pair states coded P*size + M after block i (1-based) takes value b:
-    P is the product of the blocks so far and M their product in middle
-    order bn..b1 b(n+1)..b2n, so block i multiplies M on the left for i <= n
-    and on the right after.  Broadcasts over states and b."""
-    P, M = np.divmod(states, size)
-    M = pair(b, M) if i <= n else pair(M, b)
-    return pair(P, b) * size + M
-
-
 def _forward_states(pair, size, vals, n):
     """The reachable pair states after each of the 2n blocks, block values
     drawn from vals; at most size^2 states per block."""
+    seen = np.zeros(size * size, dtype=bool)
     layers = [vals * size + vals]
     for i in range(2, 2 * n + 1):
-        layers.append(np.unique(_step(pair, size, layers[-1][:, None], vals[None, :], i, n)))
+        layers.append(_advance(pair, size, layers[-1], vals, i, n, seen)[1])
     return layers
-
-
-def _tuple_values(pair, size, power, states):
-    """Value b1..b2n (bn..b1 b(n+1)..b2n)^(2m-1) = P * M^(2m-1) of final
-    states; power[M] is M^(2m-1)."""
-    P, M = np.divmod(states, size)
-    return pair(P, power[M])
 
 
 def _least_preimage(pair, size, power, vals, layers, n, value) -> tuple[int, ...]:
     """The lexicographically least (b1..b2n) over sorted vals with the given
     tuple value: mark the states that can still reach it, last block first,
-    then take the least value that stays on a marked state, block by block."""
-    live = [layers[-1][_tuple_values(pair, size, power, layers[-1]) == value]]
+    then take the least value that stays on a marked state, block by block.
+    live[i] marks layers[i] position by position."""
+    seen = np.zeros(size * size, dtype=bool)
+    live = [_tuple_values(pair, size, power, layers[-1]) == value]
     for i in range(2 * n, 1, -1):
-        after = _step(pair, size, layers[i - 2][:, None], vals[None, :], i, n)
-        live.append(layers[i - 2][np.isin(after, live[-1]).any(axis=1)])
+        after = _advance(pair, size, layers[i - 2], vals, i, n, seen, ranked=True)[0]
+        live.append(live[-1][after].any(axis=1))
     live.reverse()
     picks = []
     state = None
     for i in range(1, 2 * n + 1):
         after = vals * size + vals if i == 1 else _step(pair, size, state, vals, i, n)
-        at = int(np.argmax(np.isin(after, live[i - 1])))
+        at = int(np.argmax(live[i - 1][np.searchsorted(layers[i - 1], after)]))
         picks.append(int(vals[at]))
         state = after[at]
     return tuple(picks)

@@ -16,10 +16,16 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
+from .core import _associativity, _generators
 from .errors import LengthBudgetExceeded, MissingStar, TermSyntaxError
 
 DEFAULT_LENGTH_BUDGET = 10**6
 DEFAULT_NODE_BUDGET = 1 << 20
+
+# Cells of the block-node tables of one (n, m), charged before each gather;
+# a node over the cap keeps the fold.  It also keeps every table index
+# below 2^31, so the tables hold int32.
+_BLOCK_TABLE_CELLS = 1 << 22
 
 
 @dataclass(frozen=True, order=True)
@@ -307,7 +313,9 @@ class Kernel(NamedTuple):
     step(off, b) the offset of (the element at off) times b, and
     last(off, b) that product itself.  power(x, e) is x^e bracketed as
     _pow_fold brackets it.  pair(a, b) is mul[a, b] and star(a) is star[a],
-    or None when the algebra has no star."""
+    or None when the algebra has no star.  block(n, m) is the
+    _block_tables of v-word nodes (n, m), whose lookups go through
+    step(off, b, table) and last(off, b, table), or None to fold."""
 
     pair: Callable
     star: Callable | None
@@ -315,6 +323,7 @@ class Kernel(NamedTuple):
     step: Callable
     last: Callable
     power: Callable
+    block: Callable
 
 
 # One kernel per algebra object.  Tables are read-only (core._as_table
@@ -330,7 +339,9 @@ def flat_kernel(alg) -> Kernel:
     rows = mul*size gives the next offset directly.  Offsets are int32 while
     size^2 < 2^31 and np.intp beyond; products keep the table's int32.
     power(x, e) is one take from the table of e-th powers, built on first
-    use.  pair(a, b) indexes in np.intp, for the image engine's state codes."""
+    use.  pair(a, b) indexes in np.intp, for the image engine's state codes.
+    On an associative table, block(n, m) builds the node tables of (n, m)
+    on first use; associativity is decided once, before the first build."""
     kernel = _KERNELS.get(alg)
     if kernel is None:
         kernel = _KERNELS[alg] = _flat_kernel(alg.mul, alg.star)
@@ -351,11 +362,11 @@ def _flat_kernel(mul, star) -> Kernel:
     def lift(a):
         return np.multiply(a, stride, dtype=offset)
 
-    def step(off, b):
-        return rows.take(np.add(off, b, dtype=offset))
+    def step(off, b, table=rows):
+        return table.take(np.add(off, b, dtype=offset))
 
-    def last(off, b):
-        return flat.take(np.add(off, b, dtype=offset))
+    def last(off, b, table=flat):
+        return table.take(np.add(off, b, dtype=offset))
 
     carrier = np.arange(size, dtype=np.intp)
     powers = {}
@@ -368,7 +379,87 @@ def _flat_kernel(mul, star) -> Kernel:
             table = powers[e] = _pow_fold(carrier, e, pair)
         return table.take(x)
 
-    return Kernel(pair, None if star is None else star.take, lift, step, last, power)
+    blocks = {}
+    associative = None
+
+    def block(n, m):
+        nonlocal associative
+        if (n, m) not in blocks:
+            if associative is None:
+                associative = _associativity(mul, "mul-associative", _generators(mul)) is None
+            blocks[n, m] = (_block_tables(pair, size, power(carrier, 2 * m - 1), n)
+                            if associative else None)
+        return blocks[n, m]
+
+    return Kernel(pair, None if star is None else star.take, lift, step, last, power,
+                  block)
+
+
+# ---------------------------------------------------------------------------
+# pair states: the image engine's sweep and the block-node tables
+
+
+def _step(pair, size, states, b, i, n):
+    """Pair states coded P*size + M after block i (1-based) takes value b:
+    P is the product of the blocks so far and M their product in middle
+    order bn..b1 b(n+1)..b2n, so block i multiplies M on the left for i <= n
+    and on the right after.  Broadcasts over states and b."""
+    P, M = np.divmod(states, size)
+    M = pair(b, M) if i <= n else pair(M, b)
+    return pair(P, b) * size + M
+
+
+def _tuple_values(pair, size, power, states):
+    """Value b1..b2n (bn..b1 b(n+1)..b2n)^(2m-1) = P * M^(2m-1) of final
+    states; power[M] is M^(2m-1)."""
+    P, M = np.divmod(states, size)
+    return pair(P, power[M])
+
+
+def _advance(pair, size, states, vals, i, n, seen, ranked=False):
+    """Block i of a sweep: every state of `states` (ascending codes) takes
+    every value of vals.  Returns after, the |states| x |vals| states
+    reached, and the distinct ones in ascending order.  seen is a Boolean
+    mask of size^2 cells, all False, reused from block to block and left
+    all False.  When ranked, after holds each state's position among the
+    reached ones (a cumulative sum over the mask) instead of its code."""
+    after = _step(pair, size, states[:, None], vals[None, :], i, n)
+    seen[after] = True
+    reached = np.flatnonzero(seen)
+    if ranked:
+        after = (np.cumsum(seen, dtype=np.intp) - 1).take(after)
+    seen[reached] = False
+    return after, reached
+
+
+def _block_tables(pair, size, power, n):
+    """Tables that evaluate a v-word node of an associative table in n + 1
+    lookups, or None once they would pass _BLOCK_TABLE_CELLS.
+
+    The node's value is (L R)(L' R)^(2m-1), where L = b1..bn, L' = bn..b1
+    and R = b(n+1)..b2n, so the evaluator walks the reachable left pair
+    states (L, L') of _step and multiplies R in once.  The state after
+    block 1 is coded b1.  steps[i - 2] maps code*size + b(i) to the code of
+    the next state times size, pre-scaled like rows; values maps
+    code*size + R to the node's value, power[x] being x^(2m-1)."""
+    size = np.intp(size)  # state codes P*size + M are computed in np.intp
+    carrier = np.arange(size, dtype=np.intp)
+    seen = np.zeros(size * size, dtype=bool)
+    states = carrier * size + carrier
+    steps = []
+    cells = 0
+    for i in range(2, n + 1):
+        cells += len(states) * size
+        if cells > _BLOCK_TABLE_CELLS:
+            return None
+        code, states = _advance(pair, size, states, carrier, i, n, seen, ranked=True)
+        steps.append(np.multiply(code, size, dtype=np.int32).reshape(-1))
+    cells += len(states) * size
+    if cells > _BLOCK_TABLE_CELLS:
+        return None
+    # R enters as one block on the right, as block n + 1 would
+    final = _step(pair, size, states[:, None], carrier[None, :], n + 1, n)
+    return steps, _tuple_values(pair, size, power, final).reshape(-1)
 
 
 def evaluate(term: Term, sub: Substitution, alg) -> int:
@@ -384,7 +475,7 @@ def evaluate(term: Term, sub: Substitution, alg) -> int:
     return _evaluate(term, sub, Kernel(
         pair, None if star is None else lambda a: int(star[a]),
         lift=lambda a: a, step=pair, last=pair,
-        power=lambda x, e: _pow_fold(x, e, pair)))
+        power=lambda x, e: _pow_fold(x, e, pair), block=lambda n, m: None))
 
 
 def _fold(vals, kernel: Kernel):
@@ -415,6 +506,13 @@ def _evaluate(term, sub, kernel: Kernel):
         vals = [sub[b] if isinstance(b, Variable) else _evaluate(b, sub, kernel)
                 for b in term.blocks]
         n, m = term.n, term.m
+        tables = kernel.block(n, m)
+        if tables is not None:
+            steps, values = tables
+            off = kernel.lift(vals[0])
+            for table, b in zip(steps, vals[1:n]):
+                off = kernel.step(off, b, table)
+            return kernel.last(off, _product(vals[n:], kernel), values)
         prefix = _fold(vals, kernel)
         middle = _product(vals[n - 1 :: -1] + vals[n:], kernel)
         return kernel.last(prefix, kernel.power(middle, 2 * m - 1))

@@ -1,3 +1,5 @@
+import weakref
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -5,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bglab import corpus
 from bglab import terms as T
+from bglab.core import FiniteAlgebra, mult_reduct
 from bglab.errors import LengthBudgetExceeded, MissingStar, TermSyntaxError
 
 
@@ -221,6 +225,134 @@ class TestFlatKernel:
         for i in range(25):
             sub = {v: int(cols[v][i]) for v in xs}
             assert batch[i] == T.evaluate(term, sub, ips3)
+
+
+BLOCK_GRID = list(product((1, 2, 3), (1, 2, 4), (1, 2)))
+
+
+@cache
+def v_word_and_variables(nmh):
+    word = T.v_word(*nmh)
+    return word, word.variables()
+
+
+def agrees_with_scalar(alg, nmh, samples, seed):
+    """evaluate_batch of v(n, m, h) on a seeded batch equals scalar evaluate."""
+    word, xs = v_word_and_variables(nmh)
+    draws = np.random.default_rng(seed).integers(0, alg.size, (len(xs), samples),
+                                                 dtype=np.uint8)
+    batch = T.evaluate_batch(word, dict(zip(xs, draws)), alg)
+    return batch.tolist() == [T.evaluate(word, dict(zip(xs, sub)), alg)
+                              for sub in draws.T.tolist()]
+
+
+@pytest.fixture
+def fresh_kernels(monkeypatch):
+    """Kernels built anew for this test, so a patched cap reaches them."""
+    monkeypatch.setattr(T, "_KERNELS", weakref.WeakKeyDictionary())
+
+
+@pytest.fixture
+def carriers(b21_mul, ps3_mul, kad21, hall2):
+    return [b21_mul, ps3_mul, kad21[0], mult_reduct(hall2)]
+
+
+def magma(rows):
+    return FiniteAlgebra("semigroup", tuple(map(str, range(len(rows)))), rows)
+
+
+class TestBlockTables:
+    def test_every_order_4_semigroup(self):
+        # every n on every table; (m, h) cycles, so each grid point meets
+        # about 580 tables
+        for i, table in enumerate(corpus.semigroup_stack(4)):
+            alg = corpus.as_algebra(table)
+            m, h = BLOCK_GRID[i % 6][1:]
+            for n in (1, 2, 3):
+                assert agrees_with_scalar(alg, (n, m, h), 2, i)
+            assert T.flat_kernel(alg).block(3, m) is not None
+
+    @pytest.mark.parametrize("cap", ["default", "fold only", "n = 1 only"])
+    def test_named_carriers(self, carriers, fresh_kernels, monkeypatch, cap):
+        for alg in carriers:
+            if cap != "default":
+                # n = 1 needs size^2 cells, n = 2 more than that
+                monkeypatch.setattr(T, "_BLOCK_TABLE_CELLS",
+                                    0 if cap == "fold only" else alg.size ** 2)
+            for nmh in BLOCK_GRID:
+                assert agrees_with_scalar(alg, nmh, 16, sum(nmh))
+            block = T.flat_kernel(alg).block
+            assert (block(1, 4) is not None) == (cap != "fold only")
+            assert (block(3, 4) is not None) == (cap == "default")
+
+    def test_non_associative_tables_fold(self, fresh_kernels, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("tables built for a non-associative table")
+
+        monkeypatch.setattr(T, "_block_tables", refuse)
+        # x y = y + 1 mod 3: (x y) z = z + 1 but x (y z) = z + 2
+        alg = magma([[1, 2, 0]] * 3)
+        for nmh in BLOCK_GRID:
+            assert agrees_with_scalar(alg, nmh, 16, sum(nmh))
+        assert T.flat_kernel(alg).block(2, 1) is None
+
+    def test_scalar_evaluate_never_reaches_the_tables(self, b21_mul, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scalar evaluate reached the tables")
+
+        monkeypatch.setattr(T, "_block_tables", refuse)
+        word = T.v_word(2, 4, 2)
+        assert T.evaluate(word, {v: 1 for v in word.variables()}, b21_mul) in range(6)
+
+    def test_tables_are_built_once_per_node_shape(self, ps3_mul, fresh_kernels, monkeypatch):
+        built, decided = [], []
+        block_tables, associativity = T._block_tables, T._associativity
+        monkeypatch.setattr(T, "_block_tables",
+                            lambda *a: built.append(a[-1]) or block_tables(*a))
+        monkeypatch.setattr(T, "_associativity",
+                            lambda *a: decided.append(1) or associativity(*a))
+        for nmh in [(2, 4, 1), (2, 4, 2), (1, 4, 2), (2, 1, 1), (2, 4, 3)] * 2:
+            assert agrees_with_scalar(ps3_mul, nmh, 8, 0)
+        assert sorted(built) == [1, 2, 2] and decided == [1]
+
+    def test_tables_are_bounded_before_they_are_gathered(self, hall3, fresh_kernels,
+                                                         monkeypatch):
+        # hall(3)'s reduct needs 2.1 M cells at n = 2 and more at n = 3; the
+        # refusal of n = 3 comes before its last, largest gather
+        gathered = []
+        step = T._step
+
+        def counted(pair, size, states, *args):
+            gathered.append(states.size * size)
+            return step(pair, size, states, *args)
+
+        monkeypatch.setattr(T, "_step", counted)
+        block = T.flat_kernel(mult_reduct(hall3)).block
+        assert block(2, 1) is not None
+        assert sum(gathered) <= T._BLOCK_TABLE_CELLS
+        gathered.clear()
+        assert block(3, 1) is None
+        assert sum(gathered) <= T._BLOCK_TABLE_CELLS
+
+
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32))
+@settings(max_examples=40)
+def test_advance_finds_the_reachable_states(size, n, seed):
+    """_advance gives np.unique of the states reached, each state's rank
+    among them when ranked, and leaves its mask clear."""
+    rng = np.random.default_rng(seed)
+    pair = T.flat_kernel(magma(rng.integers(0, size, (size, size)).tolist())).pair
+    size = np.intp(size)
+    states = np.unique(rng.integers(0, size * size, 5))
+    vals = np.unique(rng.integers(0, size, 3))
+    seen = np.zeros(size * size, dtype=bool)
+    for i in range(2, 2 * n + 1):
+        after, reached = T._advance(pair, size, states, vals, i, n, seen)
+        assert np.array_equal(reached, np.unique(after))
+        rank, again = T._advance(pair, size, states, vals, i, n, seen, ranked=True)
+        assert np.array_equal(again, reached) and np.array_equal(reached[rank], after)
+        assert not seen.any()
+        states = reached
 
 
 class TestParser:
