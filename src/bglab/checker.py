@@ -19,8 +19,8 @@ import numpy as np
 
 from .core import FiniteAlgebra, _check_indices
 from .errors import MapNotTotal, MissingTable
-from .terms import (PowerOf, Term, Variable, _advance, _step, _tuple_values, evaluate_batch,
-                    flat_kernel)
+from .terms import (DEFAULT_NODE_BUDGET, PowerOf, Term, Variable, _advance, _step,
+                    _tuple_values, evaluate_batch, flat_kernel, variable_key)
 
 HOLDS = "holds"
 COUNTEREXAMPLE = "counterexample"
@@ -88,7 +88,7 @@ def _variables_of(*terms: Term) -> list[Variable]:
     out: set[Variable] = set()
     for t in terms:
         out.update(t.variables())
-    return sorted(out)
+    return sorted(out, key=variable_key)
 
 
 def _domain_lists(variables, alg, domains):
@@ -426,7 +426,10 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     pair states.  Images only shrink with depth, and once a level's image
     equals its block values every deeper level repeats it, so at most
     min(h, size) levels are swept.  The witness, if any, binds each block to
-    the lexicographically least preimage of its value, bad_value.  The table
+    the lexicographically least preimage of its value, bad_value.  A witness
+    of more than terms.DEFAULT_NODE_BUDGET variables, the bound v_word puts
+    on the same (2n)^h variables, is not expanded: the verdict keeps
+    bad_value and level_sizes, with witness None and a note.  The table
     must be associative, since the sweep multiplies M from both ends.
 
     level_sizes[l] is the size of the level-l image set (empty when the
@@ -464,6 +467,11 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     if not bad.size:
         return CheckVerdict(HOLDS, evaluations=total, level_sizes=level_sizes)
     bad_value = int(bad[0])
+    if (2 * n) ** h > DEFAULT_NODE_BUDGET:
+        return CheckVerdict(COUNTEREXAMPLE, None, total, level_sizes=level_sizes,
+                            bad_value=bad_value,
+                            note=f"witness of (2n)^h = {(2 * n) ** h} variables exceeds "
+                                 f"node budget {DEFAULT_NODE_BUDGET}; not expanded")
 
     @cache
     def preimage(level, value):

@@ -163,8 +163,8 @@ def _parse_identity_arg(text: str):
     if "=" not in text:
         raise BglabError("identity must contain '='")
     sides = [_parse_side(side) for side in text.split("=", 1)]
-    width = max(t.variables()[0].width for t in sides)
-    return tuple(terms.with_width(t, width) for t in sides)
+    width = max(t.width for t in sides)
+    return tuple(t if t.width == width else terms.with_width(t, width) for t in sides)
 
 
 def _read_domain(path, alg) -> list[int]:
@@ -214,8 +214,8 @@ def _cmd_check(args) -> int:
     if verdict.seed is not None:
         payload["seed"] = verdict.seed
     if verdict.witness:
-        payload["witness"] = {v.name: alg.labels[i] for v, i in
-                              sorted(verdict.witness.items())}
+        payload["witness"] = {v.name: alg.labels[verdict.witness[v]] for v in
+                              sorted(verdict.witness, key=terms.variable_key)}
     if verdict.note:
         payload["note"] = verdict.note
     print(json.dumps(payload, indent=2, sort_keys=True))

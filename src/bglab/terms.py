@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -38,7 +39,7 @@ class Variable:
             raise ValueError("width must be positive")
         if not self.indices:
             raise ValueError("depth must be at least 1")
-        if any(i < 1 or i > self.width for i in self.indices):
+        if min(self.indices) < 1 or max(self.indices) > self.width:
             raise ValueError(f"indices {self.indices} out of range for width {self.width}")
 
     @property
@@ -50,6 +51,12 @@ class Variable:
         if len(self.indices) == 1:
             return f"x{self.indices[0]}"
         return "x" + "_".join(str(i) for i in self.indices)
+
+
+def variable_key(var: Variable):
+    """The key of Variable's order, (indices, width), for sorting without
+    the dataclass's Python-level comparisons."""
+    return var.indices, var.width
 
 
 def _check_homogeneous(variables: Iterable[Variable]):
@@ -80,7 +87,7 @@ class Word:
         return self.letters[0].depth
 
     def variables(self) -> list[Variable]:
-        return sorted(set(self.letters))
+        return sorted(set(self.letters), key=variable_key)
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,7 @@ class InvTerm:
         return self.letters[0][0].depth
 
     def variables(self) -> list[Variable]:
-        return sorted(set(v for v, _ in self.letters))
+        return sorted(set(v for v, _ in self.letters), key=variable_key)
 
     def inverse(self) -> "InvTerm":
         # (uv)^-1 = v^-1 u^-1, applied letter-wise
@@ -160,6 +167,12 @@ class BlockWord:
         return prefix + middle * (2 * self.m - 1)
 
     def variables(self) -> list[Variable]:
+        return list(self._variables)
+
+    @cached_property
+    def _variables(self) -> tuple[Variable, ...]:
+        # computed once per object; a frozen dataclass admits it, since
+        # cached_property writes the instance __dict__ directly
         out = set()
         stack = [self]
         while stack:
@@ -169,7 +182,7 @@ class BlockWord:
                     out.add(b)
                 else:
                     stack.append(b)
-        return sorted(out)
+        return tuple(sorted(out, key=variable_key))
 
 
 @dataclass(frozen=True)
@@ -183,6 +196,10 @@ class PowerOf:
         if self.exponent < 1:
             raise ValueError("exponent must be >= 1")
 
+    @property
+    def width(self) -> int:
+        return self.base.width
+
     def variables(self) -> list[Variable]:
         return self.base.variables()
 
@@ -194,26 +211,36 @@ Term = Union[Word, InvTerm, BlockWord, PowerOf]
 # the word families
 
 
+# Every v_word(n, m, h) that some caller still holds, so that the two sides
+# of v = v^2 share one object and its cached variables; an entry dies with
+# the last reference to its word.
+_V_WORDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def v_word(n: int, m: int, h: int, node_budget: int = DEFAULT_NODE_BUDGET) -> BlockWord:
     """The depth-h block word over X_{2n}: at depth 1 it is
     x1..x2n (xn..x1 x(n+1)..x2n)^(2m-1); deeper levels repeat the shape on
-    2n renamed copies of the previous level."""
+    2n renamed copies of the previous level, copy j appending j to every
+    index tuple.  Built top down, each node once, and shared while held."""
     if n < 1 or m < 1 or h < 1:
         raise ValueError("v_word needs n, m, h >= 1")
     if (2 * n) ** h > node_budget:
         raise LengthBudgetExceeded(
             f"(2n)^h = {(2*n)**h} block nodes exceed budget {node_budget}")
-    width = 2 * n
-    word = BlockWord(n, m, tuple(Variable((i,), width) for i in range(1, width + 1)))
-    for _ in range(h - 1):
-        word = BlockWord(n, m, tuple(_append_index(word, j) for j in range(1, width + 1)))
+    word = _V_WORDS.get((n, m, h))
+    if word is None:
+        width = 2 * n
+        indices = range(1, width + 1)
+
+        def build(depth, suffix):
+            # the copy of depth `depth` whose ancestors appended `suffix`
+            if depth == 1:
+                return BlockWord(n, m, tuple(Variable((i,) + suffix, width)
+                                             for i in indices))
+            return BlockWord(n, m, tuple(build(depth - 1, (j,) + suffix) for j in indices))
+
+        word = _V_WORDS[n, m, h] = build(h, ())
     return word
-
-
-def _append_index(node, j: int):
-    if isinstance(node, Variable):
-        return Variable(node.indices + (j,), node.width)
-    return BlockWord(node.n, node.m, tuple(_append_index(b, j) for b in node.blocks))
 
 
 def u_word(n: int, k: int, m: int) -> Word:

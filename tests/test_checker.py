@@ -509,6 +509,27 @@ class TestImageTechnique:
         right = T.evaluate(T.PowerOf(v, 2), report.witness, z3)
         assert left == report.bad_value and left != right
 
+    def test_witness_past_the_node_budget_is_not_expanded(self, ps3_mul, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("witness expanded past the node budget")
+
+        expand = K._expand_witness
+        monkeypatch.setattr(K, "_expand_witness", refuse)
+        report = K.check_v_square_image(ps3_mul, 2, 4, 40)
+        assert report.status == K.COUNTEREXAMPLE and report.witness is None
+        assert report.bad_value is not None and len(report.level_sizes) == 40
+        assert f"node budget {T.DEFAULT_NODE_BUDGET}" in report.note
+        # one variable past the bound refuses; at the bound, as v_word builds
+        # the word there, the witness is expanded
+        z3 = C.cyclic_group(3)
+        monkeypatch.setattr(K, "DEFAULT_NODE_BUDGET", 4**2 - 1)
+        report = K.check_v_square_image(z3, 2, 1, 2)
+        assert report.status == K.COUNTEREXAMPLE and report.witness is None
+        monkeypatch.setattr(K, "DEFAULT_NODE_BUDGET", 4**2)
+        monkeypatch.setattr(K, "_expand_witness", expand)
+        report = K.check_v_square_image(z3, 2, 1, 2)
+        assert len(report.witness) == 16 and report.note == ""
+
     def test_budget_env_override(self, b21_mul, monkeypatch):
         monkeypatch.setenv("BGLAB_BUDGET", "100")
         report = K.check_v_square_image(b21_mul, 2, 1, 2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -334,6 +335,19 @@ class TestWords:
         assert code == 2 and "error" in err
 
 
+BUILDS = {"b21": ["b21"], "S3": ["group", "--group", "S3"]}
+
+# (exit code, sha256 of stdout) of `check --identity 'v[2,4,5] = v[2,4,5]^2'`
+# with --samples 1000 in sampled mode: b21 holds; on S3 both modes print a
+# witness of all 1,024 variables.
+PINNED_V245 = {
+    ("b21", "block"): (0, "9cb80bd802f472f4a17d0d35745f7bf8527ba29b18872e8cf61f3b0df5db99a3"),
+    ("b21", "sampled"): (0, "aeaa01d7689e45a59c4eba0c87cfa39ce2cf8a97077461ec9f33896a723e1b27"),
+    ("S3", "block"): (1, "3830ee9d8ee83275e3ec12273214be13b005f9c2c97a4cef121f591ff6295e52"),
+    ("S3", "sampled"): (1, "ee3a71178eae5b8264fe44d77f8eb25bd578feb63eb9236e366c912fbf29a70a"),
+}
+
+
 class TestCheck:
     @pytest.fixture()
     def b21_path(self, tmp_path, capsys):
@@ -509,6 +523,18 @@ class TestCheck:
         sub = {x: alg.index(witness[x.name]) for x in v.variables()}
         assert len(sub) == len(witness) == 36
         assert evaluate(v, sub, alg) != evaluate(PowerOf(v, 2), sub, alg)
+
+    @pytest.mark.parametrize("algebra,mode", sorted(PINNED_V245))
+    def test_v245_output_is_pinned(self, algebra, mode, tmp_path, capsys):
+        path = str(tmp_path / "alg.json")
+        run(capsys, "build", *BUILDS[algebra], "-o", path)
+        samples = ["--samples", "1000"] if mode == "sampled" else []
+        code, out, _ = run(capsys, "check", "--algebra", path,
+                           "--identity", "v[2,4,5] = v[2,4,5]^2", "--mode", mode,
+                           *samples)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == PINNED_V245[algebra, mode]
+        assert len(json.loads(out).get("witness", {})) == (1024 if code else 0)
 
 
 class TestVerifySuite:

@@ -1,3 +1,4 @@
+import gc
 import weakref
 from functools import cache
 from itertools import product
@@ -41,6 +42,68 @@ class TestVFamily:
     def test_rejects_depth_zero(self):
         with pytest.raises(ValueError):
             T.v_word(2, 1, 0)
+
+
+def append_index(node, j):
+    if isinstance(node, T.Variable):
+        return T.Variable(node.indices + (j,), node.width)
+    return T.BlockWord(node.n, node.m, tuple(append_index(b, j) for b in node.blocks))
+
+
+def bottom_up_v_word(n, m, h):
+    """The oracle: v(n, m, h) built level by level, each deeper level
+    rebuilding 2n copies of the one below with an index appended."""
+    width = 2 * n
+    word = T.BlockWord(n, m, tuple(T.Variable((i,), width) for i in range(1, width + 1)))
+    for _ in range(h - 1):
+        word = T.BlockWord(n, m, tuple(append_index(word, j) for j in range(1, width + 1)))
+    return word
+
+
+class TestVWordBuild:
+    @pytest.mark.parametrize("n,m,h", list(product((1, 2, 3), (1, 2), (1, 2, 3, 4))))
+    def test_matches_the_bottom_up_build(self, n, m, h):
+        word, oracle = T.v_word(n, m, h), bottom_up_v_word(n, m, h)
+        assert word == oracle
+        assert word.variables() == oracle.variables()
+        assert word.flatten() == oracle.flatten()
+
+    def test_interned_while_held(self):
+        oracle = bottom_up_v_word(2, 4, 5)
+        word = T.v_word(2, 4, 5)
+        assert T.v_word(2, 4, 5) is word
+        assert T.PowerOf(T.v_word(2, 4, 5), 2).base is word
+        held = weakref.ref(word)
+        del word
+        gc.collect()
+        assert held() is None and (2, 4, 5) not in T._V_WORDS
+        again = T.v_word(2, 4, 5)
+        assert again == oracle and again.variables() == oracle.variables()
+
+    def test_variables_returns_a_fresh_list(self):
+        word = T.v_word(2, 1, 2)
+        xs = word.variables()
+        expected = list(xs)
+        xs.reverse()
+        xs.append(T.Variable((1,), 9))
+        assert word.variables() == expected and word.variables() is not xs
+        assert len(expected) == 16
+
+    @given(st.lists(st.tuples(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+                              st.integers(3, 4)), max_size=20))
+    def test_keyed_sort_is_the_dataclass_order(self, specs):
+        xs = [T.Variable(tuple(ix), w) for ix, w in specs]
+        assert sorted(xs, key=T.variable_key) == sorted(xs)
+
+    @pytest.mark.parametrize("indices,width,message", [
+        ((1,), 0, "width must be positive"),
+        ((), 2, "depth must be at least 1"),
+        ((0,), 2, r"indices \(0,\) out of range for width 2"),
+        ((1, 3, 1), 2, r"indices \(1, 3, 1\) out of range for width 2"),
+    ])
+    def test_variable_error_messages(self, indices, width, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            T.Variable(indices, width)
 
 
 class TestUFamily:
