@@ -328,7 +328,8 @@ class SeriesReport:
     parameters: h the height, m the lcm of subgroup exponents, k the largest
     subgroup derived length (floored at 1), q = 2^h m, r = kh + h + k.  A
     maximal subgroup that is not solvable has no derived length: then k and
-    r are None and k_floored is False."""
+    r are None and k_floored is False.  subgroups is maximal_subgroups of
+    the table, which to_dict leaves out."""
 
     chain: list[list[int]]
     factors: list[dict]
@@ -339,6 +340,7 @@ class SeriesReport:
     q: int
     r: int | None
     brandt_series: bool = field(default=False)
+    subgroups: list[tuple[int, list[int]]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -410,7 +412,8 @@ def principal_series(alg: FiniteAlgebra) -> SeriesReport:
     h = len(chain) - 1
     m = 1
     lengths = []
-    for e, members in maximal_subgroups(alg):
+    subgroups = maximal_subgroups(alg)
+    for e, members in subgroups:
         if len(members) == 1:
             continue  # exponent 1, derived length 0
         # H_e's rows, renumbered 0..|H_e|-1 in the order of its members
@@ -425,7 +428,8 @@ def principal_series(alg: FiniteAlgebra) -> SeriesReport:
         floored, r = k == 1, k * h + h + k
     brandt = factors[0]["kind"] == "group" and all(
         f["kind"] in ("brandt", "zero") for f in factors[1:])
-    return SeriesReport(chain, factors, h, m, k, floored, (2**h) * m, r, brandt)
+    return SeriesReport(chain, factors, h, m, k, floored, (2**h) * m, r, brandt,
+                        subgroups)
 
 
 def satisfies_power_identity(alg: FiniteAlgebra, e1: int, e2: int):

@@ -9,6 +9,7 @@ verdicts from sampling never claim "holds".
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -236,32 +237,32 @@ def _draw_domains(doms) -> list[_Draw]:
     return out
 
 
-def sample_assignments(variables, doms, seed: int, start: int, count: int):
-    """Deterministic sample block: variable j of sample s uses counter s*V + j.
+class _Draws(Mapping):
+    """The sample block that sample_assignments returns."""
 
-    Equal to splitmix64 on those counters: z = seed + (s*V + j + 1) * gamma
-    is variable 0's z plus j*gamma, one add per variable, and the mixing
-    runs in place in buffers reused for every variable (a single count x V
-    draw is slower, being bound by memory bandwidth).  A whole-carrier
-    variable's values are written straight into the narrowest index dtype
-    (uint8 up to 256 elements); a restricted domain gathers its int32
-    elements.  The domains may come ready from _draw_domains, once for all
-    chunks."""
-    V = len(variables)
-    z0 = np.arange(start, start + count, dtype=np.uint64)
-    z0 *= np.uint64(V)
-    z0 += np.uint64(1)
-    z0 *= _SPLITMIX_GAMMA
-    z0 += np.uint64(seed)
-    z = np.empty_like(z0)
-    t = np.empty_like(z0)
-    gamma = int(_SPLITMIX_GAMMA)
-    out = {}
-    for j, (v, (k, values)) in enumerate(zip(variables, _draw_domains(doms))):
+    def __init__(self, variables, doms, seed: int, start: int, count: int):
+        self._variables = variables
+        self._at = {v: j for j, v in enumerate(variables)}
+        self._doms = _draw_domains(doms)
+        self._seed = seed
+        self._start = start
+        z0 = np.arange(start, start + count, dtype=np.uint64)
+        z0 *= np.uint64(len(variables))
+        z0 += np.uint64(1)
+        z0 *= _SPLITMIX_GAMMA
+        z0 += np.uint64(seed)
+        self._z0 = z0
+        self._z = np.empty_like(z0)  # scratch, reused by every draw
+        self._t = np.empty_like(z0)
+
+    def __getitem__(self, v: Variable) -> np.ndarray:
+        j = self._at[v]
+        k, values = self._doms[j]
+        z, t = self._z, self._t
         # j*gamma mod 2^64 in Python ints: a uint64 scalar product would warn
-        np.add(z0, np.uint64(j * gamma % 2**64), out=z)
+        np.add(self._z0, np.uint64(j * int(_SPLITMIX_GAMMA) % 2**64), out=z)
         _mix64(z, t)
-        x = np.empty(count, dtype=np.min_scalar_type(k - 1))
+        x = np.empty(len(z), dtype=np.min_scalar_type(k - 1))
         if k & (k - 1) == 0:
             # z % k keeps the low bits when k is a power of two
             np.bitwise_and(z, np.uint64(k - 1), out=x, casting="unsafe")
@@ -270,8 +271,43 @@ def sample_assignments(variables, doms, seed: int, start: int, count: int):
             np.floor_divide(z, np.uint64(k), out=t)
             np.multiply(t, np.uint64(k), out=t)
             np.subtract(z, t, out=x, casting="unsafe")  # < k, so it fits
-        out[v] = x if values is None else values[x]
-    return out
+        return x if values is None else values[x]
+
+    def __contains__(self, v) -> bool:
+        return v in self._at
+
+    def __iter__(self):
+        return iter(self._variables)
+
+    def __len__(self) -> int:
+        return len(self._variables)
+
+    def substitution(self, s: int) -> dict[Variable, int]:
+        """Sample s of the block (0-based) as scalars: its V counters go
+        through one splitmix64 call, then each is reduced by its domain."""
+        V = len(self._variables)
+        counters = np.arange(V, dtype=np.uint64)
+        counters += np.uint64((self._start + s) * V)
+        z = splitmix64(counters, self._seed).tolist()
+        return {v: int(x % k if values is None else values[x % k])
+                for v, x, (k, values) in zip(self._variables, z, self._doms)}
+
+
+def sample_assignments(variables, doms, seed: int, start: int, count: int) -> _Draws:
+    """Deterministic sample block: variable j of sample s uses counter s*V + j.
+
+    The block is a read-only Mapping that draws a variable's `count` values
+    when it is read and keeps no draws, so an evaluator that reads each leaf
+    once holds only the arrays it is combining: O(2n*h) chunk-length arrays
+    for a v-word of depth h, not V of them.  A letter read twice is drawn
+    twice, with the same values.  Equal to splitmix64 on those counters:
+    z = seed + (s*V + j + 1) * gamma is variable 0's z plus j*gamma, one add
+    per read, and the mixing runs in place in scratch buffers shared by
+    every read.  A whole-carrier variable's values are written straight
+    into the narrowest index dtype (uint8 up to 256 elements); a restricted
+    domain gathers its int32 elements.  The domains may come ready from
+    _draw_domains, once for all chunks."""
+    return _Draws(variables, doms, seed, start, count)
 
 
 def check_identity_sampled(alg: FiniteAlgebra, lhs: Term, rhs: Term,
@@ -294,15 +330,13 @@ def check_identity_sampled(alg: FiniteAlgebra, lhs: Term, rhs: Term,
     done = 0
     for start in range(0, samples, _CHUNK):
         count = min(_CHUNK, samples - start)
-        assign = None  # release the previous chunk before drawing the next
-        assign = sample_assignments(variables, doms, seed, start, count)
-        left, right = sides(assign)
+        draws = sample_assignments(variables, doms, seed, start, count)
+        left, right = sides(draws)
         neq = np.atleast_1d(left != right)
         done += neq.size
         if neq.any():
-            s = int(np.argmax(neq))
-            witness = {v: int(assign[v][s]) for v in variables}
-            return CheckVerdict(COUNTEREXAMPLE, witness=witness,
+            return CheckVerdict(COUNTEREXAMPLE,
+                                witness=draws.substitution(int(np.argmax(neq))),
                                 evaluations=done, seed=seed)
     return CheckVerdict(NO_COUNTEREXAMPLE, evaluations=done, seed=seed)
 

@@ -111,7 +111,7 @@ def _cmd_analyze(args) -> int:
         out.update(rep.to_dict())
         out["subgroups"] = [
             {"idempotent": e, "order": len(members)}
-            for e, members in analysis.maximal_subgroups(reduct)
+            for e, members in rep.subgroups
         ]
     text = json.dumps(out, indent=2, sort_keys=True)
     if args.output:

@@ -189,6 +189,20 @@ class TestSampled:
         assert got[xs[2]].dtype == np.uint16 and got[xs[4]].dtype == np.uint8
         assert got[xs[8]].dtype == got[xs[9]].dtype == np.uint8
 
+    def test_a_sample_block_draws_when_read(self):
+        xs = [T.Variable((i,), 4) for i in range(1, 5)]
+        doms = [[0, 1, 2], list(range(256)), [9, 4], list(range(5))]
+        draws = K.sample_assignments(xs, doms, seed=11, start=40, count=30)
+        assert list(draws) == xs and len(draws) == 4
+        assert xs[0] in draws and T.Variable((1,), 5) not in draws
+        with pytest.raises(KeyError):
+            draws[T.Variable((1,), 5)]
+        assert draws[xs[2]].tolist() == draws[xs[2]].tolist()  # a re-read draws the same
+        for s in (0, 13, 29):
+            one = draws.substitution(s)
+            assert one == {v: int(draws[v][s]) for v in xs}
+            assert all(type(x) is int for x in one.values())
+
     def test_sampling_is_deterministic_and_seed_sensitive(self, b21_mul):
         lhs, rhs = parse("x1 x2 = x2 x1")
         v1 = K.check_identity_sampled(b21_mul, lhs, rhs, samples=500, seed=1)
@@ -344,6 +358,30 @@ class TestSampledAgainstFrozenOracle:
             assert (sampled_triple(alg, v, T.PowerOf(v, 2), 2000, 5)
                     == frozen_sampled(alg, v, T.PowerOf(v, 2), 2000, 5))
 
+    def test_v245_on_s3_redraws_the_same_witness(self, s3):
+        v = T.v_word(2, 4, 5)
+        got = sampled_triple(s3, v, T.PowerOf(v, 2), 3000, 5)
+        assert got == frozen_sampled(s3, v, T.PowerOf(v, 2), 3000, 5)
+        assert got[0] == K.COUNTEREXAMPLE and got[2] == 3000 and len(got[1]) == 1024
+        assert reevaluates(s3, v, T.PowerOf(v, 2), got[1])
+
+    @pytest.mark.parametrize("text", ["x1 x2 x1 = x1 x2", "x1 x2 = x2 x1"])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_repeated_letters_on_restricted_domains(self, text, seed, b21_mul, ps3_mul):
+        # each read of a letter draws it anew, with the same values
+        lhs, rhs = parse(text)
+        x1, x2 = lhs.variables()
+        for alg, domains in [(b21_mul, {x1: [5, 2, 3], x2: [4, 3]}),
+                             (b21_mul, {x1: [0]}),
+                             (ps3_mul, {x2: [63, 1, 7, 40, 2]})]:
+            got = sampled_triple(alg, lhs, rhs, 40_000, seed, domains)
+            assert got == frozen_sampled(alg, lhs, rhs, 40_000, seed, domains)
+            if got[0] == K.COUNTEREXAMPLE:
+                assert reevaluates(alg, lhs, rhs, got[1])
+                assert all(got[1][x] in d for x, d in domains.items())
+            else:
+                assert got[2] == 40_000  # two chunks, the second partial
+
     def test_one_chunk_of_v245_stays_under_48_mib(self, b21):
         # the int32 draws of 1,024 variables held 130.7 MiB here
         v = T.v_word(2, 4, 5)
@@ -355,6 +393,18 @@ class TestSampledAgainstFrozenOracle:
             tracemalloc.stop()
         assert verdict.evaluations == 32768
         assert peak < 48 * 2**20
+
+    def test_sampled_v216_stays_under_16_mib(self, b21):
+        # a whole chunk of draws of its 4,096 variables held 131 MiB here
+        v = T.v_word(2, 1, 6)
+        tracemalloc.start()
+        try:
+            verdict = K.check_identity_sampled(b21, v, T.PowerOf(v, 2), 40_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.status == K.NO_COUNTEREXAMPLE and verdict.evaluations == 40_000
+        assert peak < 16 * 2**20
 
     def test_validating_hall3_stays_under_16_mib(self, hall3):
         # the n^3 slabs of the associativity scan held 47.9 MiB here; a new

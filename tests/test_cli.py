@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bglab
-from bglab import core, suite
+from bglab import analysis, core, suite
 from bglab.cli import BUILD_CHOICES, main
 from bglab.constructions import brandt_monoid_b21, hall_semiring, symmetric_group
 from bglab.core import FiniteAlgebra, load_algebra, mult_reduct
@@ -302,6 +302,18 @@ class TestAnalyze:
             code, _, _ = run(capsys, "analyze", path)
         assert code == 0 and spy.call_count == 1
 
+    def test_analyze_finds_the_maximal_subgroups_once(self, tmp_path, capsys):
+        # the principal series carries them; the report reads them from there
+        path = str(tmp_path / "b21.json")
+        run(capsys, "build", "b21", "-o", path)
+        with mock.patch.object(analysis, "maximal_subgroups",
+                               wraps=analysis.maximal_subgroups) as spy:
+            code, out, _ = run(capsys, "analyze", path)
+        assert code == 0 and spy.call_count == 1
+        report = json.loads(out[out.index("{"):])
+        want = analysis.maximal_subgroups(mult_reduct(brandt_monoid_b21()))
+        assert report["subgroups"] == [{"idempotent": e, "order": len(members)}
+                                       for e, members in want]
 
     def test_missing_key_exits_2_naming_it(self, tmp_path, capsys):
         path = tmp_path / "nolabels.json"
