@@ -22,7 +22,7 @@ from .constructions import (
     group_inverses,
     induced_algebra,
 )
-from .core import FiniteAlgebra, _check_indices, _first_true, mult_reduct, validate
+from .core import FiniteAlgebra, _check_indices, mult_reduct, restrict, validate
 from .errors import BglabError, NotAGroup, SubgroupEnumerationBudget
 from .terms import flat_kernel
 
@@ -141,13 +141,7 @@ def j_trivial(alg: FiniteAlgebra, subset=None) -> tuple[bool, tuple[int, int] | 
         if not members:
             raise ValueError("subset must be non-empty")
         twice = [x for x, y in zip(members, members[1:]) if x == y]
-        members = np.array(members)
-        local = np.full(alg.size, -1)
-        local[members] = np.arange(members.size)
-        table = local[alg.mul[members[:, None], members]]  # renumbered 0..len-1
-        if (table < 0).any():
-            x, y = (alg.labels[members[i]] for i in _first_true(table < 0))
-            raise ValueError(f"set not closed: {x} o {y} escapes")
+        table = restrict(alg.mul, members, alg.labels)
         if twice:
             raise ValueError(f"subset repeats index {twice[0]}")
     # the first repeated ideal is the class whose second member comes first
@@ -417,10 +411,10 @@ def principal_series(alg: FiniteAlgebra) -> SeriesReport:
         if len(members) == 1:
             continue  # exponent 1, derived length 0
         # H_e's rows, renumbered 0..|H_e|-1 in the order of its members
-        local = {a: i for i, a in enumerate(members)}
-        rows = [[local[row[b]] for b in members] for row in alg.mul[members].tolist()]
-        m = lcm(m, _exponent(rows, local[e]))
-        lengths.append(_length(_derived_series(rows, local[e])))
+        rows = restrict(alg.mul, members, alg.labels).tolist()
+        one = members.index(e)
+        m = lcm(m, _exponent(rows, one))
+        lengths.append(_length(_derived_series(rows, one)))
     if None in lengths:
         k, floored, r = None, False, None
     else:
@@ -506,21 +500,21 @@ def derived_length(alg: FiniteAlgebra) -> int | None:
     return _length(derived_series(alg))
 
 
-def subgroups_of(alg: FiniteAlgebra,
-                 max_generators: int = SUBGROUP_MAX_GENERATORS,
-                 size_budget: int = SUBGROUP_SIZE_BUDGET) -> list[frozenset[int]]:
-    """All subgroups reachable as closures of <= max_generators elements.
+def subgroups_of(alg: FiniteAlgebra) -> list[frozenset[int]]:
+    """All subgroups reachable as closures of <= SUBGROUP_MAX_GENERATORS
+    elements.
 
-    Complete for the shipped group families up to the size budget; larger
-    groups are refused rather than silently under-enumerated.
+    Complete for the shipped group families up to SUBGROUP_SIZE_BUDGET
+    elements; larger groups are refused rather than silently
+    under-enumerated.
     """
     ensure_group(alg)
-    if alg.size > size_budget:
+    if alg.size > SUBGROUP_SIZE_BUDGET:
         raise SubgroupEnumerationBudget(
-            f"|G| = {alg.size} exceeds the enumeration budget {size_budget}")
+            f"|G| = {alg.size} exceeds the enumeration budget {SUBGROUP_SIZE_BUDGET}")
     found = set()
     elems = range(alg.size)
-    for r in range(1, max_generators + 1):
+    for r in range(1, SUBGROUP_MAX_GENERATORS + 1):
         for gens in combinations(elems, r):
             found.add(frozenset(closure([alg.mul], gens)))
     return sorted(found, key=lambda s: (len(s), sorted(s)))
@@ -575,9 +569,8 @@ class GroupAnalytics:
         }
 
 
-def group_analytics(alg: FiniteAlgebra,
-                    size_budget: int = SUBGROUP_SIZE_BUDGET) -> GroupAnalytics:
-    subs = subgroups_of(alg, size_budget=size_budget)
+def group_analytics(alg: FiniteAlgebra) -> GroupAnalytics:
+    subs = subgroups_of(alg)
     d = derived_length(alg)
     return GroupAnalytics(
         exponent=group_exponent(alg),

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import terms
 from .core import (_SLAB_CELLS, FiniteAlgebra, _check_indices, _first_true, closure,
-                   mult_reduct, validate)
+                   mult_reduct, restrict, validate)
 from .errors import (
     BglabError,
     CarrierTooLarge,
@@ -526,31 +526,11 @@ def induced_algebra(alg: FiniteAlgebra, elements) -> tuple[FiniteAlgebra, dict[i
     """Restrict every table to a closed element set; returns (algebra, old->new)."""
     old = sorted(int(x) for x in elements)
     _check_indices(old, alg.size)
-    remap = {x: i for i, x in enumerate(old)}
-
-    def shrink(table2d):
-        out = [[0] * len(old) for _ in old]
-        for i, x in enumerate(old):
-            for j, y in enumerate(old):
-                v = int(table2d[x, y])
-                if v not in remap:
-                    raise ValueError(
-                        f"set not closed: {alg.labels[x]} o {alg.labels[y]} escapes")
-                out[i][j] = remap[v]
-        return out
-
-    mul = shrink(alg.mul)
-    add = shrink(alg.add) if alg.add is not None else None
-    star = None
-    if alg.star is not None:
-        star = []
-        for x in old:
-            v = int(alg.star[x])
-            if v not in remap:
-                raise ValueError(f"set not closed under star at {alg.labels[x]}")
-            star.append(remap[v])
+    mul, add, star = (None if t is None else restrict(t, old, alg.labels)
+                      for t in (alg.mul, alg.add, alg.star))
     labels = tuple(alg.labels[x] for x in old)
     meta = {"construction": "subalgebra", "elements": old, "parent": _nested_meta(alg)}
+    remap = {x: i for i, x in enumerate(old)}
     return FiniteAlgebra(alg.kind, labels, mul, add, star, meta=meta), remap
 
 

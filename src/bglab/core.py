@@ -39,7 +39,7 @@ _SLAB_CELLS = 1 << 22
 _LIGHT_MIN_SIZE = 48
 
 # Light's test runs only while the generating set has at most n / this many
-# elements.  Each greedy round converts the table to lists for the closure,
+# elements.  Each greedy round walks new products in Python for the closure,
 # so rounds without end would approach the cost of the n^3 scan.
 _LIGHT_MAX_SHARE = 4
 
@@ -224,6 +224,25 @@ def closure(tables, seeds, star=None, closed=()) -> list[int]:
     return sorted(found)
 
 
+def restrict(table: np.ndarray, members, labels) -> np.ndarray:
+    """A binary (n x n) or unary (star) table restricted to the index set
+    `members`, sorted, and renumbered 0..len-1 in member order.  A product
+    outside the set raises ValueError naming the first one in row-major
+    order, with the parent's `labels`."""
+    members = np.asarray(members, dtype=np.intp)
+    local = np.full(len(table), -1, dtype=np.int32)
+    local[members] = np.arange(members.size, dtype=np.int32)
+    unary = table.ndim == 1
+    out = local[table[members] if unary else table[members[:, None], members]]
+    bad = _first_true(out < 0)
+    if bad is None:
+        return out
+    names = [labels[members[i]] for i in bad]
+    if unary:
+        raise ValueError(f"set not closed under star at {names[0]}")
+    raise ValueError(f"set not closed: {names[0]} o {names[1]} escapes")
+
+
 def _generators(table: np.ndarray) -> list[int] | None:
     """A generating set of the magma (0..n-1, table) for Light's test, or
     None to keep the slab scan: below _LIGHT_MIN_SIZE elements, and once the
@@ -239,12 +258,13 @@ def _generators(table: np.ndarray) -> list[int] | None:
     other = (table != ids[:, None]) & (table != ids)
     gens = np.flatnonzero(np.bincount(table[other], minlength=n) == 0).tolist()
     most = n // _LIGHT_MAX_SHARE
-    found = closure([table], gens) if 0 < len(gens) <= most else []
+    rows = [table.tolist()]
+    found = closure(rows, gens) if 0 < len(gens) <= most else []
     while len(gens) <= most and len(found) < n:
         # found is sorted, so its first gap is the least element outside
         x = next((i for i, y in enumerate(found) if i != y), len(found))
         gens.append(x)
-        found = closure([table], [x], closed=found)
+        found = closure(rows, [x], closed=found)
     return gens if len(gens) <= most else None
 
 

@@ -1,6 +1,6 @@
 import tracemalloc
 from functools import reduce
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -157,6 +157,56 @@ class TestMembership:
         verdict = K.check_membership_exhaustive(b21_mul, word, {0, 1})
         assert verdict.status == K.COUNTEREXAMPLE
         assert list(verdict.witness.values()) == [2]
+
+
+# a1..an a1'..an' against [a1',a2'][(a2 a1)',a3'], [a,b] = a'b'ab, each
+# form times the inverse of the right side, as a05 checks them
+COMMUTATOR_FORMS = [
+    "x1 x1'",
+    "x1 x2 x1' x2' (x1'' x2'' x1' x2')'",
+    "x1 x2 x3 x1' x2' x3' (x1'' x2'' x1' x2' (x2 x1)'' x3'' (x2 x1)' x3')'",
+]
+
+
+def loop_commutator_quotient(group, tup):
+    """lhs rhs^-1 for a1..an a1^-1..an^-1 and its product of commutators,
+    by hand-written lookups."""
+    inv, mul = C.group_inverses(group), group.mul
+    e = C.group_identity(group)
+
+    def comm(a, b):
+        return int(mul[mul[mul[inv[a], inv[b]], a], b])
+
+    lhs = e
+    for a in (*tup, *(inv[a] for a in tup)):
+        lhs = int(mul[lhs, a])
+    rhs, prefix = e, tup[0]
+    for a in tup[1:]:
+        rhs = int(mul[rhs, comm(inv[prefix], inv[a])])
+        prefix = int(mul[a, prefix])
+    return int(mul[lhs, inv[rhs]])
+
+
+class TestCommutatorForms:
+    @pytest.fixture
+    def inverted(self, s3):
+        return FiniteAlgebra("involution-semigroup", s3.labels, s3.mul,
+                             star=C.group_inverses(s3))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_forms_match_the_lookup_loop(self, inverted, s3, n):
+        term = T.parse_term(COMMUTATOR_FORMS[n - 1])
+        for tup in product(range(s3.size), repeat=n):
+            sub = {T.Variable((i + 1,), n): a for i, a in enumerate(tup)}
+            assert T.evaluate(term, sub, inverted) == loop_commutator_quotient(s3, tup)
+        verdict = K.check_membership_exhaustive(inverted, term, {C.group_identity(s3)})
+        assert (verdict.status, verdict.evaluations) == (K.HOLDS, s3.size**n)
+
+    def test_a_wrong_form_is_refuted(self, inverted, s3):
+        term = T.parse_term("x1 x2 x1' x2'")
+        verdict = K.check_membership_exhaustive(inverted, term, {C.group_identity(s3)})
+        assert verdict.status == K.COUNTEREXAMPLE
+        assert T.evaluate(term, verdict.witness, inverted) != C.group_identity(s3)
 
 
 def splitmix_reference(seed, counter):

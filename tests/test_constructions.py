@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bglab import analysis as A
 from bglab import constructions as C
-from bglab import corpus, suite
+from bglab import core, corpus, suite
 from bglab.analysis import is_group
 from bglab.core import FiniteAlgebra, mult_reduct, save_algebra, validate
 from bglab.errors import (
@@ -609,6 +610,96 @@ class TestDerivedAlgebras:
                                                 ips3, hall2, hall3, kad21):
         for alg in (s3, q8, b2, b3, bz2, ps3, ips3, hall2, hall3, kad21[0]):
             assert validate(alg) is None
+
+
+def loop_restrict(alg, elements):
+    """Per-cell reference for induced_algebra's tables: (mul, add, star) as
+    lists renumbered in sorted order, add and star None when absent, or the
+    ValueError of the first escape (mul, then add in row-major order, then
+    star)."""
+    old = sorted(int(x) for x in elements)
+    remap = {x: i for i, x in enumerate(old)}
+
+    def shrink(table2d):
+        out = [[0] * len(old) for _ in old]
+        for i, x in enumerate(old):
+            for j, y in enumerate(old):
+                v = int(table2d[x, y])
+                if v not in remap:
+                    raise ValueError(
+                        f"set not closed: {alg.labels[x]} o {alg.labels[y]} escapes")
+                out[i][j] = remap[v]
+        return out
+
+    mul = shrink(alg.mul)
+    add = shrink(alg.add) if alg.add is not None else None
+    star = None
+    if alg.star is not None:
+        star = []
+        for x in old:
+            v = int(alg.star[x])
+            if v not in remap:
+                raise ValueError(f"set not closed under star at {alg.labels[x]}")
+            star.append(remap[v])
+    return mul, add, star
+
+
+def assert_restricts_like_the_loop(alg, elements) -> str:
+    """induced_algebra against loop_restrict; returns the shared error
+    message, or "" for a closed set."""
+    try:
+        want = loop_restrict(alg, elements)
+    except ValueError as ex:
+        with pytest.raises(ValueError) as got:
+            C.induced_algebra(alg, elements)
+        assert str(got.value) == str(ex)
+        return str(ex)
+    sub, remap = C.induced_algebra(alg, elements)
+    tables = (sub.mul, sub.add, sub.star)
+    assert [None if t is None else t.tolist() for t in tables] == list(want)
+    assert remap == {x: i for i, x in enumerate(sorted(elements))}
+    return ""
+
+
+class TestRestrict:
+    def test_every_small_subset_of_b21(self, b21):
+        messages = [assert_restricts_like_the_loop(b21, elements)
+                    for r in (1, 2, 3) for elements in combinations(range(b21.size), r)]
+        # closed sets, product escapes and star escapes all occur
+        assert "" in messages
+        assert any(m.startswith("set not closed: ") for m in messages)
+        assert any(m.startswith("set not closed under star at ") for m in messages)
+
+    @pytest.mark.parametrize("group, subgroup, element, size", [
+        (C.symmetric_group(3), ["e", "(12)"], "(13)", 47),
+        (C.dihedral_group(4), ["e", "s"], "r", 224)])
+    def test_subset_b_with_all_three_tables(self, group, subgroup, element, size):
+        masks = C.subset_b(group, [group.index(h) for h in subgroup],
+                           group.index(element))
+        assert len(masks) == size
+        power = C.power_semiring(group, with_star=True)
+        assert power.kind == "involution-ai-semiring"
+        assert assert_restricts_like_the_loop(power, masks) == ""
+
+    def test_every_restriction_goes_through_core(self, ps3_mul, b21, monkeypatch):
+        calls = []
+
+        def spy(table, members, labels):
+            calls.append(len(members))
+            return core.restrict(table, members, labels)
+
+        monkeypatch.setattr(C, "restrict", spy)
+        monkeypatch.setattr(A, "restrict", spy)
+        C.induced_algebra(b21, range(6))
+        assert calls == [6, 6, 6]  # mul, add and star
+        calls.clear()
+        A.j_trivial(ps3_mul, A.idempotent_generated(ps3_mul))
+        assert calls == [len(A.idempotent_generated(ps3_mul))]
+        calls.clear()
+        rep = A.principal_series(ps3_mul)
+        assert calls == [len(members) for _, members in rep.subgroups
+                         if len(members) > 1]
+        assert calls
 
 
 class TestRegistry:
