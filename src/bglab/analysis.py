@@ -76,6 +76,7 @@ def inverse_matrix(alg: FiniteAlgebra) -> np.ndarray:
 
 def inverses_of(alg: FiniteAlgebra, a: int) -> list[int]:
     """All b with aba = a and bab = b."""
+    _check_indices([a], alg.size)
     return np.flatnonzero(_inverses(alg.mul, a)).tolist()
 
 
@@ -141,9 +142,9 @@ def j_trivial(alg: FiniteAlgebra, subset=None) -> tuple[bool, tuple[int, int] | 
         if not members:
             raise ValueError("subset must be non-empty")
         twice = [x for x, y in zip(members, members[1:]) if x == y]
-        table = restrict(alg.mul, members, alg.labels)
         if twice:
             raise ValueError(f"subset repeats index {twice[0]}")
+        table = restrict(alg.mul, members, alg.labels)
     # the first repeated ideal is the class whose second member comes first
     repeats = [cls[:2] for cls in _equal_rows(_reach(table.T) @ _reach(table))
                if len(cls) > 1]

@@ -187,9 +187,12 @@ def check_identity_exhaustive(alg: FiniteAlgebra, lhs: Term, rhs: Term,
 def check_membership_exhaustive(alg: FiniteAlgebra, term: Term, allowed,
                                 domains=None, budget: int | None = None) -> CheckVerdict:
     """Check that every substitution value lands in the allowed element set."""
+    allowed = [int(x) for x in allowed]
+    _check_indices(allowed, alg.size)
+
     def mismatch():
         mask = np.zeros(alg.size, dtype=bool)
-        mask[sorted(int(x) for x in allowed)] = True
+        mask[allowed] = True
         return lambda assign: ~mask[evaluate_batch(term, assign, alg)]
 
     return _odometer_scan(alg, (term,), domains, budget, mismatch)

@@ -361,6 +361,7 @@ def subset_b_masks(group: FiniteAlgebra, subgroup, g: int) -> tuple[int, ...]:
     if not H or outside:
         raise NotASubgroup("the subgroup is empty" if not H else
                            f"products reach {group.labels[outside[0]]}, outside the set")
+    _check_indices([g], group.size)
     mul = group.mul
     ginv = group_inverses(group)[g]
     gH = frozenset(int(mul[ginv, h]) for h in H)

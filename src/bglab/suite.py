@@ -72,39 +72,46 @@ def _need(ok: bool, message: str):
 
 
 class Workbench:
-    """Lazily built shared algebras for the suite, one per name in BUILDERS."""
+    """Lazily built shared algebras for the suite, one per name in FIXTURES or SERIES."""
 
     def __init__(self):
         self._cache: dict[str, object] = {}
 
     def get(self, name: str):
         if name not in self._cache:
-            self._cache[name] = BUILDERS[name](self)
+            self._cache[name] = (analysis.principal_series(self.get(SERIES[name]))
+                                 if name in SERIES else constructions.build(FIXTURES[name]))
         return self._cache[name]
 
 
-BUILDERS = {
-    "s3": lambda wb: constructions.symmetric_group(3),
-    "q8": lambda wb: constructions.quaternion_group(),
-    "z2": lambda wb: constructions.cyclic_group(2),
-    "z4": lambda wb: constructions.cyclic_group(4),
-    "triv": lambda wb: constructions.cyclic_group(1),
-    "b21": lambda wb: constructions.brandt_monoid_b21(),
-    "b21_mul": lambda wb: mult_reduct(wb.get("b21")),
-    "b21_series": lambda wb: analysis.principal_series(wb.get("b21_mul")),
-    "b2": lambda wb: constructions.brandt_semigroup(wb.get("triv"), 2),
-    "b3": lambda wb: constructions.brandt_semigroup(wb.get("triv"), 3),
-    "bz2": lambda wb: constructions.brandt_semigroup(wb.get("z2"), 2),
-    "ps3": lambda wb: constructions.power_semiring(wb.get("s3")),
-    "ps3_star": lambda wb: constructions.power_semiring(wb.get("s3"), with_star=True),
-    "ps3_mul": lambda wb: mult_reduct(wb.get("ps3")),
-    "ips3": lambda wb: constructions.involution_power(wb.get("s3")),
-    "hall2": lambda wb: constructions.hall_semiring(2),
-    "hall3": lambda wb: constructions.hall_semiring(3),
-    "ps3_series": lambda wb: analysis.principal_series(wb.get("ps3_mul")),
-    "kad21": lambda wb: constructions.kadourek_semigroup(2, 1),
-    "kad22": lambda wb: constructions.kadourek_semigroup(2, 2),
+# Every named algebra of the suite, as the construction meta that
+# constructions.build reads; a meta with `reduct_of` gives the (S, mul) reduct.
+_TRIV = {"construction": "group", "family": "cyclic", "n": 1}
+_S3 = {"construction": "group", "family": "symmetric", "n": 3}
+_PS3 = {"construction": "power-semiring", "group": _S3}
+FIXTURES = {
+    "s3": _S3,
+    "q8": {"construction": "group", "family": "quaternion8"},
+    "z2": {"construction": "group", "family": "cyclic", "n": 2},
+    "z4": {"construction": "group", "family": "cyclic", "n": 4},
+    "triv": _TRIV,
+    "b21": {"construction": "b21"},
+    "b21_mul": {"construction": "b21", "reduct_of": "involution-ai-semiring"},
+    "b2": {"construction": "brandt", "group": _TRIV, "index_count": 2},
+    "b3": {"construction": "brandt", "group": _TRIV, "index_count": 3},
+    "bz2": {"construction": "brandt", "index_count": 2,
+            "group": {"construction": "group", "family": "cyclic", "n": 2}},
+    "ps3": _PS3,
+    "ps3_star": {**_PS3, "with_star": True},
+    "ps3_mul": {**_PS3, "reduct_of": "ai-semiring"},
+    "ips3": {"construction": "involution-power", "group": _S3},
+    "hall2": {"construction": "hall", "n": 2},
+    "hall3": {"construction": "hall", "n": 3},
+    "kad21": {"construction": "kadourek", "n": 2, "h": 1},
+    "kad22": {"construction": "kadourek", "n": 2, "h": 2},
 }
+# the principal series of a fixture, by the fixture's name
+SERIES = {"b21_series": "b21_mul", "ps3_series": "ps3_mul"}
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +133,7 @@ def block_group_algebras(wb: Workbench) -> list[FiniteAlgebra]:
     algs = [wb.get(n) for n in
             ("b21_mul", "b2", "b3", "bz2", "ps3_mul", "s3", "q8")]
     algs.append(mult_reduct(wb.get("hall2")))
-    algs.append(wb.get("kad21")[0])
+    algs.append(wb.get("kad21"))
     return algs
 
 
@@ -261,8 +268,8 @@ def check_square_identities(wb: Workbench, profile: str, seed: int):
 
 
 def check_kadourek_violation(wb: Workbench, profile: str, seed: int):
-    alg, gens = wb.get("kad21")
-    gen_elems = sorted(gens.values())
+    alg = wb.get("kad21")
+    gen_elems = sorted(alg.meta["generators"].values())
     gen_elems += [int(alg.star[g]) for g in gen_elems]
     v = terms.v_word(2, 1, 1)
     verdict = checker.find_identity_violation(alg, v, terms.PowerOf(v, 2), gen_elems)
@@ -292,9 +299,10 @@ def check_kadourek_generators(wb: Workbench, profile: str, seed: int):
     for t, arrows in KADOUREK_22_GENERATORS.items():
         got = {x: y for x, y in enumerate(gens[t]) if y >= 0}
         _need(got == arrows, f"chi{t}: expected {arrows}, got {got}")
-    alg, gen_index = wb.get("kad22")
+    alg = wb.get("kad22")
     for t, f in gens.items():
-        _need(alg.labels[gen_index[t]] == constructions.partial_map_label(f),
+        index = alg.meta["generators"]["".join(map(str, t))]
+        _need(alg.labels[index] == constructions.partial_map_label(f),
               f"generator {t} mislabeled in the carrier")
     return len(gens) * 17, f"4 depth-2 generators match, carrier size {alg.size}"
 

@@ -22,5 +22,5 @@ def _named(name):
 
 
 # One session fixture per named algebra of the suite (s3, b21_mul, ps3, ...).
-for _name in suite.BUILDERS:
+for _name in [*suite.FIXTURES, *suite.SERIES]:
     globals()[_name] = _named(_name)

@@ -290,6 +290,9 @@ class TestBlockGroup:
     def test_inverses_in_b21(self, b21_mul, b21):
         assert A.inverses_of(b21_mul, b21.index("a")) == [b21.index("b")]
         assert A.inverses_of(b21_mul, b21.index("0")) == [b21.index("0")]
+        for a in (-1, 6):  # -1 is not f (index 5), whose only inverse is f
+            with pytest.raises(ValueError, match=rf"^index {a} is outside 0\.\.5$"):
+                A.inverses_of(b21_mul, a)
 
     def test_group_inverse_is_the_unique_inverse(self, s3):
         inv = C.group_inverses(s3)
@@ -357,6 +360,9 @@ class TestJTriviality:
             A.j_trivial(b21_mul, [])
         with pytest.raises(ValueError, match=f"^subset repeats index {e}$"):
             A.j_trivial(b21_mul, [e, e])
+        # a repeat is named before closure is tested: {a} is not closed
+        with pytest.raises(ValueError, match=f"^subset repeats index {a}$"):
+            A.j_trivial(b21_mul, [a, a])
         # the first escape in (x, y) order, as induced_algebra reports it
         with pytest.raises(ValueError) as oracle:
             C.induced_algebra(b21_mul, [e, a])

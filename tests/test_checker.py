@@ -158,6 +158,15 @@ class TestMembership:
         assert verdict.status == K.COUNTEREXAMPLE
         assert list(verdict.witness.values()) == [2]
 
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_allowed_index_outside_the_carrier(self, s3, bad):
+        # -1 would otherwise stand for the last element, (13), and hide x1's
+        # counterexample; 6 would reach the mask as a bare IndexError
+        word = T.parse_term("x1")
+        assert K.check_membership_exhaustive(s3, word, range(5)).status == K.COUNTEREXAMPLE
+        with pytest.raises(ValueError, match=rf"^index {bad} is outside 0\.\.5$"):
+            K.check_membership_exhaustive(s3, word, {*range(5), bad})
+
 
 # a1..an a1'..an' against [a1',a2'][(a2 a1)',a3'], [a,b] = a'b'ab, each
 # form times the inverse of the right side, as a05 checks them
@@ -472,8 +481,8 @@ class TestSampledAgainstFrozenOracle:
 
 class TestFindViolation:
     def test_kadourek_generator_biased_search(self, kad21):
-        alg, gens = kad21
-        gen_elems = sorted(gens.values())
+        alg = kad21
+        gen_elems = sorted(alg.meta["generators"].values())
         gen_elems += [int(alg.star[g]) for g in gen_elems]
         v = T.v_word(2, 1, 1)
         verdict = K.find_identity_violation(alg, v, T.PowerOf(v, 2), gen_elems)
@@ -486,7 +495,7 @@ class TestFindViolation:
         assert alg.labels[left] == "[0>4]" and alg.labels[right] == "[]"
 
     def test_exhaustive_strategy_agrees(self, kad21):
-        alg, _ = kad21
+        alg = kad21
         v = T.v_word(2, 1, 1)
         verdict = K.check_identity_exhaustive(alg, v, T.PowerOf(v, 2))
         assert verdict.status == K.COUNTEREXAMPLE
@@ -659,7 +668,7 @@ class TestImageTechnique:
             assert T.evaluate(v, image.witness, alg) == image.bad_value
 
     def test_depth_one_matches_direct_scan(self, kad21):
-        alg, _ = kad21
+        alg = kad21
         report = K.check_v_square_image(alg, 2, 1, 1)
         v = T.v_word(2, 1, 1)
         exhaustive = K.check_identity_exhaustive(alg, v, T.PowerOf(v, 2))

@@ -317,7 +317,7 @@ def fresh_kernels(monkeypatch):
 
 @pytest.fixture
 def carriers(b21_mul, ps3_mul, kad21, hall2):
-    return [b21_mul, ps3_mul, kad21[0], mult_reduct(hall2)]
+    return [b21_mul, ps3_mul, kad21, mult_reduct(hall2)]
 
 
 def magma(rows):
