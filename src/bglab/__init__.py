@@ -43,7 +43,6 @@ from .terms import (
     u_word,
     v_word,
     w_word,
-    zeta_expand,
 )
 from .analysis import (
     BrandtRecognition,
@@ -51,7 +50,6 @@ from .analysis import (
     SeriesReport,
     group_analytics,
     idempotents,
-    inverse_report,
     inverses_of,
     is_block_group,
     is_brandt,

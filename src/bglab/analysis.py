@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import combinations
 from math import lcm
 
 import numpy as np
@@ -27,7 +26,6 @@ from .errors import BglabError, NotAGroup, SubgroupEnumerationBudget
 from .terms import flat_kernel
 
 SUBGROUP_SIZE_BUDGET = 16
-SUBGROUP_MAX_GENERATORS = 3
 
 
 def idempotents(alg: FiniteAlgebra) -> list[int]:
@@ -78,11 +76,6 @@ def inverses_of(alg: FiniteAlgebra, a: int) -> list[int]:
     """All b with aba = a and bab = b."""
     _check_indices([a], alg.size)
     return np.flatnonzero(_inverses(alg.mul, a)).tolist()
-
-
-def inverse_report(alg: FiniteAlgebra) -> list[list[int]]:
-    """inverses_of for every element, indexed by element."""
-    return [np.flatnonzero(row).tolist() for row in inverse_matrix(alg)]
 
 
 def unique_inverse_violation(alg: FiniteAlgebra) -> tuple[int, int, int] | None:
@@ -438,18 +431,6 @@ def satisfies_power_identity(alg: FiniteAlgebra, e1: int, e2: int):
     return (True, None) if not bad.size else (False, int(bad[0]))
 
 
-def stabilizing_power(alg: FiniteAlgebra) -> int | None:
-    """Least p with x^p = x^(p+1) for every x; None if the semigroup is not
-    aperiodic."""
-    mul = alg.mul
-    powers = list(range(alg.size))
-    for p in range(1, 2 * alg.size + 2):
-        if all(mul[v, x] == v for x, v in enumerate(powers)):
-            return p
-        powers = [int(mul[v, x]) for x, v in enumerate(powers)]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # group analytics, on a group's table or a maximal subgroup's
 
@@ -502,22 +483,27 @@ def derived_length(alg: FiniteAlgebra) -> int | None:
 
 
 def subgroups_of(alg: FiniteAlgebra) -> list[frozenset[int]]:
-    """All subgroups reachable as closures of <= SUBGROUP_MAX_GENERATORS
-    elements.
-
-    Complete for the shipped group families up to SUBGROUP_SIZE_BUDGET
-    elements; larger groups are refused rather than silently
-    under-enumerated.
-    """
-    ensure_group(alg)
+    """Every subgroup, sorted by size, then members.  The lattice is walked
+    up from {e}: each subgroup found is closed with one more element until
+    nothing new appears, which reaches every subgroup, since each is such a
+    chain of one-element extensions.  Groups of more than
+    SUBGROUP_SIZE_BUDGET elements are refused."""
+    e, _ = ensure_group(alg)
     if alg.size > SUBGROUP_SIZE_BUDGET:
         raise SubgroupEnumerationBudget(
             f"|G| = {alg.size} exceeds the enumeration budget {SUBGROUP_SIZE_BUDGET}")
-    found = set()
-    elems = range(alg.size)
-    for r in range(1, SUBGROUP_MAX_GENERATORS + 1):
-        for gens in combinations(elems, r):
-            found.add(frozenset(closure([alg.mul], gens)))
+    rows = alg.mul.tolist()
+    found = {frozenset([e])}
+    todo = list(found)
+    while todo:
+        H = todo.pop()
+        closed = sorted(H)
+        for x in range(alg.size):
+            if x not in H:
+                grown = frozenset(closure([rows], [x], closed=closed))
+                if grown not in found:
+                    found.add(grown)
+                    todo.append(grown)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 

@@ -19,9 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import FiniteAlgebra, _check_indices
-from .errors import MapNotTotal, MissingTable
-from .terms import (DEFAULT_NODE_BUDGET, PowerOf, Term, Variable, _advance, _step,
-                    _tuple_values, evaluate_batch, flat_kernel, variable_key)
+from .errors import BglabError, MapNotTotal, MissingStar, MissingTable
+from .terms import (DEFAULT_NODE_BUDGET, InvTerm, PowerOf, Term, Variable, _advance,
+                    _step, _tuple_values, evaluate_batch, flat_kernel, variable_key)
 
 HOLDS = "holds"
 COUNTEREXAMPLE = "counterexample"
@@ -107,7 +107,7 @@ def _domain_lists(variables, alg, domains):
     return out
 
 
-def _substitution_blocks(variables, doms, chunk=_CHUNK):
+def _substitution_blocks(variables, doms):
     """Yield (assignment, origin) covering the whole space in odometer order.
 
     The assignment binds a prefix of variables to scalars and the rest to
@@ -117,7 +117,7 @@ def _substitution_blocks(variables, doms, chunk=_CHUNK):
     sizes = [len(d) for d in doms]
     split = len(sizes)
     inner = 1
-    while split > 0 and inner * sizes[split - 1] <= chunk:
+    while split > 0 and inner * sizes[split - 1] <= _CHUNK:
         inner *= sizes[split - 1]
         split -= 1
     inner_doms = doms[split:]
@@ -173,8 +173,13 @@ def _odometer_scan(alg, terms, domains, budget, mismatch) -> CheckVerdict:
 
 def check_identity_exhaustive(alg: FiniteAlgebra, lhs: Term, rhs: Term,
                               domains=None, budget: int | None = None) -> CheckVerdict:
-    """Enumerate every substitution; first counterexample in odometer order."""
+    """Enumerate every substitution; first counterexample in odometer order.
+    Equal sides hold with no evaluation, once the domains and the star the
+    scan would need have been checked."""
     if lhs == rhs:
+        _domain_lists(_variables_of(lhs), alg, domains)
+        if alg.star is None and _inverse_letters(lhs):
+            raise MissingStar("term has inverse letters but the algebra has no star")
         return CheckVerdict(HOLDS, evaluations=0, note="syntactic equality")
 
     def mismatch():
@@ -196,6 +201,12 @@ def check_membership_exhaustive(alg: FiniteAlgebra, term: Term, allowed,
         return lambda assign: ~mask[evaluate_batch(term, assign, alg)]
 
     return _odometer_scan(alg, (term,), domains, budget, mismatch)
+
+
+def _inverse_letters(term: Term) -> bool:
+    while isinstance(term, PowerOf):
+        term = term.base
+    return isinstance(term, InvTerm) and any(e < 0 for _, e in term.letters)
 
 
 def _side_evaluator(alg, lhs: Term, rhs: Term):
@@ -467,7 +478,9 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     of more than terms.DEFAULT_NODE_BUDGET variables, the bound v_word puts
     on the same (2n)^h variables, is not expanded: the verdict keeps
     bad_value and level_sizes, with witness None and a note.  The table
-    must be associative, since the sweep multiplies M from both ends.
+    must be associative, since the sweep multiplies M from both ends; past
+    the budget refusal, one that is not is refused with a BglabError naming
+    the first bad triple, which the algebra's kernel finds once.
 
     level_sizes[l] is the size of the level-l image set (empty when the
     budget refuses).  evaluations is the number of block-value tuples the
@@ -484,8 +497,12 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     if work > budget:
         return CheckVerdict(BUDGET_EXCEEDED, level_sizes=[],
                             note=f"{work} pair-state steps exceed budget {budget}")
-    size = np.intp(size)  # state codes P*size + M are computed in np.intp
     kernel = flat_kernel(alg)
+    bad = kernel.violation()
+    if bad is not None:
+        raise BglabError(f"the block-value image check needs an associative table: "
+                         f"{bad.describe(alg)}")
+    size = np.intp(size)  # state codes P*size + M are computed in np.intp
     pair = kernel.pair
     carrier = np.arange(size, dtype=np.intp)
     power = kernel.power(carrier, 2 * m - 1)

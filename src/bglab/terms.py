@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -217,16 +217,16 @@ Term = Union[Word, InvTerm, BlockWord, PowerOf]
 _V_WORDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def v_word(n: int, m: int, h: int, node_budget: int = DEFAULT_NODE_BUDGET) -> BlockWord:
+def v_word(n: int, m: int, h: int) -> BlockWord:
     """The depth-h block word over X_{2n}: at depth 1 it is
     x1..x2n (xn..x1 x(n+1)..x2n)^(2m-1); deeper levels repeat the shape on
     2n renamed copies of the previous level, copy j appending j to every
     index tuple.  Built top down, each node once, and shared while held."""
     if n < 1 or m < 1 or h < 1:
         raise ValueError("v_word needs n, m, h >= 1")
-    if (2 * n) ** h > node_budget:
+    if (2 * n) ** h > DEFAULT_NODE_BUDGET:
         raise LengthBudgetExceeded(
-            f"(2n)^h = {(2*n)**h} block nodes exceed budget {node_budget}")
+            f"(2n)^h = {(2*n)**h} block nodes exceed budget {DEFAULT_NODE_BUDGET}")
     word = _V_WORDS.get((n, m, h))
     if word is None:
         width = 2 * n
@@ -278,43 +278,6 @@ def w_word(n: int, h: int, length_budget: int = DEFAULT_LENGTH_BUDGET) -> InvTer
     return term
 
 
-def sigma_apply(width: int, j: int, h: int, var: Variable) -> Variable:
-    """Append j to a depth-(h-1) variable's index tuple."""
-    if not 1 <= j <= width:
-        raise ValueError(f"j must be in 1..{width}")
-    if var.width != width:
-        raise ValueError("variable width mismatch")
-    if var.depth != h - 1:
-        raise ValueError(f"expected a depth-{h-1} variable")
-    return Variable(var.indices + (j,), width)
-
-
-def sigma_word(width: int, j: int, word: Word) -> Word:
-    h = word.depth + 1
-    return Word(tuple(sigma_apply(width, j, h, v) for v in word.letters))
-
-
-def zeta_expand(n: int, m: int, h: int, r: int,
-                length_budget: int = DEFAULT_LENGTH_BUDGET) -> Word:
-    """Substitute into the flat depth-h word: each variable x_t becomes the
-    depth-r word with t appended to all its variable indices.  The result
-    equals the flat depth-(h+r) word."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    host = v_word(n, m, h).flatten(length_budget)
-    if r == 0:
-        return host
-    inner = v_word(n, m, r).flatten(length_budget)
-    total = len(host) * len(inner)
-    if total > length_budget:
-        raise LengthBudgetExceeded(f"length {total} exceeds budget {length_budget}")
-    width = 2 * n
-    letters = []
-    for t in host.letters:
-        letters.extend(Variable(s.indices + t.indices, width) for s in inner.letters)
-    return Word(tuple(letters))
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -342,7 +305,9 @@ class Kernel(NamedTuple):
     _pow_fold brackets it.  pair(a, b) is mul[a, b] and star(a) is star[a],
     or None when the algebra has no star.  block(n, m) is the
     _block_tables of v-word nodes (n, m), whose lookups go through
-    step(off, b, table) and last(off, b, table), or None to fold."""
+    step(off, b, table) and last(off, b, table), or None to fold.
+    violation() is the first triple that breaks associativity of mul, as
+    core.validate finds it, or None; flat_kernel decides it once."""
 
     pair: Callable
     star: Callable | None
@@ -351,6 +316,7 @@ class Kernel(NamedTuple):
     last: Callable
     power: Callable
     block: Callable
+    violation: Callable | None = None
 
 
 # One kernel per algebra object.  Tables are read-only (core._as_table
@@ -368,7 +334,8 @@ def flat_kernel(alg) -> Kernel:
     power(x, e) is one take from the table of e-th powers, built on first
     use.  pair(a, b) indexes in np.intp, for the image engine's state codes.
     On an associative table, block(n, m) builds the node tables of (n, m)
-    on first use; associativity is decided once, before the first build."""
+    on first use; associativity is decided once, on the first call of
+    violation() or block()."""
     kernel = _KERNELS.get(alg)
     if kernel is None:
         kernel = _KERNELS[alg] = _flat_kernel(alg.mul, alg.star)
@@ -406,20 +373,20 @@ def _flat_kernel(mul, star) -> Kernel:
             table = powers[e] = _pow_fold(carrier, e, pair)
         return table.take(x)
 
+    @cache
+    def violation():
+        return _associativity(mul, "mul-associative", _generators(mul))
+
     blocks = {}
-    associative = None
 
     def block(n, m):
-        nonlocal associative
         if (n, m) not in blocks:
-            if associative is None:
-                associative = _associativity(mul, "mul-associative", _generators(mul)) is None
             blocks[n, m] = (_block_tables(pair, size, power(carrier, 2 * m - 1), n)
-                            if associative else None)
+                            if violation() is None else None)
         return blocks[n, m]
 
     return Kernel(pair, None if star is None else star.take, lift, step, last, power,
-                  block)
+                  block, violation)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +554,7 @@ def _tokenize(text):
     return out
 
 
-def _parse_sequence(tokens, i, length_budget):
+def _parse_sequence(tokens, i):
     letters = []  # (indices, exp, pos)
     while i < len(tokens):
         kind, value, at = tokens[i]
@@ -600,7 +567,7 @@ def _parse_sequence(tokens, i, length_budget):
             group = [(indices, 1, at)]
             i += 1
         elif kind == "(":
-            group, i = _parse_sequence(tokens, i + 1, length_budget)
+            group, i = _parse_sequence(tokens, i + 1)
             if i >= len(tokens) or tokens[i][0] != ")":
                 raise TermSyntaxError("missing closing parenthesis", at)
             if not group:
@@ -616,12 +583,12 @@ def _parse_sequence(tokens, i, length_budget):
             else:
                 if value < 1:
                     raise TermSyntaxError("exponent must be >= 1", at)
-                if len(group) * value > length_budget:
+                if len(group) * value > DEFAULT_LENGTH_BUDGET:
                     raise TermSyntaxError("expansion exceeds the length budget", at)
                 group = group * value
             i += 1
         letters.extend(group)
-        if len(letters) > length_budget:
+        if len(letters) > DEFAULT_LENGTH_BUDGET:
             raise TermSyntaxError("term exceeds the length budget", tokens[i - 1][2])
     return letters, i
 
@@ -642,23 +609,23 @@ def _finish(letters, width):
     return InvTerm(tuple((Variable(ix, width), e) for ix, e, _ in letters))
 
 
-def parse_term(text: str, length_budget: int = DEFAULT_LENGTH_BUDGET):
+def parse_term(text: str):
     """Parse the DSL: juxtaposition is mul, ' is star, ^k repeats, () groups."""
     tokens = _tokenize(text)
-    letters, i = _parse_sequence(tokens, 0, length_budget)
+    letters, i = _parse_sequence(tokens, 0)
     if i != len(tokens):
         raise TermSyntaxError("unexpected trailing input", tokens[i][2])
     return _finish(letters, _max_index(letters))
 
 
-def parse_identity(text: str, length_budget: int = DEFAULT_LENGTH_BUDGET):
+def parse_identity(text: str):
     """Parse "LHS = RHS" into a pair of terms over one alphabet, so that a
     variable name means the same variable on both sides."""
     tokens = _tokenize(text)
-    lhs, i = _parse_sequence(tokens, 0, length_budget)
+    lhs, i = _parse_sequence(tokens, 0)
     if i >= len(tokens) or tokens[i][0] != "=":
         raise TermSyntaxError("expected '=' between two terms", len(text))
-    rhs, j = _parse_sequence(tokens, i + 1, length_budget)
+    rhs, j = _parse_sequence(tokens, i + 1)
     if j != len(tokens):
         raise TermSyntaxError("unexpected trailing input", tokens[j][2])
     width = max(_max_index(lhs), _max_index(rhs))
@@ -681,13 +648,13 @@ def with_width(term, width: int):
     raise TypeError(f"cannot rewrite {type(term).__name__}")
 
 
-def format_term(term: Term, length_budget: int = DEFAULT_LENGTH_BUDGET) -> str:
+def format_term(term: Term) -> str:
     if isinstance(term, Word):
         return " ".join(v.name for v in term.letters)
     if isinstance(term, InvTerm):
         return " ".join(v.name + ("" if e > 0 else "'") for v, e in term.letters)
     if isinstance(term, BlockWord):
-        return format_term(term.flatten(length_budget))
+        return format_term(term.flatten())
     if isinstance(term, PowerOf):
-        return f"({format_term(term.base, length_budget)})^{term.exponent}"
+        return f"({format_term(term.base)})^{term.exponent}"
     raise TypeError(f"cannot format {type(term).__name__}")

@@ -1,10 +1,11 @@
+import re
 import tracemalloc
 from functools import reduce
 from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bglab import checker as K
@@ -12,7 +13,7 @@ from bglab import constructions as C
 from bglab import corpus
 from bglab import terms as T
 from bglab.core import FiniteAlgebra, mult_reduct, validate
-from bglab.errors import MapNotTotal
+from bglab.errors import BglabError, MapNotTotal, MissingStar
 
 
 def parse(text):
@@ -20,6 +21,8 @@ def parse(text):
 
 
 SMALL_SEMIGROUPS = corpus.all_semigroups_upto(3)
+MAGMAS = st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n))
 
 
 def reevaluates(alg, lhs, rhs, witness):
@@ -45,6 +48,26 @@ class TestExhaustive:
         w = T.parse_term("x1 x2 x1")
         verdict = K.check_identity_exhaustive(b21_mul, w, w)
         assert verdict.status == K.HOLDS and verdict.evaluations == 0
+        verdict = K.check_identity_exhaustive(b21_mul, w, w, budget=1)
+        assert (verdict.status, verdict.evaluations, verdict.note) == (
+            K.HOLDS, 0, "syntactic equality")
+
+    def test_syntactic_equality_needs_the_star(self, s3):
+        # x1 x1' = x1 x1' x1 x1' raises MissingStar on S3, so x1 x1' = x1 x1'
+        # must too
+        w = T.parse_term("x1 x1'")
+        with pytest.raises(MissingStar):
+            K.check_identity_exhaustive(s3, w, w)
+        with pytest.raises(MissingStar):
+            K.check_identity_exhaustive(s3, T.PowerOf(w, 2), T.PowerOf(w, 2))
+
+    def test_syntactic_equality_checks_the_domains(self, s3):
+        w = T.parse_term("x1 x2")
+        x1 = w.variables()[0]
+        with pytest.raises(ValueError, match=r"^index 99 is outside 0\.\.5$"):
+            K.check_identity_exhaustive(s3, w, w, domains={x1: [99]})
+        with pytest.raises(ValueError, match="^empty domain for x1$"):
+            K.check_identity_exhaustive(s3, w, w, domains={x1: []})
 
     def test_budget_exceeded(self, b21_mul):
         lhs, rhs = parse("x1 x2 x3 = x3 x2 x1")
@@ -653,11 +676,21 @@ class TestImageTechnique:
         assert report.level_sizes == [24, 13] + [7] * 27
         assert report.evaluations == 64**4 + 24**4 + 13**4 + 26 * 7**4
 
-    @given(st.sampled_from(SMALL_SEMIGROUPS),
-           st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 1, 2), (1, 2, 2)]))
+    @given(st.one_of(st.sampled_from(SMALL_SEMIGROUPS), MAGMAS),
+           st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 1, 2), (1, 2, 2), (3, 1, 1)]))
     @settings(max_examples=150)
+    # two magmas on which the sweep, run anyway, read holds and counterexample
+    # where the exhaustive scan finds the opposite
+    @example([[0, 2, 1], [2, 2, 0], [1, 0, 2]], (3, 1, 1))
+    @example([[0, 0, 1], [1, 1, 1], [2, 1, 1]], (3, 1, 1))
     def test_agrees_with_exhaustive_on_small_semigroups(self, table, nmh):
+        # and refuses exactly the tables that are not associative
         alg = corpus.as_algebra(table)
+        bad = validate(alg)
+        if bad is not None:
+            with pytest.raises(BglabError, match=re.escape(bad.describe(alg))):
+                K.check_v_square_image(alg, *nmh)
+            return
         v = T.v_word(*nmh)
         square = T.PowerOf(v, 2)
         exhaustive = K.check_identity_exhaustive(alg, v, square)

@@ -536,6 +536,26 @@ class TestCheck:
         assert len(sub) == len(witness) == 36
         assert evaluate(v, sub, alg) != evaluate(PowerOf(v, 2), sub, alg)
 
+    @pytest.mark.parametrize("table,triple,exhaustive", [
+        ([[0, 2, 1], [2, 2, 0], [1, 0, 2]], "(0, 0, 1)", 1),
+        ([[0, 0, 1], [1, 1, 1], [2, 1, 1]], "(0, 0, 2)", 0),
+    ], ids=["read-holds", "read-counterexample"])
+    def test_block_mode_refuses_a_non_associative_table(self, tmp_path, capsys,
+                                                        table, triple, exhaustive):
+        # the sweep multiplies from both ends; on these magmas it once read
+        # holds where the exhaustive scan finds a counterexample, and the
+        # other way round
+        path = str(tmp_path / "magma.json")
+        FiniteAlgebra("semigroup", ("0", "1", "2"), table).save(path)
+        identity = ["--identity", "v[3,1,1] = v[3,1,1]^2"]
+        code, out, err = run(capsys, "check", "--algebra", path, "--mode", "block",
+                             *identity)
+        assert (code, out, err) == (
+            2, "", "error: the block-value image check needs an associative table: "
+                   f"mul-associative fails at {triple}\n")
+        code, out, _ = run(capsys, "check", "--algebra", path, *identity)
+        assert code == exhaustive and json.loads(out)["evaluations"] == 3**6
+
     @pytest.mark.parametrize("algebra,mode", sorted(PINNED_V245))
     def test_v245_output_is_pinned(self, algebra, mode, tmp_path, capsys):
         path = str(tmp_path / "alg.json")

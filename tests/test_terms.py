@@ -140,39 +140,6 @@ class TestWFamily:
         assert names(w.inverse()) == "x2 x1 x2' x1'"
 
 
-class TestSigmaZeta:
-    def test_sigma_appends_the_index(self):
-        v = T.Variable((3,), 4)
-        assert T.sigma_apply(4, 2, 2, v) == T.Variable((3, 2), 4)
-
-    def test_sigma_preserves_width(self):
-        v = T.Variable((1, 2), 6)
-        assert T.sigma_apply(6, 5, 3, v).width == 6
-
-    def test_sigma_rejects_wrong_depth_or_index(self):
-        with pytest.raises(ValueError):
-            T.sigma_apply(4, 5, 2, T.Variable((3,), 4))
-        with pytest.raises(ValueError):
-            T.sigma_apply(4, 2, 3, T.Variable((3,), 4))
-
-    @pytest.mark.parametrize("n,m,h", [(1, 1, 2), (2, 1, 2), (2, 2, 2), (1, 2, 3)])
-    def test_sigma_letterwise_gives_each_block(self, n, m, h):
-        inner = T.v_word(n, m, h - 1).flatten()
-        flat = T.v_word(n, m, h).flatten()
-        L = len(inner)
-        for j in range(1, 2 * n + 1):
-            block = T.sigma_word(2 * n, j, inner)
-            assert flat.letters[(j - 1) * L : j * L] == block.letters
-
-    @pytest.mark.parametrize("n,m,h,r", [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1),
-                                         (1, 1, 2, 1), (1, 1, 1, 2), (2, 1, 2, 1)])
-    def test_zeta_agrees_with_deeper_word(self, n, m, h, r):
-        assert T.zeta_expand(n, m, h, r) == T.v_word(n, m, h + r).flatten()
-
-    def test_zeta_with_r_zero_is_identity(self):
-        assert T.zeta_expand(2, 2, 2, 0) == T.v_word(2, 2, 2).flatten()
-
-
 def brandt_triple_product(x, y):
     # independent oracle for the 2-index Brandt product over the trivial group
     if x == "0" or y == "0":
