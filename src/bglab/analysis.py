@@ -507,37 +507,6 @@ def subgroups_of(alg: FiniteAlgebra) -> list[frozenset[int]]:
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def is_dedekind(alg: FiniteAlgebra, subgroups=None) -> bool:
-    """True iff every subgroup is normal."""
-    if subgroups is None:
-        subgroups = subgroups_of(alg)
-    _, inv = ensure_group(alg)
-    mul = alg.mul
-    for H in subgroups:
-        for g in range(alg.size):
-            if {int(mul[mul[g, h], inv[g]]) for h in H} != set(H):
-                return False
-    return True
-
-
-def has_quaternion_subgroup(alg: FiniteAlgebra, subgroups=None) -> bool:
-    """Detect an 8-element subgroup that is non-abelian with a unique involution."""
-    if subgroups is None:
-        subgroups = subgroups_of(alg)
-    e, _ = ensure_group(alg)
-    mul = alg.mul
-    for H in subgroups:
-        if len(H) != 8:
-            continue
-        hs = sorted(H)
-        if all(mul[a, b] == mul[b, a] for a in hs for b in hs):
-            continue
-        involutions = [x for x in hs if x != e and mul[x, x] == e]
-        if len(involutions) == 1:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class GroupAnalytics:
     exponent: int
@@ -557,12 +526,18 @@ class GroupAnalytics:
 
 
 def group_analytics(alg: FiniteAlgebra) -> GroupAnalytics:
-    subs = subgroups_of(alg)
-    d = derived_length(alg)
-    return GroupAnalytics(
-        exponent=group_exponent(alg),
-        derived_length=d,
-        solvable=d is not None,
-        dedekind=is_dedekind(alg, subs),
-        has_quaternion_subgroup=has_quaternion_subgroup(alg, subs),
-    )
+    """Exponent, derived length, the Dedekind test (every subgroup normal)
+    and the quaternion test (an 8-element subgroup, non-abelian with one
+    involution) from one copy of the rows; refused as by subgroups_of."""
+    subgroups = subgroups_of(alg)
+    e, inv = ensure_group(alg)
+    rows = alg.mul.tolist()
+    d = _length(_derived_series(rows, e))
+    dedekind = all({rows[rows[g][h]][inv[g]] for h in H} == H
+                   for H in subgroups for g in range(alg.size))
+    # x^2 = e for e and for each involution, so one involution gives two
+    quaternion = any(
+        len(H) == 8 and sum(rows[x][x] == e for x in H) == 2
+        and any(rows[a][b] != rows[b][a] for a in H for b in H)
+        for H in subgroups)
+    return GroupAnalytics(_exponent(rows, e), d, d is not None, dedekind, quaternion)

@@ -166,9 +166,9 @@ def _identity(rows: list[list[int]]) -> int:
     raise NotAGroup("no identity element")
 
 
-def group_inverses(alg: FiniteAlgebra) -> list[int]:
-    """The least two-sided inverse of every element; raises NotAGroup when an
-    element has none.  Associativity is not checked (see ensure_group)."""
+def _identity_and_inverses(alg: FiniteAlgebra) -> tuple[int, list[int]]:
+    """The least identity and the least two-sided inverse of every element,
+    from one reading of the table; raises NotAGroup when either is missing."""
     rows = alg.mul.tolist()
     e = _identity(rows)
     inv = []
@@ -177,14 +177,20 @@ def group_inverses(alg: FiniteAlgebra) -> list[int]:
         if y is None:
             raise NotAGroup(f"element {alg.labels[x]} has no inverse")
         inv.append(y)
-    return inv
+    return e, inv
+
+
+def group_inverses(alg: FiniteAlgebra) -> list[int]:
+    """The least two-sided inverse of every element; raises NotAGroup when an
+    element has none.  Associativity is not checked (see ensure_group)."""
+    return _identity_and_inverses(alg)[1]
 
 
 def ensure_group(alg: FiniteAlgebra) -> tuple[int, list[int]]:
     bad = validate(alg)
     if bad is not None:
         raise NotAGroup(f"not associative: {bad}")
-    return group_identity(alg), group_inverses(alg)
+    return _identity_and_inverses(alg)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +277,8 @@ def subset_label(group: FiniteAlgebra, mask: int) -> str:
     return "{" + ",".join(members) + "}"
 
 
-def _power_tables(group: FiniteAlgebra):
-    """(mul, add, star) of P(G) over subset bitmasks, G a group."""
+def _power_tables(group: FiniteAlgebra, inverses: list[int]):
+    """(mul, add, star) of P(G) over subset bitmasks, G a group with these inverses."""
     m = group.size
     masks = np.arange(1 << m, dtype=np.int32)
     members = (masks[:, None] >> np.arange(m)) & 1  # [B, b]: b in B
@@ -283,15 +289,14 @@ def _power_tables(group: FiniteAlgebra):
     for k in range(m):
         mul[1 << k:2 << k] = mul[:1 << k] | translates[k]
     add = masks[:, None] | masks
-    return mul, add, members @ (1 << np.array(group_inverses(group), dtype=np.int32))
+    return mul, add, members @ (1 << np.array(inverses, dtype=np.int32))
 
 
 def power_semiring(group: FiniteAlgebra, nonempty_only: bool = False,
                    with_star: bool = False) -> FiniteAlgebra:
     """(P(G), union, elementwise product); all subsets or the non-empty ones."""
     _table_budget(1 << group.size, f"power semiring of a {group.size}-element group")
-    ensure_group(group)
-    mul, add, star = _power_tables(group)
+    mul, add, star = _power_tables(group, ensure_group(group)[1])
     labels = [subset_label(group, mask) for mask in range(1 << group.size)]
     if nonempty_only:
         mul, add, star = mul[1:, 1:] - 1, add[1:, 1:] - 1, star[1:] - 1
@@ -306,8 +311,7 @@ def power_semiring(group: FiniteAlgebra, nonempty_only: bool = False,
 def involution_power(group: FiniteAlgebra) -> FiniteAlgebra:
     """(P(G), elementwise product, elementwise inversion)."""
     _table_budget(1 << group.size, f"involution power of a {group.size}-element group")
-    ensure_group(group)
-    mul, _, star = _power_tables(group)
+    mul, _, star = _power_tables(group, ensure_group(group)[1])
     labels = tuple(subset_label(group, mask) for mask in range(1 << group.size))
     meta = {"construction": "involution-power", "group": _nested_meta(group)}
     return FiniteAlgebra("involution-semigroup", labels, mul, star=star, meta=meta)
@@ -363,8 +367,8 @@ def subset_b_masks(group: FiniteAlgebra, subgroup, g: int) -> tuple[int, ...]:
                            f"products reach {group.labels[outside[0]]}, outside the set")
     _check_indices([g], group.size)
     mul = group.mul
-    ginv = group_inverses(group)[g]
-    gH = frozenset(int(mul[ginv, h]) for h in H)
+    e, inv = _identity_and_inverses(group)
+    gH = frozenset(int(mul[inv[g], h]) for h in H)
     conj = frozenset(int(mul[x, g]) for x in gH)
     if conj == H:
         raise NormalSubgroup("g normalizes H; need g^-1 H g != H")
@@ -372,7 +376,7 @@ def subset_b_masks(group: FiniteAlgebra, subgroup, g: int) -> tuple[int, ...]:
     if gH == Hg:
         raise NormalSubgroup("g^-1 H = H g forces g^-1 H g = H")
     masks = tuple(sum(1 << x for x in s)
-                  for s in ({group_identity(group)}, H, gH, Hg, conj))
+                  for s in ({e}, H, gH, Hg, conj))
     if len(set(masks)) != 5:
         raise ValueError("the five distinguished subsets are not distinct")
     return masks
@@ -382,20 +386,14 @@ def subset_b(group: FiniteAlgebra, subgroup, g: int) -> list[int]:
     """Carrier of the subsemiring {E, H, g^-1 H, H g, g^-1 H g} + big sets.
 
     Returns subset bitmasks (= indices into the full power semiring), sorted.
-    Requires H to be a subgroup that g does not normalize.
+    Requires H to be a subgroup that g does not normalize.  Closure is left
+    to core.restrict, which every consumer runs through induced_algebra.
     """
     _table_budget(1 << group.size, f"power semiring of a {group.size}-element group")
     small = subset_b_masks(group, subgroup, g)
     order = bin(small[1]).count("1")  # |H|
     big = [m for m in range(1 << group.size) if bin(m).count("1") > order]
-    carrier = sorted(set(small).union(big))
-    # closure sanity: union and product stay inside
-    inside = np.zeros(1 << group.size, dtype=bool)
-    inside[carrier] = True
-    for name, table in zip(("product", "union"), _power_tables(group)):
-        if not inside[table[np.ix_(carrier, carrier)]].all():
-            raise ValueError(f"carrier not closed under {name}")
-    return carrier
+    return sorted(set(small).union(big))
 
 
 # ---------------------------------------------------------------------------

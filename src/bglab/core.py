@@ -54,6 +54,19 @@ def _as_table(t, size, name):
     return a
 
 
+def _index_data(d: dict, key: str):
+    """d[key] as an integer array, or None when absent.  Floats, bools and
+    strings are refused rather than cast, and so are integers that the cast
+    of this array to int32 would wrap into valid indices."""
+    if d.get(key) is None:
+        return None
+    a = np.asarray(d[key])
+    if a.size and (a.dtype.kind not in "iu" or (a != a.astype(np.int32)).any()):
+        raise BglabError(f"algebra data {key!r} must hold int32 integers, "
+                         f"not {a.dtype} values")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteAlgebra:
     """A finite algebra given by operation tables over indices 0..size-1."""
@@ -122,12 +135,14 @@ class FiniteAlgebra:
         for key in ("kind", "labels", "mul"):
             if key not in d:
                 raise BglabError(f"algebra data has no {key!r}")
+        if not isinstance(d["labels"], list):
+            raise BglabError("algebra data 'labels' must be a list")
         alg = cls(
             kind=d["kind"],
             labels=tuple(d["labels"]),
-            mul=d["mul"],
-            add=d.get("add"),
-            star=d.get("star"),
+            mul=_index_data(d, "mul"),
+            add=_index_data(d, "add"),
+            star=_index_data(d, "star"),
             meta=dict(d.get("meta", {})),
         )
         if "size" in d and d["size"] != alg.size:
@@ -157,13 +172,20 @@ def load_algebra(path) -> FiniteAlgebra:
     return FiniteAlgebra.from_dict(json.loads(data.decode()))
 
 
+# One reduct per algebra object, so that validate's verdict on it is found
+# again; a reduct holds its parent's tables, never the parent, so an entry
+# dies with its parent.
+_REDUCTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def mult_reduct(alg: FiniteAlgebra) -> FiniteAlgebra:
-    """The (S, mul) reduct, dropping add and star."""
+    """The (S, mul) reduct, dropping add and star; one object per algebra."""
     if alg.kind == "semigroup":
         return alg
-    meta = dict(alg.meta)
-    meta["reduct_of"] = alg.kind
-    return FiniteAlgebra(kind="semigroup", labels=alg.labels, mul=alg.mul, meta=meta)
+    if alg not in _REDUCTS:
+        meta = {**alg.meta, "reduct_of": alg.kind}
+        _REDUCTS[alg] = FiniteAlgebra("semigroup", alg.labels, alg.mul, meta=meta)
+    return _REDUCTS[alg]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from math import lcm
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from bglab import analysis as A
 from bglab import constructions as C
-from bglab import corpus, suite
+from bglab import core, corpus, suite
 from bglab import terms as T
 from bglab.checker import check_identity_exhaustive
 from bglab.core import FiniteAlgebra, mult_reduct, validate
@@ -483,6 +484,20 @@ class TestPrincipalSeries:
         monkeypatch.setattr(C, "rees_table", boom)
         assert [A.principal_series(alg).to_dict() for alg in algs] == want
 
+    def test_repeated_series_validate_once(self, monkeypatch):
+        # the reduct is one object per algebra, so validate's verdict is reused
+        calls = []
+        original = core.validate_semigroup
+
+        def spy(alg):
+            calls.append(alg)
+            return original(alg)
+
+        hall2 = C.hall_semiring(2)
+        monkeypatch.setattr(core, "validate_semigroup", spy)
+        reps = [A.principal_series(hall2).to_dict() for _ in range(3)]
+        assert len(calls) == 1 and reps[0] == reps[1] == reps[2]
+
     def test_non_associative_table_is_refused(self):
         # (aa)b = bb = a but a(ab) = aa = b
         alg = FiniteAlgebra("semigroup", ("a", "b"), [[1, 0], [0, 0]])
@@ -559,7 +574,101 @@ def brute_subgroups(alg):
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
+def analytics_groups():
+    """C1-C16, D1-D8, S1-S3, Q8, C2^4, Q8 x C2 and the 22 group tables of
+    the order-4 corpus, by name."""
+    q8 = C.quaternion_group()
+    out = {f"C{n}": C.cyclic_group(n) for n in range(1, 17)}
+    out.update({f"D{n}": C.dihedral_group(n) for n in range(1, 9)})
+    out.update({f"S{n}": C.symmetric_group(n) for n in range(1, 4)})
+    out["Q8"] = q8
+    out["C2^4"] = FiniteAlgebra("semigroup", [str(i) for i in range(16)],
+                                [[i ^ j for j in range(16)] for i in range(16)])
+    # (a, i) at 2a + i
+    out["Q8xC2"] = FiniteAlgebra(
+        "semigroup", [str(i) for i in range(16)],
+        [[2 * int(q8.mul[a // 2, b // 2]) + (a + b) % 2 for b in range(16)]
+         for a in range(16)])
+    tables = [alg for alg in map(corpus.as_algebra, corpus.all_semigroups_upto(4))
+              if A.is_group(alg)]
+    out.update({f"corpus{i}": alg for i, alg in enumerate(tables)})
+    return out
+
+
+def oracle_analytics(alg):
+    """(exponent, derived length, Dedekind, quaternion) by brute force, with
+    the identity and inverses found by scanning the table."""
+    n, mul = alg.size, alg.mul.tolist()
+    e = next(x for x in range(n) if all(mul[x][y] == y for y in range(n)))
+    inv = [next(y for y in range(n) if mul[x][y] == e) for x in range(n)]
+
+    def order(x):
+        k, y = 1, x
+        while y != e:
+            k, y = k + 1, mul[y][x]
+        return k
+
+    def generated(seeds):
+        out = {e, *seeds}
+        while True:
+            more = {mul[a][b] for a in out for b in out} - out
+            if not more:
+                return frozenset(out)
+            out |= more
+
+    exponent = 1
+    for x in range(n):
+        exponent = lcm(exponent, order(x))
+    series = [frozenset(range(n))]
+    while True:
+        nxt = generated({mul[mul[inv[a]][inv[b]]][mul[a][b]]
+                         for a in series[-1] for b in series[-1]})
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+    length = len(series) - 1 if len(series[-1]) == 1 else None
+    subgroups = brute_subgroups(alg)
+    dedekind = all({mul[mul[g][h]][inv[g]] for h in H} == H
+                   for H in subgroups for g in range(n))
+    quaternion = any(
+        len(H) == 8
+        and any(mul[a][b] != mul[b][a] for a in H for b in H)
+        and len([x for x in H if x != e and mul[x][x] == e]) == 1
+        for H in subgroups)
+    return exponent, length, dedekind, quaternion
+
+
 class TestGroupAnalytics:
+    def test_every_field_agrees_with_brute_force(self):
+        groups = analytics_groups()
+        assert len(groups) == 52
+        flags = set()
+        for name, alg in groups.items():
+            ga = A.group_analytics(alg)
+            exponent, length, dedekind, quaternion = oracle_analytics(alg)
+            assert (ga.exponent, ga.derived_length, ga.solvable, ga.dedekind,
+                    ga.has_quaternion_subgroup) == (
+                exponent, length, length is not None, dedekind, quaternion), name
+            flags.add((ga.dedekind, ga.has_quaternion_subgroup))
+        # Q8 and Q8 x C2 are the Dedekind groups with a quaternion subgroup
+        assert flags == {(True, False), (False, False), (True, True)}
+
+    def test_identity_and_inverses_are_read_once(self, monkeypatch):
+        # subgroups_of and group_analytics call ensure_group once each, the
+        # power builders once, and ensure_group finds the identity once
+        calls = []
+        original = C._identity
+
+        def spy(rows):
+            calls.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(C, "_identity", spy)
+        A.group_analytics(C.dihedral_group(4))
+        C.power_semiring(C.symmetric_group(3), with_star=True)
+        C.involution_power(C.cyclic_group(3))
+        assert calls == [8, 8, 6, 3]
+
     def test_subgroup_enumeration_matches_brute_force(self, s3, q8, z4):
         # C2^4 needs four generators; corpus groups need not have e = 0
         c2_4 = FiniteAlgebra("semigroup", [str(i) for i in range(16)],

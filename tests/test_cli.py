@@ -536,6 +536,19 @@ class TestCheck:
         assert len(sub) == len(witness) == 36
         assert evaluate(v, sub, alg) != evaluate(PowerOf(v, 2), sub, alg)
 
+    @pytest.mark.parametrize("data,message", [
+        ({"labels": ["a", "b"], "mul": [[0.7, 1], [1, 0.2]]},
+         "'mul' must hold int32 integers, not float64 values"),
+        ({"labels": "ab", "mul": [[True, False], [False, True]]},
+         "'labels' must be a list"),
+    ], ids=["float-table", "string-labels"])
+    def test_malformed_table_exits_2(self, data, message, tmp_path, capsys):
+        path = str(tmp_path / "alg.json")
+        Path(path).write_text(json.dumps({"kind": "semigroup", **data}))
+        code, out, err = run(capsys, "check", "--algebra", path,
+                             "--identity", "x1 x2 = x2 x1")
+        assert (code, out, err) == (2, "", f"error: algebra data {message}\n")
+
     @pytest.mark.parametrize("table,triple,exhaustive", [
         ([[0, 2, 1], [2, 2, 0], [1, 0, 2]], "(0, 0, 1)", 1),
         ([[0, 0, 1], [1, 1, 1], [2, 1, 1]], "(0, 0, 2)", 0),

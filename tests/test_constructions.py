@@ -365,6 +365,17 @@ class TestSubsetB:
         with pytest.raises(NotASubgroup):
             C.subset_b(s3, [0, s3.index("(123)")], s3.index("(12)"))
 
+    @pytest.mark.parametrize("group, subgroup, element, size", [
+        (C.symmetric_group(3), ["e", "(12)"], "(13)", 47),
+        (C.dihedral_group(4), ["e", "s"], "r", 224)])
+    def test_builds_no_power_table(self, group, subgroup, element, size,
+                                   monkeypatch):
+        # closure is left to the core.restrict that every consumer runs
+        args = group, [group.index(h) for h in subgroup], group.index(element)
+        want = C.subset_b(*args)
+        monkeypatch.setattr(C, "_power_tables", _fail)
+        assert C.subset_b(*args) == want and len(want) == size
+
     @pytest.mark.parametrize("g", [-1, 6])
     def test_element_outside_the_group_rejected(self, s3, g):
         with pytest.raises(ValueError, match=rf"^index {g} is outside 0\.\.5$"):

@@ -1,5 +1,7 @@
+import gc
 import gzip
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -57,6 +59,15 @@ class TestFiniteAlgebra:
         assert red.kind == "semigroup"
         assert red.add is None and red.star is None
         assert np.array_equal(red.mul, b21.mul)
+
+    def test_mult_reduct_is_one_object_per_algebra(self, b21):
+        assert mult_reduct(b21) is mult_reduct(b21)
+        alg = FiniteAlgebra("ai-semiring", ("a", "b"), [[0, 1], [1, 1]],
+                            add=[[0, 1], [1, 1]])
+        red = weakref.ref(mult_reduct(alg))
+        del alg
+        gc.collect()
+        assert red() is None
 
 
 class TestValidateSemigroup:
@@ -191,6 +202,31 @@ class TestJsonRoundTrip:
         d = {"kind": "semigroup", "labels": ["x"], "mul": [[0]]}
         del d[key]
         with pytest.raises(BglabError, match=f"^algebra data has no '{key}'$"):
+            FiniteAlgebra.from_dict(d)
+
+    @pytest.mark.parametrize("key,value,dtype", [
+        ("mul", [[0.7, 1], [1, 0.2]], "float64"),
+        ("mul", [[True, False], [False, True]], "bool"),
+        ("mul", [["0", "1"], ["1", "0"]], "<U1"),
+        ("add", [[0, 1], [1, 1.0]], "float64"),
+        ("star", [1.9, 0], "float64"),
+        ("mul", [[0, 1], [1, 2**32]], "int64"),
+        ("mul", [[0, 1], [1, -2**32]], "int64"),
+    ])
+    def test_tables_that_are_not_int32_integers_are_refused(self, key, value, dtype):
+        # a cast to int32 once read 0.7 as 0, true as 1 and "0" as 0, and
+        # 2^32 raised an OverflowError, which the command line did not catch
+        d = {"kind": "involution-ai-semiring", "labels": ["a", "b"],
+             "mul": [[0, 1], [1, 0]], "add": [[0, 1], [1, 1]], "star": [0, 1],
+             key: value}
+        with pytest.raises(BglabError, match=f"^algebra data '{key}' must hold "
+                                             f"int32 integers, not {dtype} values$"):
+            FiniteAlgebra.from_dict(d)
+
+    def test_labels_that_are_no_list_are_refused(self):
+        # "ab" once read as the labels a, b
+        d = {"kind": "semigroup", "labels": "ab", "mul": [[0, 1], [1, 0]]}
+        with pytest.raises(BglabError, match="^algebra data 'labels' must be a list$"):
             FiniteAlgebra.from_dict(d)
 
     def test_data_that_is_no_object_is_refused(self):
