@@ -365,8 +365,9 @@ def principal_series(alg: FiniteAlgebra) -> SeriesReport:
     """Maximal ideal chain built one J-class at a time along the J-order,
     ties broken by least element index; factors classified; (h,m,k,q,r) filled.
 
-    The table must be associative; it is validated once, and a table that
-    is not is refused with a BglabError naming the law and the triple.  Each
+    The table must be associative, by validate(mult_reduct(alg)), which
+    decides it once for an algebra and its reduct; a table that is not is
+    refused with a BglabError naming the law and the triple.  Each
     maximal subgroup H_e is then a group (Green's theorem), so its exponent
     and derived series are read off the parent's rows restricted to H_e,
     with e as identity."""

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FiniteAlgebra, _check_indices
+from .core import FiniteAlgebra, _check_indices, mult_reduct, validate
 from .errors import BglabError, MapNotTotal, MissingStar, MissingTable
 from .terms import (DEFAULT_NODE_BUDGET, InvTerm, PowerOf, Term, Variable, _advance,
                     _step, _tuple_values, evaluate_batch, flat_kernel, variable_key)
@@ -480,7 +480,8 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     bad_value and level_sizes, with witness None and a note.  The table
     must be associative, since the sweep multiplies M from both ends; past
     the budget refusal, one that is not is refused with a BglabError naming
-    the first bad triple, which the algebra's kernel finds once.
+    the first bad triple, from validate(mult_reduct(alg)), which decides
+    associativity once for an algebra and its reduct.
 
     level_sizes[l] is the size of the level-l image set (empty when the
     budget refuses).  evaluations is the number of block-value tuples the
@@ -497,11 +498,11 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     if work > budget:
         return CheckVerdict(BUDGET_EXCEEDED, level_sizes=[],
                             note=f"{work} pair-state steps exceed budget {budget}")
-    kernel = flat_kernel(alg)
-    bad = kernel.violation()
+    bad = validate(mult_reduct(alg))
     if bad is not None:
         raise BglabError(f"the block-value image check needs an associative table: "
                          f"{bad.describe(alg)}")
+    kernel = flat_kernel(alg)
     size = np.intp(size)  # state codes P*size + M are computed in np.intp
     pair = kernel.pair
     carrier = np.arange(size, dtype=np.intp)

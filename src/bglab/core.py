@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,10 +60,23 @@ def _index_data(d: dict, key: str):
     if d.get(key) is None:
         return None
     a = np.asarray(d[key])
+    if a.dtype.kind in "iu" and _holds_bool(d[key], a):
+        a = a.astype(bool)  # NumPy read the bools among the integers as 0 and 1
     if a.size and (a.dtype.kind not in "iu" or (a != a.astype(np.int32)).any()):
         raise BglabError(f"algebra data {key!r} must hold int32 integers, "
                          f"not {a.dtype} values")
     return a
+
+
+def _holds_bool(value, a: np.ndarray) -> bool:
+    """Whether a bool sits among the JSON integers that NumPy read into the
+    integer array a, as 0 or 1.  Only the rows of a table that hold a 0 or
+    1 are scanned, each in one C-level pass over its element types; arrays
+    of more dimensions are refused later for their shape."""
+    if not isinstance(value, list) or a.ndim > 2:
+        return False  # NumPy input holds no bool; a deeper nest fails its shape
+    rows = [value] if a.ndim == 1 else [value[i] for i in np.flatnonzero((a <= 1).any(axis=1))]
+    return any(bool in map(type, row) for row in rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +89,12 @@ class FiniteAlgebra:
     add: np.ndarray | None = None
     star: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    # The record of facts about this object, filled on first use: "mul", the
+    # memo of mul_violation, which mult_reduct shares with the reduct;
+    # "reduct"; "verdict", validate's; "kernel", terms.flat_kernel's.  It
+    # never holds an algebra that holds it, so algebras are freed by
+    # reference counting alone.
+    _facts: dict = field(default_factory=lambda: {"mul": {}}, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -172,20 +190,18 @@ def load_algebra(path) -> FiniteAlgebra:
     return FiniteAlgebra.from_dict(json.loads(data.decode()))
 
 
-# One reduct per algebra object, so that validate's verdict on it is found
-# again; a reduct holds its parent's tables, never the parent, so an entry
-# dies with its parent.
-_REDUCTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def mult_reduct(alg: FiniteAlgebra) -> FiniteAlgebra:
-    """The (S, mul) reduct, dropping add and star; one object per algebra."""
+    """The (S, mul) reduct, dropping add and star; one object per algebra,
+    sharing the algebra's memo of mul's associativity.  The reduct holds
+    its parent's tables, never the parent."""
     if alg.kind == "semigroup":
         return alg
-    if alg not in _REDUCTS:
+    facts = alg._facts
+    if "reduct" not in facts:
         meta = {**alg.meta, "reduct_of": alg.kind}
-        _REDUCTS[alg] = FiniteAlgebra("semigroup", alg.labels, alg.mul, meta=meta)
-    return _REDUCTS[alg]
+        reduct = facts["reduct"] = FiniteAlgebra("semigroup", alg.labels, alg.mul, meta=meta)
+        reduct._facts["mul"] = facts["mul"]
+    return facts["reduct"]
 
 
 @dataclass(frozen=True)
@@ -364,25 +380,40 @@ def _associativity(table: np.ndarray, law: str, gens) -> AxiomViolation | None:
     return _assoc_violation(table, law)
 
 
+def mul_violation(memo: dict, mul: np.ndarray) -> AxiomViolation | None:
+    """None iff (xy)z = x(yz) in mul for all triples; else the first bad
+    triple.  Decided once per memo, which keeps the verdict ("bad") and
+    mul's generating set ("gens", for the distributive laws): an algebra's
+    record holds one, shared with its reduct, and a fresh {} decides anew."""
+    if "bad" not in memo:
+        memo["gens"] = _generators(mul)
+        memo["bad"] = _associativity(mul, "mul-associative", memo["gens"])
+    return memo["bad"]
+
+
 def validate_semigroup(alg: FiniteAlgebra) -> AxiomViolation | None:
     """None iff (xy)z = x(yz) for all triples; else the first bad triple."""
     if alg.mul is None:
         raise MissingTable("mul table required")
-    return _associativity(alg.mul, "mul-associative", _generators(alg.mul))
+    return mul_violation({}, alg.mul)
 
 
 def validate_ai_semiring(alg: FiniteAlgebra) -> AxiomViolation | None:
     """Check both associativities, add commutativity/idempotency, distributivity."""
     if alg.add is None:
         raise MissingTable("add table required")
-    mul, add = alg.mul, alg.add
-    gens = _generators(mul)
-    bad = _associativity(mul, "mul-associative", gens)
-    if bad is None:
-        bad = _associativity(add, "add-associative", _generators(add))
+    memo = {}
+    bad = mul_violation(memo, alg.mul)
+    return bad if bad is not None else _semiring_laws(alg.mul, alg.add, memo["gens"])
+
+
+def _semiring_laws(mul: np.ndarray, add: np.ndarray, gens) -> AxiomViolation | None:
+    """The ai-semiring laws past mul's associativity, in validate_ai_semiring's
+    order; gens is mul's generating set or None."""
+    bad = _associativity(add, "add-associative", _generators(add))
     if bad is not None:
         return bad
-    n = alg.size
+    n = len(add)
     w = _first_true(add != add.T)
     if w is not None:
         return AxiomViolation("add-commutative", w)
@@ -418,21 +449,18 @@ def validate_involution(alg: FiniteAlgebra) -> AxiomViolation | None:
     return None
 
 
-# One verdict per algebra object: its tables are read-only and the object is
-# frozen, so the verdict never goes stale; an entry dies with its algebra.
-_VERDICTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def validate(alg: FiniteAlgebra) -> AxiomViolation | None:
     """Run every validator the algebra's kind calls for; first violation wins.
-    Each algebra object is validated once; later calls return that verdict."""
-    if alg in _VERDICTS:
-        return _VERDICTS[alg]
-    if alg.add is not None:
-        bad = validate_ai_semiring(alg)
-    else:
-        bad = validate_semigroup(alg)
-    if bad is None and alg.star is not None:
-        bad = validate_involution(alg)
-    _VERDICTS[alg] = bad
-    return bad
+    Each algebra object is validated once, and mul's associativity is
+    decided once for it and its reduct; later calls return the verdict.
+    Tables are read-only and the object is frozen, so it never goes stale."""
+    facts = alg._facts
+    if "verdict" not in facts:
+        memo = facts["mul"]
+        bad = mul_violation(memo, alg.mul)
+        if bad is None and alg.add is not None:
+            bad = _semiring_laws(alg.mul, alg.add, memo["gens"])
+        if bad is None and alg.star is not None:
+            bad = validate_involution(alg)
+        facts["verdict"] = bad
+    return facts["verdict"]

@@ -12,12 +12,12 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
-from .core import _associativity, _generators
+from .core import mul_violation
 from .errors import LengthBudgetExceeded, MissingStar, TermSyntaxError
 
 DEFAULT_LENGTH_BUDGET = 10**6
@@ -305,9 +305,9 @@ class Kernel(NamedTuple):
     _pow_fold brackets it.  pair(a, b) is mul[a, b] and star(a) is star[a],
     or None when the algebra has no star.  block(n, m) is the
     _block_tables of v-word nodes (n, m), whose lookups go through
-    step(off, b, table) and last(off, b, table), or None to fold.
-    violation() is the first triple that breaks associativity of mul, as
-    core.validate finds it, or None; flat_kernel decides it once."""
+    step(off, b, table) and last(off, b, table), or None to fold, as on
+    any table that core.mul_violation, through the algebra's memo of mul,
+    finds not associative."""
 
     pair: Callable
     star: Callable | None
@@ -316,33 +316,30 @@ class Kernel(NamedTuple):
     last: Callable
     power: Callable
     block: Callable
-    violation: Callable | None = None
-
-
-# One kernel per algebra object.  Tables are read-only (core._as_table
-# clears their write flag), so a kernel never goes stale; the closures hold
-# the tables, never the algebra, so an entry dies with its algebra.
-_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def flat_kernel(alg) -> Kernel:
     """Vectorised lookups over index arrays (or scalars), built once per
-    algebra object.  An offset is a*size, the start of row a in
+    algebra object and kept in its record (see core.FiniteAlgebra); the
+    closures hold the tables and the record's memo of mul, never the
+    algebra.  An offset is a*size, the start of row a in
     mul.reshape(-1), so each product of a fold is one add and one take, and
     rows = mul*size gives the next offset directly.  Offsets are int32 while
     size^2 < 2^31 and np.intp beyond; products keep the table's int32.
     power(x, e) is one take from the table of e-th powers, built on first
     use.  pair(a, b) indexes in np.intp, for the image engine's state codes.
     On an associative table, block(n, m) builds the node tables of (n, m)
-    on first use; associativity is decided once, on the first call of
-    violation() or block()."""
-    kernel = _KERNELS.get(alg)
-    if kernel is None:
-        kernel = _KERNELS[alg] = _flat_kernel(alg.mul, alg.star)
-    return kernel
+    on first use; associativity is read through the memo
+    (core.mul_violation), so it is decided once for the algebra, its
+    reduct and core.validate.  Tables are read-only (core._as_table clears
+    their write flag), so a kernel never goes stale."""
+    facts = alg._facts
+    if "kernel" not in facts:
+        facts["kernel"] = _flat_kernel(alg.mul, alg.star, facts["mul"])
+    return facts["kernel"]
 
 
-def _flat_kernel(mul, star) -> Kernel:
+def _flat_kernel(mul, star, memo) -> Kernel:
     size = len(mul)
     offset = np.int32 if size * size < 2**31 else np.intp
     flat = mul.reshape(-1)
@@ -373,20 +370,16 @@ def _flat_kernel(mul, star) -> Kernel:
             table = powers[e] = _pow_fold(carrier, e, pair)
         return table.take(x)
 
-    @cache
-    def violation():
-        return _associativity(mul, "mul-associative", _generators(mul))
-
     blocks = {}
 
     def block(n, m):
         if (n, m) not in blocks:
             blocks[n, m] = (_block_tables(pair, size, power(carrier, 2 * m - 1), n)
-                            if violation() is None else None)
+                            if mul_violation(memo, mul) is None else None)
         return blocks[n, m]
 
     return Kernel(pair, None if star is None else star.take, lift, step, last, power,
-                  block, violation)
+                  block)
 
 
 # ---------------------------------------------------------------------------

@@ -487,14 +487,14 @@ class TestPrincipalSeries:
     def test_repeated_series_validate_once(self, monkeypatch):
         # the reduct is one object per algebra, so validate's verdict is reused
         calls = []
-        original = core.validate_semigroup
+        original = core._associativity
 
-        def spy(alg):
-            calls.append(alg)
-            return original(alg)
+        def spy(table, *args):
+            calls.append(table)
+            return original(table, *args)
 
         hall2 = C.hall_semiring(2)
-        monkeypatch.setattr(core, "validate_semigroup", spy)
+        monkeypatch.setattr(core, "_associativity", spy)
         reps = [A.principal_series(hall2).to_dict() for _ in range(3)]
         assert len(calls) == 1 and reps[0] == reps[1] == reps[2]
 

@@ -539,9 +539,11 @@ class TestCheck:
     @pytest.mark.parametrize("data,message", [
         ({"labels": ["a", "b"], "mul": [[0.7, 1], [1, 0.2]]},
          "'mul' must hold int32 integers, not float64 values"),
+        ({"labels": ["a", "b"], "mul": [[0, 1], [1, True]]},
+         "'mul' must hold int32 integers, not bool values"),
         ({"labels": "ab", "mul": [[True, False], [False, True]]},
          "'labels' must be a list"),
-    ], ids=["float-table", "string-labels"])
+    ], ids=["float-table", "bool-among-integers", "string-labels"])
     def test_malformed_table_exits_2(self, data, message, tmp_path, capsys):
         path = str(tmp_path / "alg.json")
         Path(path).write_text(json.dumps({"kind": "semigroup", **data}))

@@ -6,6 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
+from bglab import core
+from bglab.analysis import principal_series
+from bglab.checker import check_v_square_image
+from bglab.constructions import power_semiring, symmetric_group
 from bglab.core import (
     AxiomViolation,
     FiniteAlgebra,
@@ -17,6 +21,7 @@ from bglab.core import (
     validate_semigroup,
 )
 from bglab.errors import BglabError, MissingTable
+from bglab.terms import evaluate_batch, v_word
 
 
 def brute_assoc_violation(table):
@@ -68,6 +73,54 @@ class TestFiniteAlgebra:
         del alg
         gc.collect()
         assert red() is None
+
+
+def read_mul_everywhere(alg, reduct_first):
+    """Every call that needs mul's associativity, on alg and on its reduct:
+    validate, the principal series, the image check and block-word
+    evaluation, with the reduct's calls first or last."""
+    red = mult_reduct(alg)
+    word = v_word(2, 4, 2)
+    draws = np.random.default_rng(0).integers(0, alg.size, (len(word.variables()), 8))
+    sub = dict(zip(word.variables(), draws))
+    on_alg = {"validate": lambda: validate(alg),
+              "evaluate": lambda: evaluate_batch(word, sub, alg).tolist()}
+    on_red = {"series": lambda: principal_series(red).to_dict(),
+              "image": lambda: check_v_square_image(red, 2, 1, 1).status,
+              "evaluate reduct": lambda: evaluate_batch(word, sub, red).tolist()}
+    steps = {**on_red, **on_alg} if reduct_first else {**on_alg, **on_red}
+    return {name: step() for name, step in steps.items()}
+
+
+class TestRecord:
+    """One record of facts per algebra object: mul's associativity is
+    decided once for an algebra and its reduct, and the record keeps
+    neither alive."""
+
+    @pytest.mark.parametrize("reduct_first", [False, True],
+                             ids=["algebra-first", "reduct-first"])
+    def test_one_decision_per_table(self, monkeypatch, reduct_first):
+        alg = power_semiring(symmetric_group(3))  # 64 elements: Light's test
+        gens_of_mul, laws = [], []
+        generators, associativity = core._generators, core._associativity
+        monkeypatch.setattr(core, "_generators",
+                            lambda t: gens_of_mul.append(t is alg.mul) or generators(t))
+        monkeypatch.setattr(core, "_associativity",
+                            lambda t, law, gens: laws.append(law) or associativity(t, law, gens))
+        out = read_mul_everywhere(alg, reduct_first)
+        assert out["validate"] is None and out["evaluate"] == out["evaluate reduct"]
+        assert gens_of_mul.count(True) == 1 and laws.count("mul-associative") == 1
+
+    def test_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            alg = power_semiring(symmetric_group(3))
+            read_mul_everywhere(alg, reduct_first=False)
+            refs = weakref.ref(alg), weakref.ref(mult_reduct(alg))
+            del alg
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestValidateSemigroup:
@@ -212,10 +265,14 @@ class TestJsonRoundTrip:
         ("star", [1.9, 0], "float64"),
         ("mul", [[0, 1], [1, 2**32]], "int64"),
         ("mul", [[0, 1], [1, -2**32]], "int64"),
+        ("mul", [[0, 1], [1, True]], "bool"),
+        ("add", [[0, 1], [False, 1]], "bool"),
+        ("star", [0, True], "bool"),
     ])
     def test_tables_that_are_not_int32_integers_are_refused(self, key, value, dtype):
         # a cast to int32 once read 0.7 as 0, true as 1 and "0" as 0, and
-        # 2^32 raised an OverflowError, which the command line did not catch
+        # 2^32 raised an OverflowError, which the command line did not catch;
+        # NumPy reads a bool among integers as 0 or 1 in an integer array
         d = {"kind": "involution-ai-semiring", "labels": ["a", "b"],
              "mul": [[0, 1], [1, 0]], "add": [[0, 1], [1, 1]], "star": [0, 1],
              key: value}

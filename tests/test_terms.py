@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 from functools import cache
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bglab import corpus
+from bglab import core, corpus
 from bglab import terms as T
 from bglab.core import FiniteAlgebra, mult_reduct
 from bglab.errors import LengthBudgetExceeded, MissingStar, TermSyntaxError
@@ -276,15 +277,15 @@ def agrees_with_scalar(alg, nmh, samples, seed):
                               for sub in draws.T.tolist()]
 
 
-@pytest.fixture
-def fresh_kernels(monkeypatch):
-    """Kernels built anew for this test, so a patched cap reaches them."""
-    monkeypatch.setattr(T, "_KERNELS", weakref.WeakKeyDictionary())
+def fresh(alg):
+    """The same algebra as a new object, whose record starts empty, so that
+    its kernel is built anew and a patched cap or spy reaches it."""
+    return dataclasses.replace(alg)
 
 
 @pytest.fixture
 def carriers(b21_mul, ps3_mul, kad21, hall2):
-    return [b21_mul, ps3_mul, kad21, mult_reduct(hall2)]
+    return [fresh(b21_mul), fresh(ps3_mul), fresh(kad21), mult_reduct(fresh(hall2))]
 
 
 def magma(rows):
@@ -303,7 +304,7 @@ class TestBlockTables:
             assert T.flat_kernel(alg).block(3, m) is not None
 
     @pytest.mark.parametrize("cap", ["default", "fold only", "n = 1 only"])
-    def test_named_carriers(self, carriers, fresh_kernels, monkeypatch, cap):
+    def test_named_carriers(self, carriers, monkeypatch, cap):
         for alg in carriers:
             if cap != "default":
                 # n = 1 needs size^2 cells, n = 2 more than that
@@ -315,7 +316,7 @@ class TestBlockTables:
             assert (block(1, 4) is not None) == (cap != "fold only")
             assert (block(3, 4) is not None) == (cap == "default")
 
-    def test_non_associative_tables_fold(self, fresh_kernels, monkeypatch):
+    def test_non_associative_tables_fold(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("tables built for a non-associative table")
 
@@ -334,19 +335,19 @@ class TestBlockTables:
         word = T.v_word(2, 4, 2)
         assert T.evaluate(word, {v: 1 for v in word.variables()}, b21_mul) in range(6)
 
-    def test_tables_are_built_once_per_node_shape(self, ps3_mul, fresh_kernels, monkeypatch):
+    def test_tables_are_built_once_per_node_shape(self, ps3_mul, monkeypatch):
         built, decided = [], []
-        block_tables, associativity = T._block_tables, T._associativity
+        block_tables, associativity = T._block_tables, core._associativity
         monkeypatch.setattr(T, "_block_tables",
                             lambda *a: built.append(a[-1]) or block_tables(*a))
-        monkeypatch.setattr(T, "_associativity",
+        monkeypatch.setattr(core, "_associativity",
                             lambda *a: decided.append(1) or associativity(*a))
+        alg = fresh(ps3_mul)
         for nmh in [(2, 4, 1), (2, 4, 2), (1, 4, 2), (2, 1, 1), (2, 4, 3)] * 2:
-            assert agrees_with_scalar(ps3_mul, nmh, 8, 0)
+            assert agrees_with_scalar(alg, nmh, 8, 0)
         assert sorted(built) == [1, 2, 2] and decided == [1]
 
-    def test_tables_are_bounded_before_they_are_gathered(self, hall3, fresh_kernels,
-                                                         monkeypatch):
+    def test_tables_are_bounded_before_they_are_gathered(self, hall3, monkeypatch):
         # hall(3)'s reduct needs 2.1 M cells at n = 2 and more at n = 3; the
         # refusal of n = 3 comes before its last, largest gather
         gathered = []
@@ -357,7 +358,7 @@ class TestBlockTables:
             return step(pair, size, states, *args)
 
         monkeypatch.setattr(T, "_step", counted)
-        block = T.flat_kernel(mult_reduct(hall3)).block
+        block = T.flat_kernel(mult_reduct(fresh(hall3))).block
         assert block(2, 1) is not None
         assert sum(gathered) <= T._BLOCK_TABLE_CELLS
         gathered.clear()
