@@ -45,14 +45,11 @@ from .terms import (
     w_word,
 )
 from .analysis import (
-    BrandtRecognition,
     GroupAnalytics,
     SeriesReport,
     group_analytics,
     idempotents,
-    inverses_of,
     is_block_group,
-    is_brandt,
     j_trivial,
     maximal_subgroups,
     principal_series,

@@ -13,15 +13,8 @@ from math import lcm
 
 import numpy as np
 
-from .constructions import (
-    _brandt_table,
-    brandt_semigroup,
-    closure,
-    ensure_group,
-    group_inverses,
-    induced_algebra,
-)
-from .core import FiniteAlgebra, _check_indices, mult_reduct, restrict, validate
+from .constructions import ensure_group, group_inverses
+from .core import FiniteAlgebra, _check_indices, closure, mult_reduct, restrict, validate
 from .errors import BglabError, NotAGroup, SubgroupEnumerationBudget
 from .terms import flat_kernel
 
@@ -31,12 +24,6 @@ SUBGROUP_SIZE_BUDGET = 16
 def idempotents(alg: FiniteAlgebra) -> list[int]:
     mul = alg.mul
     return [int(x) for x in range(alg.size) if mul[x, x] == x]
-
-
-def zero_element(alg: FiniteAlgebra) -> int | None:
-    ar = np.arange(alg.size)
-    zeros = np.flatnonzero((alg.mul == ar[:, None]).all(axis=1) & (alg.mul == ar).all(axis=0))
-    return int(zeros[0]) if zeros.size else None
 
 
 def block_group_violation(alg: FiniteAlgebra) -> tuple[int, int] | None:
@@ -60,22 +47,12 @@ def is_block_group(alg: FiniteAlgebra) -> bool:
     return block_group_violation(alg) is None
 
 
-def _inverses(mul: np.ndarray, a) -> np.ndarray:
-    """[..., b] is True iff aba = a and bab = b; a is one element, giving one
-    row, or a column of elements, giving one row each."""
-    ar = np.arange(mul.shape[0])
-    return (mul[mul[a, ar], a] == a) & (mul[mul[ar, a], ar] == ar)
-
-
 def inverse_matrix(alg: FiniteAlgebra) -> np.ndarray:
     """n x n Boolean matrix, [a, b] True iff aba = a and bab = b."""
-    return _inverses(alg.mul, np.arange(alg.size)[:, None])
-
-
-def inverses_of(alg: FiniteAlgebra, a: int) -> list[int]:
-    """All b with aba = a and bab = b."""
-    _check_indices([a], alg.size)
-    return np.flatnonzero(_inverses(alg.mul, a)).tolist()
+    mul = alg.mul
+    b = np.arange(alg.size)
+    a = b[:, None]
+    return (mul[mul[a, b], a] == a) & (mul[mul[b, a], b] == b)
 
 
 def unique_inverse_violation(alg: FiniteAlgebra) -> tuple[int, int, int] | None:
@@ -233,77 +210,6 @@ def is_group(alg: FiniteAlgebra) -> bool:
     except NotAGroup:
         return False
     return True
-
-
-@dataclass(frozen=True)
-class BrandtRecognition:
-    """Witness that a semigroup is I x G x I + 0, with an explicit isomorphism."""
-
-    group: FiniteAlgebra
-    index_count: int
-    iso: tuple[int, ...]       # source index -> index in `target`
-
-    @property
-    def target(self) -> FiniteAlgebra:
-        """brandt_semigroup(group, index_count), built on each call."""
-        return brandt_semigroup(self.group, self.index_count)
-
-
-def is_brandt(alg: FiniteAlgebra) -> BrandtRecognition | None:
-    """Recognize a Brandt semigroup constructively; None when it is not one."""
-    mul = alg.mul
-    n = alg.size
-    z = zero_element(alg)
-    if z is None or n < 2:
-        return None
-    if (mul == z).all():  # zero semigroup
-        return None
-    full = ideal_masks(alg).all(axis=1)
-    full[z] = True  # the zero's ideal is {z}
-    if not full.all():
-        return None  # not 0-simple
-    inverses = inverse_matrix(alg)
-    if (inverses.sum(axis=1) != 1).any():
-        return None  # not inverse
-    inv = inverses.argmax(axis=1)
-    idems = [e for e in idempotents(alg) if e != z]
-    if not idems:
-        return None
-    e1 = idems[0]
-    members = [a for a in range(n)
-               if mul[a, inv[a]] == e1 and mul[inv[a], a] == e1]
-    group, remap = induced_algebra(mult_reduct(alg), members)
-    us = []
-    for ei in idems:
-        u = next((a for a in range(n)
-                  if mul[a, inv[a]] == e1 and mul[inv[a], a] == ei), None)
-        if u is None:
-            return None
-        us.append(u)
-    g_n = group.size
-    count = len(idems)
-    if n != count * count * g_n + 1:
-        return None
-    iso = [0] * n
-    for x in range(n):
-        if x == z:
-            continue
-        rows = [i for i, ei in enumerate(idems) if mul[ei, x] == x]
-        cols = [j for j, ej in enumerate(idems) if mul[x, ej] == x]
-        if len(rows) != 1 or len(cols) != 1:
-            return None
-        i, j = rows[0], cols[0]
-        gx = int(mul[mul[us[i], x], inv[us[j]]])
-        if gx not in remap:
-            return None
-        iso[x] = 1 + (i * g_n + remap[gx]) * count + j
-    iso_arr = np.array(iso)
-    if sorted(iso) != list(range(n)):
-        return None
-    target = _brandt_table(group.mul, count)
-    if not np.array_equal(iso_arr[mul], target[iso_arr[:, None], iso_arr]):
-        return None
-    return BrandtRecognition(group, count, tuple(iso))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ import numpy as np
 from .core import FiniteAlgebra, _check_indices, mult_reduct, validate
 from .errors import BglabError, MapNotTotal, MissingStar, MissingTable
 from .terms import (DEFAULT_NODE_BUDGET, InvTerm, PowerOf, Term, Variable, _advance,
-                    _step, _tuple_values, evaluate_batch, flat_kernel, variable_key)
+                    _power_exceeds, _power_text, _step, _tuple_values, evaluate_batch,
+                    flat_kernel, variable_key)
 
 HOLDS = "holds"
 COUNTEREXAMPLE = "counterexample"
@@ -493,8 +494,9 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     size = alg.size
     if budget is None:
         budget = default_budget()
-    # states x block values per block, over the 2n blocks of every sweep
-    work = min(h, size) * size * sum(size ** min(i, 2) for i in range(2 * n))
+    # levels x block values x states, summed over the 2n blocks of a sweep,
+    # which meet 1, |S|, then at most |S|^2 states each
+    work = min(h, size) * size * (1 + size + (2 * n - 2) * size**2)
     if work > budget:
         return CheckVerdict(BUDGET_EXCEEDED, level_sizes=[],
                             note=f"{work} pair-state steps exceed budget {budget}")
@@ -522,11 +524,11 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     if not bad.size:
         return CheckVerdict(HOLDS, evaluations=total, level_sizes=level_sizes)
     bad_value = int(bad[0])
-    if (2 * n) ** h > DEFAULT_NODE_BUDGET:
+    if _power_exceeds(2 * n, h, DEFAULT_NODE_BUDGET):
         return CheckVerdict(COUNTEREXAMPLE, None, total, level_sizes=level_sizes,
                             bad_value=bad_value,
-                            note=f"witness of (2n)^h = {(2 * n) ** h} variables exceeds "
-                                 f"node budget {DEFAULT_NODE_BUDGET}; not expanded")
+                            note=f"witness of (2n)^h = {_power_text(2 * n, h)} variables "
+                                 f"exceeds node budget {DEFAULT_NODE_BUDGET}; not expanded")
 
     @cache
     def preimage(level, value):

@@ -9,6 +9,7 @@ to a length budget.
 
 from __future__ import annotations
 
+import math
 import re
 import weakref
 from dataclasses import dataclass
@@ -27,6 +28,21 @@ DEFAULT_NODE_BUDGET = 1 << 20
 # a node over the cap keeps the fold.  It also keeps every table index
 # below 2^31, so the tables hold int32.
 _BLOCK_TABLE_CELLS = 1 << 22
+
+# CPython's str() refuses ints of more digits than this
+_STR_DIGITS = 4300
+
+
+def _power_exceeds(base: int, h: int, budget: int) -> bool:
+    """base^h > budget for base >= 2, with no huge power built: past
+    budget's bit length, 2^h alone already exceeds it."""
+    return h > budget.bit_length() or base**h > budget
+
+
+def _power_text(base: int, h: int) -> str:
+    """base^h in decimal wherever str() can print it, else "about 10^d"."""
+    digits = h * math.log10(base)
+    return str(base**h) if digits < _STR_DIGITS else f"about 10^{int(digits)}"
 
 
 @dataclass(frozen=True, order=True)
@@ -146,14 +162,11 @@ class BlockWord:
         child = self.blocks[0]
         return child.width
 
-    @property
-    def flat_length(self) -> int:
-        return (4 * self.n * self.m) ** self.depth
-
     def flatten(self, length_budget: int = DEFAULT_LENGTH_BUDGET) -> Word:
-        if self.flat_length > length_budget:
-            raise LengthBudgetExceeded(
-                f"flat length {self.flat_length} exceeds budget {length_budget}")
+        base = 4 * self.n * self.m
+        if _power_exceeds(base, self.depth, length_budget):
+            raise LengthBudgetExceeded(f"flat length {_power_text(base, self.depth)} "
+                                       f"exceeds budget {length_budget}")
         return Word(tuple(self._letters()))
 
     def _letters(self):
@@ -224,9 +237,9 @@ def v_word(n: int, m: int, h: int) -> BlockWord:
     index tuple.  Built top down, each node once, and shared while held."""
     if n < 1 or m < 1 or h < 1:
         raise ValueError("v_word needs n, m, h >= 1")
-    if (2 * n) ** h > DEFAULT_NODE_BUDGET:
-        raise LengthBudgetExceeded(
-            f"(2n)^h = {(2*n)**h} block nodes exceed budget {DEFAULT_NODE_BUDGET}")
+    if _power_exceeds(2 * n, h, DEFAULT_NODE_BUDGET):
+        raise LengthBudgetExceeded(f"(2n)^h = {_power_text(2 * n, h)} block nodes "
+                                   f"exceed budget {DEFAULT_NODE_BUDGET}")
     word = _V_WORDS.get((n, m, h))
     if word is None:
         width = 2 * n
@@ -244,9 +257,14 @@ def v_word(n: int, m: int, h: int) -> BlockWord:
 
 
 def u_word(n: int, k: int, m: int) -> Word:
-    """x1..x(n+k) (xn..x1 x(n+1)..x(n+k))^(2m-1) over a depth-1 alphabet."""
+    """x1..x(n+k) (xn..x1 x(n+1)..x(n+k))^(2m-1) over a depth-1 alphabet,
+    refused past DEFAULT_LENGTH_BUDGET letters before any is built."""
     if n < 0 or k < 0 or n + k < 1 or m < 1:
         raise ValueError("u_word needs n, k >= 0 with n + k > 0 and m >= 1")
+    length = 2 * m * (n + k)
+    if length > DEFAULT_LENGTH_BUDGET:
+        raise LengthBudgetExceeded(
+            f"length {_power_text(length, 1)} exceeds budget {DEFAULT_LENGTH_BUDGET}")
     width = n + k
     x = [Variable((i,), width) for i in range(1, width + 1)]
     middle = x[n - 1 :: -1] + x[n:] if n > 0 else x[:]
@@ -259,9 +277,9 @@ def w_word(n: int, h: int, length_budget: int = DEFAULT_LENGTH_BUDGET) -> InvTer
     b1..bn b1^-1..bn^-1 on renamed copies; inverses flatten letter-wise."""
     if n < 1 or h < 1:
         raise ValueError("w_word needs n, h >= 1")
-    if (2 * n) ** h > length_budget:
+    if _power_exceeds(2 * n, h, length_budget):
         raise LengthBudgetExceeded(
-            f"length {(2*n)**h} exceeds budget {length_budget}")
+            f"length {_power_text(2 * n, h)} exceeds budget {length_budget}")
     xs = [Variable((i,), n) for i in range(1, n + 1)]
     term = InvTerm(tuple((x, 1) for x in xs) + tuple((x, -1) for x in xs))
     for _ in range(h - 1):

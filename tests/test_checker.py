@@ -1,4 +1,5 @@
 import re
+import sys
 import tracemalloc
 from functools import reduce
 from itertools import permutations, product
@@ -661,6 +662,28 @@ class TestImageTechnique:
         monkeypatch.setattr(K, "_expand_witness", expand)
         report = K.check_v_square_image(z3, 2, 1, 2)
         assert len(report.witness) == 16 and report.note == ""
+
+    def test_huge_height_keeps_its_counterexample(self, ps3_mul):
+        # (2n)^h = 4^8000 has 4,817 digits, more than str() converts
+        report = K.check_v_square_image(ps3_mul, 2, 4, 8000)
+        assert report.status == K.COUNTEREXAMPLE and report.witness is None
+        assert report.note == ("witness of (2n)^h = about 10^4816 variables exceeds "
+                               f"node budget {T.DEFAULT_NODE_BUDGET}; not expanded")
+
+    def test_refusal_bound_is_the_sum_over_blocks(self, b2):
+        # states x block values, summed over the 2n blocks of a sweep
+        for n in (1, 2, 3, 7):
+            work = b2.size * sum(b2.size ** min(i, 2) for i in range(2 * n))
+            report = K.check_v_square_image(b2, n, 1, 1, budget=work - 1)
+            assert report.note == f"{work} pair-state steps exceed budget {work - 1}"
+        # and it is read in closed form, with no Python call per block
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(event == "call"))
+        try:
+            report = K.check_v_square_image(b2, 10**5, 1, 1, budget=1)
+        finally:
+            sys.setprofile(None)
+        assert report.status == K.BUDGET_EXCEEDED and sum(calls) < 100
 
     def test_budget_env_override(self, b21_mul, monkeypatch):
         monkeypatch.setenv("BGLAB_BUDGET", "100")

@@ -346,6 +346,13 @@ class TestWords:
                            "--height", "5")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("argv", [["v", "--n", "2", "--height", "100000"],
+                                      ["u", "--n", "1", "--m", "500001"]])
+    def test_past_the_length_budget_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "words", *argv)
+        assert (code, out) == (2, "")
+        assert "exceed" in err and "integer string conversion" not in err
+
 
 BUILDS = {"b21": ["b21"], "S3": ["group", "--group", "S3"]}
 

@@ -35,10 +35,34 @@ class TestVFamily:
         assert len(T.v_word(n, m, h).flatten(10**6)) == (4 * n * m) ** h
 
     def test_length_budget_enforced(self):
-        with pytest.raises(LengthBudgetExceeded):
+        with pytest.raises(LengthBudgetExceeded,
+                           match=r"^flat length 33554432 exceeds budget 1000$"):
             T.v_word(2, 4, 5).flatten(1000)
         with pytest.raises(LengthBudgetExceeded):
             T.v_word(2, 1, 40)  # too many block nodes
+        with pytest.raises(LengthBudgetExceeded, match=(
+                r"^\(2n\)\^h = 102400000 block nodes exceed budget 1048576$")):
+            T.v_word(20, 1, 5)
+        # 4^2000 has 1,205 digits, still printed in full
+        with pytest.raises(LengthBudgetExceeded) as err:
+            T.v_word(2, 1, 2000)
+        assert str(err.value) == f"(2n)^h = {4**2000} block nodes exceed budget 1048576"
+
+    def test_huge_heights_exceed_the_budget_without_the_power(self):
+        # 4^10000 has 6,021 digits, more than str() converts; 4^(10^8) would
+        # take seconds to build
+        with pytest.raises(LengthBudgetExceeded, match=(
+                r"^\(2n\)\^h = about 10\^6020 block nodes exceed budget 1048576$")):
+            T.v_word(2, 1, 10**4)
+        with pytest.raises(LengthBudgetExceeded, match=r"about 10\^60205999 block nodes"):
+            T.v_word(2, 1, 10**8)
+        # 4nm = 4 * 10^3000 at depth 2
+        m = 10**3000
+        inner = [T.BlockWord(1, m, (T.Variable((1, j), 2), T.Variable((2, j), 2)))
+                 for j in (1, 2)]
+        with pytest.raises(LengthBudgetExceeded,
+                           match=r"^flat length about 10\^6001 exceeds budget 1000000$"):
+            T.BlockWord(1, m, tuple(inner)).flatten()
 
     def test_rejects_depth_zero(self):
         with pytest.raises(ValueError):
@@ -121,6 +145,13 @@ class TestUFamily:
         with pytest.raises(ValueError):
             T.u_word(0, 0, 1)
 
+    def test_length_budget(self):
+        # 2m(n + k) letters: 1,000,002 are refused before any is built
+        with pytest.raises(LengthBudgetExceeded,
+                           match=r"^length 1000002 exceeds budget 1000000$"):
+            T.u_word(1, 0, 500_001)
+        assert len(T.u_word(1, 0, 500_000)) == T.DEFAULT_LENGTH_BUDGET
+
 
 class TestWFamily:
     def test_depth1_examples(self):
@@ -135,6 +166,13 @@ class TestWFamily:
     @pytest.mark.parametrize("n,h", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 2)])
     def test_length_formula(self, n, h):
         assert len(T.w_word(n, h)) == (2 * n) ** h
+
+    def test_huge_height_exceeds_the_budget(self):
+        with pytest.raises(LengthBudgetExceeded, match=r"^length 64 exceeds budget 63$"):
+            T.w_word(2, 3, 63)
+        with pytest.raises(LengthBudgetExceeded,
+                           match=r"^length about 10\^6020 exceeds budget 1000000$"):
+            T.w_word(2, 10**4)
 
     def test_block_inverse_is_letterwise(self):
         w = T.w_word(2, 1)
