@@ -8,6 +8,7 @@ verdicts from sampling never claim "holds".
 
 from __future__ import annotations
 
+import copy
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -43,8 +44,10 @@ def default_budget() -> int:
 
 @dataclass
 class CheckVerdict:
-    """The verdict of every engine.  seed is set by the sampler; level_sizes
-    and bad_value by the block-value image check."""
+    """The verdict of every engine.  seed is set by the sampler, and so is
+    zero_samples: the evaluated samples at which both sides are mul's zero,
+    or None when mul has none.  level_sizes and bad_value are set by the
+    block-value image check."""
 
     status: str
     witness: dict[Variable, int] | None = None
@@ -54,6 +57,7 @@ class CheckVerdict:
     note: str = ""
     level_sizes: list[int] | None = None
     bad_value: int | None = None
+    zero_samples: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -259,8 +263,6 @@ class _Draws(Mapping):
         self._variables = variables
         self._at = {v: j for j, v in enumerate(variables)}
         self._doms = _draw_domains(doms)
-        self._seed = seed
-        self._start = start
         z0 = np.arange(start, start + count, dtype=np.uint64)
         z0 *= np.uint64(len(variables))
         z0 += np.uint64(1)
@@ -297,13 +299,24 @@ class _Draws(Mapping):
     def __len__(self) -> int:
         return len(self._variables)
 
+    def narrow(self, kept: np.ndarray) -> "_Draws":
+        """The block of the samples at positions `kept` (ascending) of this
+        one, for terms._evaluate to drop samples whose value is fixed.  Its
+        reads mix only those samples' states, with the same values, in
+        prefix views of the scratch buffers."""
+        block = copy.copy(self)
+        block._z0 = self._z0.take(kept)
+        block._z, block._t = self._z[:len(kept)], self._t[:len(kept)]
+        return block
+
     def substitution(self, s: int) -> dict[Variable, int]:
-        """Sample s of the block (0-based) as scalars: its V counters go
-        through one splitmix64 call, then each is reduced by its domain."""
-        V = len(self._variables)
-        counters = np.arange(V, dtype=np.uint64)
-        counters += np.uint64((self._start + s) * V)
-        z = splitmix64(counters, self._seed).tolist()
+        """Sample s of the block (0-based) as scalars: its V states, sample
+        s's z0 plus j*gamma, are mixed in one call, then each is reduced by
+        its domain."""
+        z = np.arange(len(self._variables), dtype=np.uint64)
+        z *= _SPLITMIX_GAMMA
+        z += self._z0[s]
+        z = _mix64(z, np.empty_like(z)).tolist()
         return {v: int(x % k if values is None else values[x % k])
                 for v, x, (k, values) in zip(self._variables, z, self._doms)}
 
@@ -321,7 +334,9 @@ def sample_assignments(variables, doms, seed: int, start: int, count: int) -> _D
     every read.  A whole-carrier variable's values are written straight
     into the narrowest index dtype (uint8 up to 256 elements); a restricted
     domain gathers its int32 elements.  The domains may come ready from
-    _draw_domains, once for all chunks."""
+    _draw_domains, once for all chunks.  narrow(kept) gives the block of
+    the kept samples, so that terms._evaluate draws no more for samples
+    whose value is already the zero."""
     return _Draws(variables, doms, seed, start, count)
 
 
@@ -330,7 +345,10 @@ def check_identity_sampled(alg: FiniteAlgebra, lhs: Term, rhs: Term,
                            budget: int | None = None) -> CheckVerdict:
     """Seeded search; reports a counterexample or no_counterexample_found,
     never "holds".  More samples than the budget are refused before any draw;
-    a sample count below 1 or a seed outside [0, 2^64) raises ValueError."""
+    a sample count below 1 or a seed outside [0, 2^64) raises ValueError.
+    On a table with a zero, the evaluator stops each sample at the zero
+    (terms._absorbing), and zero_samples counts the samples at which both
+    sides end there."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     check_seed(seed)
@@ -342,6 +360,8 @@ def check_identity_sampled(alg: FiniteAlgebra, lhs: Term, rhs: Term,
     variables = _variables_of(lhs, rhs)
     doms = _draw_domains(_domain_lists(variables, alg, domains))
     sides = _side_evaluator(alg, lhs, rhs)
+    zero = flat_kernel(alg).zero
+    zeros = None if zero is None else 0
     done = 0
     for start in range(0, samples, _CHUNK):
         count = min(_CHUNK, samples - start)
@@ -349,11 +369,14 @@ def check_identity_sampled(alg: FiniteAlgebra, lhs: Term, rhs: Term,
         left, right = sides(draws)
         neq = np.atleast_1d(left != right)
         done += neq.size
+        if zero is not None:
+            zeros += int(np.count_nonzero((left == zero) & (right == zero)))
         if neq.any():
             return CheckVerdict(COUNTEREXAMPLE,
                                 witness=draws.substitution(int(np.argmax(neq))),
-                                evaluations=done, seed=seed)
-    return CheckVerdict(NO_COUNTEREXAMPLE, evaluations=done, seed=seed)
+                                evaluations=done, seed=seed, zero_samples=zeros)
+    return CheckVerdict(NO_COUNTEREXAMPLE, evaluations=done, seed=seed,
+                        zero_samples=zeros)
 
 
 def find_identity_violation(alg: FiniteAlgebra, lhs: Term, rhs: Term, generators,

@@ -90,9 +90,9 @@ class FiniteAlgebra:
     star: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
     # The record of facts about this object, filled on first use: "mul", the
-    # memo of mul_violation, which mult_reduct shares with the reduct;
-    # "reduct"; "verdict", validate's; "kernel", terms.flat_kernel's.  It
-    # never holds an algebra that holds it, so algebras are freed by
+    # memo of mul_violation and mul_zero, which mult_reduct shares with the
+    # reduct; "reduct"; "verdict", validate's; "kernel", terms.flat_kernel's.
+    # It never holds an algebra that holds it, so algebras are freed by
     # reference counting alone.
     _facts: dict = field(default_factory=lambda: {"mul": {}}, init=False, repr=False)
 
@@ -192,8 +192,8 @@ def load_algebra(path) -> FiniteAlgebra:
 
 def mult_reduct(alg: FiniteAlgebra) -> FiniteAlgebra:
     """The (S, mul) reduct, dropping add and star; one object per algebra,
-    sharing the algebra's memo of mul's associativity.  The reduct holds
-    its parent's tables, never the parent."""
+    sharing the algebra's memo of mul's associativity and zero.  The reduct
+    holds its parent's tables, never the parent."""
     if alg.kind == "semigroup":
         return alg
     facts = alg._facts
@@ -389,6 +389,19 @@ def mul_violation(memo: dict, mul: np.ndarray) -> AxiomViolation | None:
         memo["gens"] = _generators(mul)
         memo["bad"] = _associativity(mul, "mul-associative", memo["gens"])
     return memo["bad"]
+
+
+def mul_zero(memo: dict, mul: np.ndarray) -> int | None:
+    """The two-sided zero z of mul (zx = xz = z for every x), or None.
+    Decided once per memo, as mul_violation is: a zero absorbs the left
+    fold of every element from the moment it enters, in any magma, so the
+    fold is the one candidate, and its row and column decide."""
+    if "zero" not in memo:
+        z = 0
+        for x in range(1, len(mul)):
+            z = mul.item(z, x)
+        memo["zero"] = z if (mul[z] == z).all() and (mul[:, z] == z).all() else None
+    return memo["zero"]
 
 
 def validate_semigroup(alg: FiniteAlgebra) -> AxiomViolation | None:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
-from .core import mul_violation
+from .core import mul_violation, mul_zero
 from .errors import LengthBudgetExceeded, MissingStar, TermSyntaxError
 
 DEFAULT_LENGTH_BUDGET = 10**6
@@ -31,6 +31,15 @@ _BLOCK_TABLE_CELLS = 1 << 22
 
 # CPython's str() refuses ints of more digits than this
 _STR_DIGITS = 4300
+
+# A node narrows its sample block once at least 1/_NARROW_SHARE of the
+# samples left are at the zero.  Narrowing costs a few passes over the
+# block (the gathers and the final scatter), so it pays only once enough
+# samples are dead: narrowing whenever one had died made power(S3)'s
+# sampled v(1,3,3), about 3 % dead per block, 1.8-2.3 times as slow as no
+# narrowing, and this share made it neither faster nor slower, while a06's
+# runs kept their gain (2-vCPU Xeon).
+_NARROW_SHARE = 4
 
 
 def _power_exceeds(base: int, h: int, budget: int) -> bool:
@@ -325,7 +334,8 @@ class Kernel(NamedTuple):
     _block_tables of v-word nodes (n, m), whose lookups go through
     step(off, b, table) and last(off, b, table), or None to fold, as on
     any table that core.mul_violation, through the algebra's memo of mul,
-    finds not associative."""
+    finds not associative.  zero is mul's two-sided zero (core.mul_zero),
+    or None to evaluate every sample of a block to the end."""
 
     pair: Callable
     star: Callable | None
@@ -334,6 +344,7 @@ class Kernel(NamedTuple):
     last: Callable
     power: Callable
     block: Callable
+    zero: int | None
 
 
 def flat_kernel(alg) -> Kernel:
@@ -349,8 +360,9 @@ def flat_kernel(alg) -> Kernel:
     On an associative table, block(n, m) builds the node tables of (n, m)
     on first use; associativity is read through the memo
     (core.mul_violation), so it is decided once for the algebra, its
-    reduct and core.validate.  Tables are read-only (core._as_table clears
-    their write flag), so a kernel never goes stale."""
+    reduct and core.validate; so is its zero (core.mul_zero).  Tables are
+    read-only (core._as_table clears their write flag), so a kernel never
+    goes stale."""
     facts = alg._facts
     if "kernel" not in facts:
         facts["kernel"] = _flat_kernel(alg.mul, alg.star, facts["mul"])
@@ -397,7 +409,7 @@ def _flat_kernel(mul, star, memo) -> Kernel:
         return blocks[n, m]
 
     return Kernel(pair, None if star is None else star.take, lift, step, last, power,
-                  block)
+                  block, mul_zero(memo, mul))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +492,7 @@ def evaluate(term: Term, sub: Substitution, alg) -> int:
     return _evaluate(term, sub, Kernel(
         pair, None if star is None else lambda a: int(star[a]),
         lift=lambda a: a, step=pair, last=pair,
-        power=lambda x, e: _pow_fold(x, e, pair), block=lambda n, m: None))
+        power=lambda x, e: _pow_fold(x, e, pair), block=lambda n, m: None, zero=None))
 
 
 def _fold(vals, kernel: Kernel):
@@ -508,22 +520,63 @@ def _evaluate(term, sub, kernel: Kernel):
         return _product([sub[v] if e > 0 else star(sub[v]) for v, e in term.letters],
                         kernel)
     if isinstance(term, BlockWord):
-        vals = [sub[b] if isinstance(b, Variable) else _evaluate(b, sub, kernel)
-                for b in term.blocks]
-        n, m = term.n, term.m
-        tables = kernel.block(n, m)
-        if tables is not None:
-            steps, values = tables
-            off = kernel.lift(vals[0])
-            for table, b in zip(steps, vals[1:n]):
-                off = kernel.step(off, b, table)
-            return kernel.last(off, _product(vals[n:], kernel), values)
-        prefix = _fold(vals, kernel)
-        middle = _product(vals[n - 1 :: -1] + vals[n:], kernel)
-        return kernel.last(prefix, kernel.power(middle, 2 * m - 1))
+        if isinstance(term.blocks[0], Variable):
+            return _node_value(term, [sub[b] for b in term.blocks], kernel)
+        if kernel.zero is not None and hasattr(sub, "narrow"):
+            return _absorbing(term, sub, kernel)
+        return _node_value(term, [_evaluate(b, sub, kernel) for b in term.blocks], kernel)
     if isinstance(term, PowerOf):
         return kernel.power(_evaluate(term.base, sub, kernel), term.exponent)
     raise TypeError(f"cannot evaluate {type(term).__name__}")
+
+
+def _node_value(term: BlockWord, vals, kernel: Kernel):
+    """The value of a block word node from the values of its 2n blocks."""
+    n, m = term.n, term.m
+    tables = kernel.block(n, m)
+    if tables is not None:
+        steps, values = tables
+        off = kernel.lift(vals[0])
+        for table, b in zip(steps, vals[1:n]):
+            off = kernel.step(off, b, table)
+        return kernel.last(off, _product(vals[n:], kernel), values)
+    prefix = _fold(vals, kernel)
+    middle = _product(vals[n - 1 :: -1] + vals[n:], kernel)
+    return kernel.last(prefix, kernel.power(middle, 2 * m - 1))
+
+
+def _absorbing(term: BlockWord, sub, kernel: Kernel):
+    """_evaluate of a node whose blocks are block words, on a sample block
+    that can narrow (checker._Draws.narrow), for a table with a zero.  A
+    zero factor makes the node the zero under any bracketing, associative
+    or not.  So after each block but the last, once at least
+    1/_NARROW_SHARE of the samples left are at the zero, those are dropped
+    and later blocks are evaluated on the rest only.  The node's value on
+    the survivors is scattered into a full-length array of zeros in the
+    table's dtype, which every block word's value has."""
+    zero = kernel.zero
+    first = _evaluate(term.blocks[0], sub, kernel)
+    vals = [first]
+    kept = None  # positions of the samples left in the node's block, None for all
+    live = None  # which of the samples left no block has put at the zero
+    for b in term.blocks[1:]:
+        now = vals[-1] != zero
+        live = now if live is None else np.logical_and(live, now, out=live)
+        if (live.size - np.count_nonzero(live)) * _NARROW_SHARE >= live.size:
+            at = np.flatnonzero(live)
+            kept = at if kept is None else kept.take(at)
+            if not kept.size:
+                return np.full(len(first), zero, dtype=first.dtype)
+            vals = [v.take(at) for v in vals]
+            sub = sub.narrow(at)
+            live = None
+        vals.append(_evaluate(b, sub, kernel))
+    value = _node_value(term, vals, kernel)
+    if kept is None:
+        return value
+    out = np.full(len(first), zero, dtype=first.dtype)
+    out[kept] = value
+    return out
 
 
 def evaluate_batch(term: Term, sub: Mapping[Variable, np.ndarray], alg) -> np.ndarray:

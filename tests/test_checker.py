@@ -286,6 +286,20 @@ class TestSampled:
             assert one == {v: int(draws[v][s]) for v in xs}
             assert all(type(x) is int for x in one.values())
 
+    def test_a_narrowed_block_reads_the_kept_samples(self):
+        xs = [T.Variable((i,), 3) for i in range(1, 4)]
+        doms = [[0, 1, 2], list(range(256)), [9, 4]]
+        draws = K.sample_assignments(xs, doms, seed=5, start=70, count=40)
+        kept = np.array([1, 2, 8, 30, 39])
+        once = draws.narrow(kept)
+        twice = once.narrow(np.array([0, 3]))
+        assert list(once) == xs and len(once) == len(twice) == 3
+        for v in xs:
+            assert once[v].tolist() == draws[v][kept].tolist()
+            assert twice[v].tolist() == draws[v][[1, 30]].tolist()
+        assert once.substitution(3) == draws.substitution(30)
+        assert draws[xs[0]].size == 40  # the root block is left whole
+
     def test_sampling_is_deterministic_and_seed_sensitive(self, b21_mul):
         lhs, rhs = parse("x1 x2 = x2 x1")
         v1 = K.check_identity_sampled(b21_mul, lhs, rhs, samples=500, seed=1)
@@ -501,6 +515,62 @@ class TestSampledAgainstFrozenOracle:
             tracemalloc.stop()
         assert bad is None
         assert peak < 16 * 2**20
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The length of every splitmix64 output array the sampler mixes."""
+    sizes = []
+    mix64 = K._mix64
+    monkeypatch.setattr(K, "_mix64", lambda z, t: sizes.append(z.size) or mix64(z, t))
+    return sizes
+
+
+class TestSamplesStopAtTheZero:
+    """a06's sampled runs: v(2,4,5) = v^2 over 10^5 samples with seed 1."""
+
+    @pytest.mark.parametrize("name, share", [("b21_mul", 0.01), ("ps3_mul", 0.10)])
+    def test_a06_runs_end_at_the_zero_and_draw_little(self, request, drawn, name, share):
+        v = T.v_word(2, 4, 5)
+        verdict = K.check_identity_sampled(request.getfixturevalue(name), v,
+                                           T.PowerOf(v, 2), 100_000, seed=1)
+        assert verdict.status == K.NO_COUNTEREXAMPLE and verdict.evaluations == 100_000
+        assert verdict.zero_samples == 100_000
+        assert sum(drawn) <= share * 1024 * 100_000
+
+    def test_without_a_zero_every_sample_is_drawn(self, s3, drawn):
+        # 1,024 variables of 3,000 samples, and the witness redrawn once
+        v = T.v_word(2, 4, 5)
+        verdict = K.check_identity_sampled(s3, v, T.PowerOf(v, 2), 3000, seed=5)
+        assert sum(drawn) == 1024 * 3000 + 1024
+        assert verdict.zero_samples is None
+        want = frozen_sampled(s3, v, T.PowerOf(v, 2), 3000, 5)
+        assert (verdict.status, verdict.witness, verdict.evaluations) == want
+
+    def test_zero_samples_count_both_sides_at_the_zero(self, b21_mul, s3):
+        lhs, rhs = parse("x1 x2 = x2 x1")
+        verdict = K.check_identity_sampled(b21_mul, lhs, rhs, samples=5000, seed=2,
+                                           domains={lhs.variables()[0]: [0, 4]})
+        draws = K.sample_assignments(lhs.variables(), [[0, 4], range(6)], 2, 0, 5000)
+        left = T.evaluate_batch(lhs, draws, b21_mul)
+        right = T.evaluate_batch(rhs, draws, b21_mul)
+        assert verdict.evaluations == 5000  # one chunk, counterexample or not
+        assert verdict.zero_samples == np.count_nonzero((left == 0) & (right == 0)) > 0
+        assert K.check_identity_sampled(s3, lhs, rhs, 500, seed=2).zero_samples is None
+
+    def test_a_table_whose_zero_is_not_the_empty_set(self, s3):
+        # P(G) without the empty set has G itself as its zero
+        alg = C.power_semiring(s3, nonempty_only=True)
+        zero = T.flat_kernel(alg).zero
+        assert alg.labels[zero] == "{e,(23),(12),(123),(132),(13)}"
+        v = T.v_word(2, 1, 3)
+        verdict = K.check_identity_sampled(alg, v, T.PowerOf(v, 2), 2000, seed=1)
+        assert 0 < verdict.zero_samples <= verdict.evaluations == 2000
+
+    def test_exact_engines_count_no_zero_samples(self, b21_mul):
+        lhs, rhs = parse("x1^2 = x1^4")
+        assert K.check_identity_exhaustive(b21_mul, lhs, rhs).zero_samples is None
+        assert K.check_v_square_image(b21_mul, 2, 4, 5).zero_samples is None
 
 
 class TestFindViolation:

@@ -21,7 +21,7 @@ from bglab.core import (
     validate_semigroup,
 )
 from bglab.errors import BglabError, MissingTable
-from bglab.terms import evaluate_batch, v_word
+from bglab.terms import evaluate_batch, flat_kernel, v_word
 
 
 def brute_assoc_violation(table):
@@ -33,6 +33,13 @@ def brute_assoc_violation(table):
                 if table[table[x][y]][z] != table[x][table[y][z]]:
                     return (x, y, z)
     return None
+
+
+def brute_zero(table):
+    """Independent oracle: the element z with z x = x z = z for every x."""
+    n = len(table)
+    zeros = [z for z in range(n) if all(table[z][x] == z == table[x][z] for x in range(n))]
+    return zeros[0] if zeros else None
 
 
 def semigroup(table, labels=None):
@@ -111,6 +118,14 @@ class TestRecord:
         assert out["validate"] is None and out["evaluate"] == out["evaluate reduct"]
         assert gens_of_mul.count(True) == 1 and laws.count("mul-associative") == 1
 
+    def test_the_zero_is_decided_once_for_the_algebra_and_its_reduct(self):
+        alg = power_semiring(symmetric_group(3))
+        assert flat_kernel(alg).zero == alg.index("{}")
+        memo = alg._facts["mul"]
+        assert mult_reduct(alg)._facts["mul"] is memo
+        memo["zero"] = "decided"  # a second decision would overwrite it
+        assert flat_kernel(mult_reduct(alg)).zero == "decided"
+
     def test_freed_without_the_cycle_collector(self):
         gc.disable()
         try:
@@ -152,6 +167,32 @@ class TestValidateSemigroup:
             validate_ai_semiring(b2)
         with pytest.raises(MissingTable):
             validate_involution(b2)
+
+
+class TestMulZero:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_zero_matches_brute_force_on_random_magmas(self, seed):
+        # row z is all z, a left zero; its column is then all z (a zero),
+        # all z but one cell (no zero), or random
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        table = rng.integers(0, n, size=(n, n))
+        z = int(rng.integers(0, n))
+        table[z] = z
+        if seed % 3 == 0:
+            table[:, z] = z
+        elif seed % 3 == 1 and n > 1:
+            table[(z + 1) % n, z] = (z + 1) % n
+        table = table.tolist()
+        assert core.mul_zero({}, np.array(table)) == brute_zero(table)
+
+    def test_zero_of_named_tables(self, b21, b2, s3, hall2):
+        assert core.mul_zero({}, b21.mul) == b21.index("0")
+        assert core.mul_zero({}, b2.mul) == brute_zero(b2.mul.tolist()) is not None
+        assert core.mul_zero({}, hall2.mul) == brute_zero(hall2.mul.tolist()) is not None
+        assert core.mul_zero({}, s3.mul) is None
+        # the left-zero band: every element a left zero, none a zero
+        assert core.mul_zero({}, np.array([[0, 0], [1, 1]])) is None
 
 
 class TestValidateAiSemiring:

@@ -6,9 +6,11 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bglab import checker as K
+from bglab import constructions as C
 from bglab import core, corpus
 from bglab import terms as T
 from bglab.core import FiniteAlgebra, mult_reduct
@@ -330,6 +332,11 @@ def magma(rows):
     return FiniteAlgebra("semigroup", tuple(map(str, range(len(rows)))), rows)
 
 
+SMALL_TABLES = corpus.all_semigroups_upto(3)
+MAGMA_ROWS = st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
 class TestBlockTables:
     def test_every_order_4_semigroup(self):
         # every n on every table; (m, h) cycles, so each grid point meets
@@ -402,6 +409,108 @@ class TestBlockTables:
         gathered.clear()
         assert block(3, 1) is None
         assert sum(gathered) <= T._BLOCK_TABLE_CELLS
+
+
+def sample_block(alg, word, seed, start, count, domains=None):
+    xs = word.variables()
+    return K.sample_assignments(xs, K._domain_lists(xs, alg, domains), seed, start, count)
+
+
+def agrees_on_a_sample_block(alg, word, seed, start=0, count=200, domains=None):
+    """evaluate_batch of word on a sample block equals it on a dict of the
+    same draws materialised, and scalar evaluate on three of the samples;
+    returns the values."""
+    draws = sample_block(alg, word, seed, start, count, domains)
+    got = T.evaluate_batch(word, draws, alg)
+    want = T.evaluate_batch(word, {v: draws[v] for v in draws}, alg)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    for s in (0, count // 2, count - 1):
+        assert got[s] == T.evaluate(word, draws.substitution(s), alg)
+    return got
+
+
+def left_zero_only(alg):
+    """alg with a zero adjoined at 0, then x 0 = x for x > 0, so that 0 is
+    a left zero and nothing is a zero."""
+    table = np.array(C.adjoin_zero(alg).mul)
+    table[1:, 0] = np.arange(1, len(table))
+    return magma(table.tolist())
+
+
+SHAPES = st.sampled_from([(1, 1, 2), (1, 2, 3), (2, 1, 2), (2, 2, 3), (3, 1, 2), (2, 4, 3)])
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+class TestZeroAbsorbing:
+    """On a table with a zero, a sample block stops each sample at the zero
+    (terms._absorbing); its values are those of the plain evaluation."""
+
+    @pytest.fixture
+    def narrowed(self, monkeypatch):
+        calls = []
+        narrow = K._Draws.narrow
+        monkeypatch.setattr(K._Draws, "narrow",
+                            lambda self, kept: calls.append(kept.size) or narrow(self, kept))
+        return calls
+
+    @given(SHAPES, SEEDS)
+    @settings(max_examples=30)
+    def test_v_words_on_the_suite_carriers(self, b21_mul, ps3_mul, b2, nmh, seed):
+        for alg in (b21_mul, ps3_mul, b2):
+            agrees_on_a_sample_block(alg, T.v_word(*nmh), seed)
+
+    @given(st.sampled_from(SMALL_TABLES), SHAPES, SEEDS)
+    @settings(max_examples=40)
+    def test_corpus_tables_with_a_zero_adjoined(self, table, nmh, seed):
+        alg = C.adjoin_zero(corpus.as_algebra(table))
+        assert T.flat_kernel(alg).zero == 0
+        agrees_on_a_sample_block(alg, T.v_word(*nmh), seed)
+
+    @given(SHAPES, SEEDS)
+    @settings(max_examples=20)
+    def test_s3_with_a_zero_adjoined(self, s3, nmh, seed):
+        agrees_on_a_sample_block(C.adjoin_zero(s3), T.v_word(*nmh), seed)
+
+    @given(MAGMA_ROWS, SHAPES, SEEDS)
+    @settings(max_examples=40)
+    @example([[1, 2, 0]] * 3, (2, 2, 3), 1)
+    def test_magmas_with_a_zero_adjoined_fold(self, rows, nmh, seed):
+        # a zero factor makes every bracketing the zero
+        alg = C.adjoin_zero(magma(rows))
+        if core.validate_semigroup(alg) is not None:
+            assert T.flat_kernel(alg).block(nmh[0], nmh[1]) is None
+        agrees_on_a_sample_block(alg, T.v_word(*nmh), seed)
+
+    @given(SHAPES, SEEDS)
+    @settings(max_examples=20)
+    def test_a_left_zero_is_no_zero(self, s3, b21_mul, nmh, seed):
+        for alg in (left_zero_only(s3), left_zero_only(b21_mul)):
+            assert T.flat_kernel(alg).zero is None
+            agrees_on_a_sample_block(alg, T.v_word(*nmh), seed)
+
+    def test_samples_are_dropped_in_a_partial_last_chunk(self, b21_mul, narrowed):
+        got = agrees_on_a_sample_block(b21_mul, T.v_word(2, 2, 3), 5, start=K._CHUNK,
+                                       count=777)
+        assert len(got) == 777 and narrowed and max(narrowed) < 777
+
+    def test_a_chunk_in_which_every_sample_dies(self, ps3_mul, narrowed):
+        # the first variable bound to the zero puts every sample's first
+        # depth-1 node at the zero
+        word = T.v_word(2, 4, 3)
+        zero = T.flat_kernel(ps3_mul).zero
+        got = agrees_on_a_sample_block(ps3_mul, word, 9, count=300,
+                                       domains={word.variables()[0]: [zero]})
+        assert got.dtype == ps3_mul.mul.dtype and (got == zero).all()
+        assert narrowed == []  # the depth-2 node stopped before narrowing
+
+    def test_scalar_evaluate_and_dicts_never_narrow(self, b21_mul, narrowed):
+        word = T.v_word(2, 4, 3)
+        draws = sample_block(b21_mul, word, 3, 0, 50)
+        T.evaluate_batch(word, dict(draws.items()), b21_mul)
+        T.evaluate(word, draws.substitution(0), b21_mul)
+        assert narrowed == []
+        T.evaluate_batch(word, draws, b21_mul)
+        assert narrowed
 
 
 @given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32))
