@@ -21,24 +21,30 @@ from .terms import flat_kernel
 SUBGROUP_SIZE_BUDGET = 16
 
 
+def _idempotents(alg: FiniteAlgebra) -> tuple[int, ...]:
+    """The idempotents, ascending, read once per table into the record that
+    the reduct shares."""
+    memo = alg._facts["mul"]
+    if "idempotents" not in memo:
+        fixed = alg.mul.diagonal() == np.arange(alg.size)
+        memo["idempotents"] = tuple(np.flatnonzero(fixed).tolist())
+    return memo["idempotents"]
+
+
 def idempotents(alg: FiniteAlgebra) -> list[int]:
-    mul = alg.mul
-    return [int(x) for x in range(alg.size) if mul[x, x] == x]
+    return list(_idempotents(alg))
 
 
 def block_group_violation(alg: FiniteAlgebra) -> tuple[int, int] | None:
     """First pair (e, f) violating one of the two block-group implications."""
-    mul = alg.mul
-    n = alg.size
-    for e in range(n):
-        if mul[e, e] != e:
-            continue
-        for f in range(n):
-            if e == f or mul[f, f] != f:
+    item = alg.mul.item
+    idems = _idempotents(alg)
+    for e in idems:
+        for f in idems:
+            if e == f:
                 continue
-            if mul[e, f] == e and mul[f, e] == f:
-                return (e, f)
-            if mul[e, f] == f and mul[f, e] == e:
+            ef, fe = item(e, f), item(f, e)
+            if (ef == e and fe == f) or (ef == f and fe == e):
                 return (e, f)
     return None
 
@@ -79,11 +85,24 @@ def _reach(table: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reaches(alg: FiniteAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """(_reach(mul), _reach(mul.T)), the rows aS^1 and S^1a: built once per
+    table, read-only, in the record that the reduct shares."""
+    memo = alg._facts["mul"]
+    if "reach" not in memo:
+        pair = _reach(alg.mul), _reach(alg.mul.T)
+        for a in pair:
+            a.setflags(write=False)
+        memo["reach"] = pair
+    return memo["reach"]
+
+
 def ideal_masks(alg: FiniteAlgebra) -> np.ndarray:
     """n x n Boolean matrix whose row a is the membership mask of
     S^1 a S^1 = {a} + aS + Sa + SaS, the union of c S^1 over c in S^1 a:
     one Boolean matrix product, with nothing of size n^3 built."""
-    return _reach(alg.mul.T) @ _reach(alg.mul)
+    right, left = _reaches(alg)
+    return left @ right
 
 
 def _equal_rows(masks: np.ndarray) -> list[list[int]]:
@@ -104,8 +123,9 @@ def j_trivial(alg: FiniteAlgebra, subset=None) -> tuple[bool, tuple[int, int] | 
 
     With a closed subset, the check runs on the parent's products among its
     members, with no subalgebra built; the witness is in the parent's indices.
+    The whole carrier, as a subset or by default, reads the record's rows.
     """
-    members, table = range(alg.size), alg.mul
+    members = range(alg.size)
     if subset is not None:
         members = sorted(int(x) for x in subset)
         _check_indices(members, alg.size)
@@ -114,10 +134,13 @@ def j_trivial(alg: FiniteAlgebra, subset=None) -> tuple[bool, tuple[int, int] | 
         twice = [x for x, y in zip(members, members[1:]) if x == y]
         if twice:
             raise ValueError(f"subset repeats index {twice[0]}")
+    if len(members) == alg.size:  # sorted, distinct and in range: all of S
+        masks = ideal_masks(alg)
+    else:
         table = restrict(alg.mul, members, alg.labels)
+        masks = _reach(table.T) @ _reach(table)
     # the first repeated ideal is the class whose second member comes first
-    repeats = [cls[:2] for cls in _equal_rows(_reach(table.T) @ _reach(table))
-               if len(cls) > 1]
+    repeats = [cls[:2] for cls in _equal_rows(masks) if len(cls) > 1]
     if not repeats:
         return True, None
     a, b = min(repeats, key=lambda pair: pair[1])
@@ -126,7 +149,7 @@ def j_trivial(alg: FiniteAlgebra, subset=None) -> tuple[bool, tuple[int, int] | 
 
 def idempotent_generated(alg: FiniteAlgebra) -> list[int]:
     """Carrier of the subsemigroup generated by all idempotents (mul only)."""
-    return closure([alg.mul], idempotents(alg))
+    return closure([alg.mul], _idempotents(alg))
 
 
 def block_group_tests(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,18 +206,20 @@ def block_group_tests(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def maximal_subgroups(alg: FiniteAlgebra) -> list[tuple[int, list[int]]]:
-    """For each idempotent e, the group of units of the local monoid eSe."""
-    mul = alg.mul
-    n = alg.size
-    out = []
-    for e in idempotents(alg):
-        local = sorted({int(mul[mul[e, s], e]) for s in range(n)})
-        members = []
-        for a in local:
-            if any(mul[a, b] == e and mul[b, a] == e for b in local):
-                members.append(a)
-        out.append((e, members))
-    return out
+    """For each idempotent e, the group of units of the local monoid eSe.
+    Found once per table, kept as tuples in the record that the reduct
+    shares; each call returns fresh lists."""
+    memo = alg._facts["mul"]
+    if "subgroups" not in memo:
+        rows = alg.mul.tolist()
+        found = []
+        for e in _idempotents(alg):
+            local = sorted({rows[x][e] for x in rows[e]})
+            members = tuple(a for a in local
+                            if any(rows[a][b] == e and rows[b][a] == e for b in local))
+            found.append((e, members))
+        memo["subgroups"] = tuple(found)
+    return [(e, list(members)) for e, members in memo["subgroups"]]
 
 
 def subgroup_union(alg: FiniteAlgebra) -> set[int]:
@@ -245,25 +270,25 @@ class SeriesReport:
         }
 
 
-def _classify_bottom(mul: np.ndarray, kernel: list[int]) -> dict:
+def _classify_bottom(idems: set[int], kernel: list[int]) -> dict:
     # the kernel is completely simple, a rectangle of copies of one group, so
     # it is a group exactly when it holds one idempotent (Howie 1995, ch. 3)
-    if sum(int(mul[x, x]) == x for x in kernel) == 1:
+    if sum(x in idems for x in kernel) == 1:
         return {"kind": "group", "order": len(kernel)}
     return {"kind": "other", "size": len(kernel)}
 
 
-def _classify_factor(mul: np.ndarray, right: np.ndarray, left: np.ndarray,
+def _classify_factor(idems: set[int], right: np.ndarray, left: np.ndarray,
                      cls: list[int]) -> dict:
     # J^0 is null exactly when J holds no idempotent, else completely 0-simple,
     # and then Brandt exactly when each R-class (equal aS^1 rows) and L-class
     # (equal S^1a rows) of J holds one idempotent (Howie 1995, ch. 3 and 5)
-    idems = sum(int(mul[x, x]) == x for x in cls)
-    if not idems:
+    count = sum(x in idems for x in cls)
+    if not count:
         return {"kind": "zero", "size": len(cls) + 1}
-    if idems == len(_equal_rows(right[cls])) == len(_equal_rows(left[cls])):
-        return {"kind": "brandt", "group_order": len(cls) // idems**2,
-                "index_count": idems}
+    if count == len(_equal_rows(right[cls])) == len(_equal_rows(left[cls])):
+        return {"kind": "brandt", "group_order": len(cls) // count**2,
+                "index_count": count}
     return {"kind": "other", "size": len(cls) + 1}
 
 
@@ -281,8 +306,8 @@ def principal_series(alg: FiniteAlgebra) -> SeriesReport:
     if bad is not None:
         raise BglabError(f"principal series needs an associative table: "
                          f"{bad.describe(alg)}")
-    right, left = _reach(alg.mul), _reach(alg.mul.T)
-    masks = left @ right  # ideal_masks(alg), with the rows aS^1 and S^1a kept
+    right, left = _reaches(alg)
+    masks = left @ right  # ideal_masks(alg)
     classes = _equal_rows(masks)  # ascending least members
     reps = [cls[0] for cls in classes]
     below = masks[reps][:, reps]  # [i, j]: class j lies in the ideal of class i
@@ -293,11 +318,12 @@ def principal_series(alg: FiniteAlgebra) -> SeriesReport:
     chain: list[list[int]] = []
     factors: list[dict] = []
     current: set[int] = set()
+    idems = set(_idempotents(alg))
     while ready:
         i = heappop(ready)
         cls = classes[i]
-        factors.append(_classify_factor(alg.mul, right, left, cls) if chain
-                       else _classify_bottom(alg.mul, cls))
+        factors.append(_classify_factor(idems, right, left, cls) if chain
+                       else _classify_bottom(idems, cls))
         current.update(cls)
         chain.append(sorted(current))
         for k in np.flatnonzero(below[:, i]).tolist():

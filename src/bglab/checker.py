@@ -70,13 +70,6 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed {seed} is outside [0, 2^64)")
 
 
-def splitmix64(counters: np.ndarray, seed: int) -> np.ndarray:
-    """Counter-based splitmix64 output stream for the given seed."""
-    z = (np.uint64(seed) + (counters.astype(np.uint64) + np.uint64(1))
-         * _SPLITMIX_GAMMA)
-    return _mix64(z, np.empty_like(z))
-
-
 def _mix64(z, t):
     """splitmix64's output function, in place on z; t is scratch space."""
     np.right_shift(z, np.uint64(30), out=t)
@@ -466,6 +459,15 @@ def _forward_states(pair, size, vals, n):
     return layers
 
 
+def _image(pair, size, power, vals, n) -> np.ndarray:
+    """The tuple values over block values vals, distinct and ascending, read
+    off a seen mask over the carrier (np.unique would sort them, and in
+    numpy 2 it imports numpy.ma on first use)."""
+    seen = np.zeros(size, dtype=bool)
+    seen[_tuple_values(pair, size, power, _forward_states(pair, size, vals, n)[-1])] = True
+    return np.flatnonzero(seen)
+
+
 def _least_preimage(pair, size, power, vals, layers, n, value) -> tuple[int, ...]:
     """The lexicographically least (b1..b2n) over sorted vals with the given
     tuple value: mark the states that can still reach it, last block first,
@@ -534,8 +536,7 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     power = kernel.power(carrier, 2 * m - 1)
     inputs = [carrier]  # block values of level l; inputs[l + 1] is its image
     while len(inputs) <= h:
-        final = _forward_states(pair, size, inputs[-1], n)[-1]
-        image = np.unique(_tuple_values(pair, size, power, final))
+        image = _image(pair, size, power, inputs[-1], n)
         if np.array_equal(image, inputs[-1]):
             break
         inputs.append(image)

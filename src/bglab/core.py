@@ -90,10 +90,12 @@ class FiniteAlgebra:
     star: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
     # The record of facts about this object, filled on first use: "mul", the
-    # memo of mul_violation and mul_zero, which mult_reduct shares with the
-    # reduct; "reduct"; "verdict", validate's; "kernel", terms.flat_kernel's.
-    # It never holds an algebra that holds it, so algebras are freed by
-    # reference counting alone.
+    # memo of mul_violation and mul_zero and of analysis' Green's facts
+    # ("reach", the read-only pair of aS^1 and S^1a masks; "idempotents";
+    # "subgroups", the maximal subgroups as tuples), which mult_reduct
+    # shares with the reduct; "reduct"; "verdict", validate's; "kernel",
+    # terms.flat_kernel's.  It never holds an algebra that holds it, so
+    # algebras are freed by reference counting alone.
     _facts: dict = field(default_factory=lambda: {"mul": {}}, init=False, repr=False)
 
     def __post_init__(self):

@@ -1,8 +1,11 @@
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from functools import reduce
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,7 +257,8 @@ def splitmix_reference(seed, counter):
 class TestSampled:
     def test_generator_matches_pure_reference(self):
         counters = np.arange(10, dtype=np.uint64)
-        got = K.splitmix64(counters, seed=42)
+        z = np.uint64(42) + (counters + np.uint64(1)) * K._SPLITMIX_GAMMA
+        got = K._mix64(z, np.empty_like(z))
         want = [splitmix_reference(42, c) for c in range(10)]
         assert got.tolist() == want
 
@@ -690,6 +694,40 @@ class TestRestrictedDomains:
 
 
 class TestImageTechnique:
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
+    def test_level_images_are_np_unique_of_the_tuple_values(self, n, m, b21_mul, s3, ps3_mul):
+        algs = [corpus.as_algebra(t) for t in corpus.all_semigroups_upto(3)]
+        for alg in [*algs, b21_mul, s3, ps3_mul]:
+            kernel = T.flat_kernel(alg)
+            size = np.intp(alg.size)
+            vals = np.arange(size, dtype=np.intp)
+            power = kernel.power(vals, 2 * m - 1)
+            for _ in range(4):
+                final = K._forward_states(kernel.pair, size, vals, n)[-1]
+                want = np.unique(K._tuple_values(kernel.pair, size, power, final))
+                vals = K._image(kernel.pair, size, power, vals, n)
+                assert vals.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("run", [
+        "from bglab import checker, constructions\n"
+        "assert checker.check_v_square_image(constructions.brandt_monoid_b21(), 2, 4, 5).ok\n",
+        "import contextlib, io\n"
+        "from bglab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify-suite', '--profile', 'full', '--seed', '1']) == 0\n",
+    ], ids=["b21-block-check", "verify-suite-full"])
+    def test_numpy_ma_stays_unimported(self, run):
+        # numpy 1.x imports numpy.ma with numpy itself; then nothing is shown
+        script = ("import sys, numpy\n"
+                  "if 'numpy.ma' in sys.modules: sys.exit(3)\n"
+                  + run +
+                  "sys.exit(4 if 'numpy.ma' in sys.modules else 0)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(K.__file__).resolve().parents[1])}
+        code = subprocess.run([sys.executable, "-c", script], env=env, timeout=120).returncode
+        if code == 3:
+            pytest.skip("import numpy loads numpy.ma")
+        assert code == 0
+
     def test_b2_exact_square_identity(self, b2):
         report = K.check_v_square_image(b2, 2, 2, 3)
         assert report.ok

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bglab import core
+from bglab import analysis, core
 from bglab.analysis import principal_series
 from bglab.checker import check_v_square_image
 from bglab.constructions import power_semiring, symmetric_group
@@ -99,10 +99,20 @@ def read_mul_everywhere(alg, reduct_first):
     return {name: step() for name, step in steps.items()}
 
 
+def analyze_sequence(alg):
+    """The `bglab analyze` calls on a semigroup that is not a group."""
+    red = mult_reduct(alg)
+    core_set = analysis.idempotent_generated(red)
+    return {"block group": analysis.is_block_group(red),
+            "j-trivial core": analysis.j_trivial(red, core_set),
+            "series": analysis.principal_series(red).to_dict(),
+            "subgroups": analysis.maximal_subgroups(red)}
+
+
 class TestRecord:
-    """One record of facts per algebra object: mul's associativity is
-    decided once for an algebra and its reduct, and the record keeps
-    neither alive."""
+    """One record of facts per algebra object: mul's associativity, its
+    reach matrices, idempotents and maximal subgroups are decided once for
+    an algebra and its reduct, and the record keeps neither alive."""
 
     @pytest.mark.parametrize("reduct_first", [False, True],
                              ids=["algebra-first", "reduct-first"])
@@ -131,11 +141,46 @@ class TestRecord:
         try:
             alg = power_semiring(symmetric_group(3))
             read_mul_everywhere(alg, reduct_first=False)
+            analyze_sequence(alg)
+            assert {"reach", "idempotents", "subgroups"} <= alg._facts["mul"].keys()
             refs = weakref.ref(alg), weakref.ref(mult_reduct(alg))
             del alg
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+
+
+    def test_returned_lists_leave_the_record_alone(self):
+        alg = power_semiring(symmetric_group(3))
+        subgroups, idems = analysis.maximal_subgroups(alg), analysis.idempotents(alg)
+        want = [(e, list(members)) for e, members in subgroups], list(idems)
+        subgroups[1][1].append(99)
+        subgroups.pop()
+        idems.append(99)
+        assert (analysis.maximal_subgroups(alg), analysis.idempotents(alg)) == want
+
+    def test_reach_matrices_are_read_only_and_shared_with_the_reduct(self):
+        alg = power_semiring(symmetric_group(3))
+        pair = analysis._reaches(alg)
+        assert analysis._reaches(mult_reduct(alg)) is pair
+        for a in pair:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = False
+
+    def test_reach_is_built_twice_per_table(self, monkeypatch):
+        reached = []
+        reach = analysis._reach
+        monkeypatch.setattr(analysis, "_reach", lambda t: reached.append(t) or reach(t))
+        alg = mult_reduct(power_semiring(symmetric_group(3)))
+        analysis.principal_series(alg)
+        analysis.ideal_masks(alg)
+        analysis.j_classes(alg)
+        assert analysis.j_trivial(alg) == analysis.j_trivial(alg, range(alg.size))
+        assert len(reached) == 2
+        # any other subset builds its own pair on its own table
+        analysis.j_trivial(alg, [0])
+        assert len(reached) == 4
 
 
 class TestValidateSemigroup:
