@@ -13,7 +13,7 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import product, repeat
 from math import prod
 from typing import NamedTuple
 
@@ -510,10 +510,13 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     associativity once for an algebra and its reduct.
 
     level_sizes[l] is the size of the level-l image set (empty when the
-    budget refuses).  evaluations is the number of block-value tuples the
-    check decides, the sum over levels of k_l^(2n) with k_l the number of
-    block values at level l; it is computed, not counted, because the
-    pair-state sweep never visits the tuples."""
+    budget refuses); past the last swept level it repeats the last size,
+    extended in one call, so the list is h entries (O(h) pointers, since
+    its length is part of the verdict) but no Python loop runs over h.
+    evaluations is the number of block-value tuples the check decides, the
+    sum over levels of k_l^(2n) with k_l the number of block values at
+    level l, in closed form over the repeated levels; it is computed, not
+    counted, because the pair-state sweep never visits the tuples."""
     if n < 1 or m < 1 or h < 1:
         raise ValueError("need n, m, h >= 1")
     size = alg.size
@@ -541,8 +544,10 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
             break
         inputs.append(image)
     last = len(inputs) - 1
-    level_sizes = [len(inputs[min(level + 1, last)]) for level in range(h)]
-    total = sum(len(inputs[min(level, last)]) ** (2 * n) for level in range(h))
+    sizes = [len(values) for values in inputs]
+    level_sizes = sizes[1:]
+    level_sizes.extend(repeat(sizes[-1], h - last))
+    total = sum(k ** (2 * n) for k in sizes[:-1]) + (h - last) * sizes[-1] ** (2 * n)
     top = inputs[min(h, last)]
     bad = top[pair(top, top) != top]
     if not bad.size:

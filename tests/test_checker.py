@@ -693,6 +693,24 @@ class TestRestrictedDomains:
         assert verdict.status == K.COUNTEREXAMPLE
 
 
+def looped_image_counts(alg, n, m, h):
+    """Oracle: level_sizes and evaluations of the image check by the loop
+    over all h levels that the check ran before its closed form."""
+    kernel = T.flat_kernel(alg)
+    size = np.intp(alg.size)
+    inputs = [np.arange(size, dtype=np.intp)]
+    power = kernel.power(inputs[0], 2 * m - 1)
+    while len(inputs) <= h:
+        image = K._image(kernel.pair, size, power, inputs[-1], n)
+        if np.array_equal(image, inputs[-1]):
+            break
+        inputs.append(image)
+    last = len(inputs) - 1
+    level_sizes = [len(inputs[min(level + 1, last)]) for level in range(h)]
+    total = sum(len(inputs[min(level, last)]) ** (2 * n) for level in range(h))
+    return level_sizes, total
+
+
 class TestImageTechnique:
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
     def test_level_images_are_np_unique_of_the_tuple_values(self, n, m, b21_mul, s3, ps3_mul):
@@ -800,6 +818,17 @@ class TestImageTechnique:
         assert isinstance(report, K.CheckVerdict) and report.level_sizes == []
         monkeypatch.setenv("BGLAB_BUDGET", "10000")
         assert K.check_v_square_image(b21_mul, 2, 1, 2).ok
+
+    @pytest.mark.parametrize("name", ["b2", "b21_mul", "s3"])
+    def test_level_counts_match_the_loop_over_h(self, name, request):
+        alg = request.getfixturevalue(name)
+        for h in (1, 2, alg.size, alg.size + 1, 10**5):
+            report = K.check_v_square_image(alg, 2, 1, h)
+            assert (report.level_sizes, report.evaluations) == looped_image_counts(alg, 2, 1, h)
+
+    def test_height_of_a_million_holds_on_b2(self, b2):
+        report = K.check_v_square_image(b2, 2, 1, 10**6)
+        assert report.status == K.HOLDS and len(report.level_sizes) == 10**6
 
     def test_fixed_point_levels_repeat(self, ps3_mul):
         report = K.check_v_square_image(ps3_mul, 2, 3072, 29)

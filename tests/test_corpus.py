@@ -1,4 +1,5 @@
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,6 +92,70 @@ def backtracked_tables(n):
             value[pos] += 1
 
 
+def fancy_fill(t, i, j):
+    """Oracle: the filter with 3-D fancy indexing, as it was before the flat
+    takes.  t is (F, n+1, n+1) int8 with -1 for an empty cell; its last row
+    and column are empty, so an index of -1 reads an empty cell.  Returns
+    every partial table of t with each value in the empty cell (i, j), less
+    those with a decided, failing triple (a, b, c) with a = i or c = j."""
+    n = t.shape[1] - 1
+    t = np.repeat(t, n, axis=0)
+    t[:, i, j] = np.tile(np.arange(n, dtype=np.int8), len(t) // n)
+    f = np.arange(len(t))[:, None, None]
+    s = np.arange(n)
+    block = t[:, :n, :n]
+    # (i, b, c): (ib)c against i(bc), indexed [b, c]
+    left = t[f, t[:, i, :n, None], s]
+    right = t[f, i, block]
+    bad = (left != right) & (left >= 0) & (right >= 0)
+    # (a, b, j): (ab)j against a(bj), indexed [a, b]
+    left = t[f, block, j]
+    right = t[f, s[:, None], t[:, None, :n, j]]
+    bad |= (left != right) & (left >= 0) & (right >= 0)
+    return t[~bad.any(axis=(1, 2))]
+
+
+def oracle_frontiers(n, limit=None):
+    """(i, j, parents) for every cell in fill order: the breadth-first
+    frontier before (i, j) is filled, grown by the oracle, or with a limit
+    its first `limit` partial tables (children come parent by parent, so
+    the children of a prefix are a prefix of the next frontier)."""
+    t = np.full((1, n + 1, n + 1), -1, dtype=np.int8)
+    for i, j in corpus._cells(n):
+        t = t[:limit]
+        yield i, j, t
+        t = fancy_fill(t, i, j)
+
+
+def flat_frontier(t):
+    """The oracle's (F, n+1, n+1) int8 frontier in the enumerator's layout:
+    (F, (n+1)^2) uint8 with n for an empty cell."""
+    n = t.shape[1] - 1
+    return np.where(t < 0, n, t).astype(np.uint8).reshape(len(t), -1)
+
+
+def assert_fill_matches_oracle(n, limit=None):
+    for i, j, parents in oracle_frontiers(n, limit):
+        got = corpus._fill(flat_frontier(parents), n, i, j)
+        want = flat_frontier(fancy_fill(parents, i, j))
+        assert np.array_equal(got, want), (n, i, j)
+
+
+class TestFilter:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fill_keeps_the_oracles_children_at_every_cell(self, n):
+        assert_fill_matches_oracle(n)
+
+    def test_fill_keeps_the_oracles_children_at_order_five(self):
+        # at most the first 2,000 parents at each of the 25 cells
+        assert_fill_matches_oracle(5, limit=2000)
+
+    def test_oracle_frontier_is_the_corpus(self):
+        *_, (i, j, parents) = oracle_frontiers(4)
+        last = flat_frontier(fancy_fill(parents, i, j)).reshape(-1, 5, 5)[:, :4, :4]
+        assert sorted(map(bytes, last)) == list(map(bytes, corpus.semigroup_stack(4)))
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_counts_match_brute_force(self, n):
@@ -125,6 +190,20 @@ class TestEnumeration:
             corpus.semigroup_stack(n)
         with pytest.raises(ValueError):
             next(corpus.semigroup_tables(n))
+
+    def test_order_above_five_is_refused_before_any_work(self):
+        # order 6 has 17,061,118 tables; neither call builds a frontier, and
+        # all_semigroups_upto enumerates no smaller order first
+        with mock.patch.object(corpus, "_fill", wraps=corpus._fill) as fill, \
+                mock.patch.object(corpus, "semigroup_tables",
+                                  wraps=corpus.semigroup_tables) as tables:
+            for n in (corpus.MAX_ORDER + 1, 10**6):
+                with pytest.raises(ValueError, match="n must be <= 5"):
+                    corpus.semigroup_stack(n)
+                with pytest.raises(ValueError, match="n must be <= 5"):
+                    corpus.all_semigroups_upto(n)
+        fill.assert_not_called()
+        tables.assert_not_called()
 
     def test_tables_are_emitted_in_ascending_order(self):
         tables = list(corpus.semigroup_tables(2))
