@@ -573,13 +573,12 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
 def _expand_witness(preimage, bad_value, n, h) -> dict[Variable, int]:
     """Unfold block-value preimages into a substitution for the depth-h
     variables; preimage(level, value) gives the 2n block values."""
-    width = 2 * n
 
     def expand(level, value, suffix, out):
         pre = preimage(level, value)
         if level == 0:
             for i, elem in enumerate(pre, start=1):
-                out[Variable((i,) + suffix, width)] = elem
+                out[Variable((i,) + suffix)] = elem
         else:
             for j, child in enumerate(pre, start=1):
                 expand(level - 1, child, (j,) + suffix, out)

@@ -158,13 +158,9 @@ def _parse_side(text: str):
 
 
 def _parse_identity_arg(text: str):
-    """Both sides over one alphabet, the wider of the two, so that a
-    variable name means the same variable on both sides."""
     if "=" not in text:
         raise BglabError("identity must contain '='")
-    sides = [_parse_side(side) for side in text.split("=", 1)]
-    width = max(t.width for t in sides)
-    return tuple(t if t.width == width else terms.with_width(t, width) for t in sides)
+    return tuple(_parse_side(side) for side in text.split("=", 1))
 
 
 def _read_domain(path, alg) -> list[int]:

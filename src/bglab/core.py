@@ -155,15 +155,20 @@ class FiniteAlgebra:
         for key in ("kind", "labels", "mul"):
             if key not in d:
                 raise BglabError(f"algebra data has no {key!r}")
-        if not isinstance(d["labels"], list):
+        labels, meta = d["labels"], d.get("meta", {})
+        if not isinstance(labels, list):
             raise BglabError("algebra data 'labels' must be a list")
+        if not all(isinstance(x, str) for x in labels):
+            raise BglabError("algebra data 'labels' must be strings")
+        if not isinstance(meta, dict):
+            raise BglabError("algebra data 'meta' must be a JSON object")
         alg = cls(
             kind=d["kind"],
-            labels=tuple(d["labels"]),
+            labels=tuple(labels),
             mul=_index_data(d, "mul"),
             add=_index_data(d, "add"),
             star=_index_data(d, "star"),
-            meta=dict(d.get("meta", {})),
+            meta=dict(meta),
         )
         if "size" in d and d["size"] != alg.size:
             raise ValueError("declared size disagrees with labels")

@@ -1,6 +1,6 @@
 """Words, involution terms, the recursive block-word family, and evaluators.
 
-Variables are index tuples (i1..ih) with entries in 1..width; ordering for
+Variables are index tuples (i1..ih) of positive entries; ordering for
 substitution enumeration is lexicographic on the tuples.  Block words keep
 the recursive shape (2n leading blocks, then a middle group repeated 2m-1
 times) so evaluation never needs the flat word; flattening is available up
@@ -57,15 +57,12 @@ def _power_text(base: int, h: int) -> str:
 @dataclass(frozen=True, order=True)
 class Variable:
     indices: tuple[int, ...]
-    width: int
 
     def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("width must be positive")
         if not self.indices:
             raise ValueError("depth must be at least 1")
-        if min(self.indices) < 1 or max(self.indices) > self.width:
-            raise ValueError(f"indices {self.indices} out of range for width {self.width}")
+        if min(self.indices) < 1:
+            raise ValueError(f"indices {self.indices} must be positive")
 
     @property
     def depth(self) -> int:
@@ -79,16 +76,14 @@ class Variable:
 
 
 def variable_key(var: Variable):
-    """The key of Variable's order, (indices, width), for sorting without
-    the dataclass's Python-level comparisons."""
-    return var.indices, var.width
+    """The key of Variable's order, its indices, for sorting without the
+    dataclass's Python-level comparisons."""
+    return var.indices
 
 
 def _check_homogeneous(variables: Iterable[Variable]):
-    widths = {v.width for v in variables}
-    depths = {v.depth for v in variables}
-    if len(widths) > 1 or len(depths) > 1:
-        raise ValueError("letters must share one width and one depth")
+    if len({v.depth for v in variables}) > 1:
+        raise ValueError("letters must share one depth")
 
 
 @dataclass(frozen=True)
@@ -102,10 +97,6 @@ class Word:
 
     def __len__(self):
         return len(self.letters)
-
-    @property
-    def width(self) -> int:
-        return self.letters[0].width
 
     @property
     def depth(self) -> int:
@@ -130,10 +121,6 @@ class InvTerm:
 
     def __len__(self):
         return len(self.letters)
-
-    @property
-    def width(self) -> int:
-        return self.letters[0][0].width
 
     @property
     def depth(self) -> int:
@@ -165,11 +152,6 @@ class BlockWord:
     def depth(self) -> int:
         child = self.blocks[0]
         return 1 if isinstance(child, Variable) else 1 + child.depth
-
-    @property
-    def width(self) -> int:
-        child = self.blocks[0]
-        return child.width
 
     def flatten(self, length_budget: int = DEFAULT_LENGTH_BUDGET) -> Word:
         base = 4 * self.n * self.m
@@ -218,10 +200,6 @@ class PowerOf:
         if self.exponent < 1:
             raise ValueError("exponent must be >= 1")
 
-    @property
-    def width(self) -> int:
-        return self.base.width
-
     def variables(self) -> list[Variable]:
         return self.base.variables()
 
@@ -251,14 +229,12 @@ def v_word(n: int, m: int, h: int) -> BlockWord:
                                    f"exceed budget {DEFAULT_NODE_BUDGET}")
     word = _V_WORDS.get((n, m, h))
     if word is None:
-        width = 2 * n
-        indices = range(1, width + 1)
+        indices = range(1, 2 * n + 1)
 
         def build(depth, suffix):
             # the copy of depth `depth` whose ancestors appended `suffix`
             if depth == 1:
-                return BlockWord(n, m, tuple(Variable((i,) + suffix, width)
-                                             for i in indices))
+                return BlockWord(n, m, tuple(Variable((i,) + suffix) for i in indices))
             return BlockWord(n, m, tuple(build(depth - 1, (j,) + suffix) for j in indices))
 
         word = _V_WORDS[n, m, h] = build(h, ())
@@ -274,8 +250,7 @@ def u_word(n: int, k: int, m: int) -> Word:
     if length > DEFAULT_LENGTH_BUDGET:
         raise LengthBudgetExceeded(
             f"length {_power_text(length, 1)} exceeds budget {DEFAULT_LENGTH_BUDGET}")
-    width = n + k
-    x = [Variable((i,), width) for i in range(1, width + 1)]
+    x = [Variable((i,)) for i in range(1, n + k + 1)]
     middle = x[n - 1 :: -1] + x[n:] if n > 0 else x[:]
     letters = x + middle * (2 * m - 1)
     return Word(tuple(letters))
@@ -289,11 +264,11 @@ def w_word(n: int, h: int, length_budget: int = DEFAULT_LENGTH_BUDGET) -> InvTer
     if _power_exceeds(2 * n, h, length_budget):
         raise LengthBudgetExceeded(
             f"length {_power_text(2 * n, h)} exceeds budget {length_budget}")
-    xs = [Variable((i,), n) for i in range(1, n + 1)]
+    xs = [Variable((i,)) for i in range(1, n + 1)]
     term = InvTerm(tuple((x, 1) for x in xs) + tuple((x, -1) for x in xs))
     for _ in range(h - 1):
         blocks = [
-            InvTerm(tuple((Variable(v.indices + (j,), n), e) for v, e in term.letters))
+            InvTerm(tuple((Variable(v.indices + (j,)), e) for v, e in term.letters))
             for j in range(1, n + 1)
         ]
         letters = []
@@ -657,11 +632,7 @@ def _parse_sequence(tokens, i):
     return letters, i
 
 
-def _max_index(letters) -> int:
-    return max((max(ix) for ix, _, _ in letters), default=0)
-
-
-def _finish(letters, width):
+def _finish(letters):
     if not letters:
         raise TermSyntaxError("empty term", 0)
     depths = {len(ix) for ix, _, _ in letters}
@@ -669,8 +640,8 @@ def _finish(letters, width):
         bad = next(p for ix, _, p in letters if len(ix) != len(letters[0][0]))
         raise TermSyntaxError("variables must share one index depth", bad)
     if all(e > 0 for _, e, _ in letters):
-        return Word(tuple(Variable(ix, width) for ix, _, _ in letters))
-    return InvTerm(tuple((Variable(ix, width), e) for ix, e, _ in letters))
+        return Word(tuple(Variable(ix) for ix, _, _ in letters))
+    return InvTerm(tuple((Variable(ix), e) for ix, e, _ in letters))
 
 
 def parse_term(text: str):
@@ -679,12 +650,11 @@ def parse_term(text: str):
     letters, i = _parse_sequence(tokens, 0)
     if i != len(tokens):
         raise TermSyntaxError("unexpected trailing input", tokens[i][2])
-    return _finish(letters, _max_index(letters))
+    return _finish(letters)
 
 
 def parse_identity(text: str):
-    """Parse "LHS = RHS" into a pair of terms over one alphabet, so that a
-    variable name means the same variable on both sides."""
+    """Parse "LHS = RHS" into a pair of terms."""
     tokens = _tokenize(text)
     lhs, i = _parse_sequence(tokens, 0)
     if i >= len(tokens) or tokens[i][0] != "=":
@@ -692,24 +662,7 @@ def parse_identity(text: str):
     rhs, j = _parse_sequence(tokens, i + 1)
     if j != len(tokens):
         raise TermSyntaxError("unexpected trailing input", tokens[j][2])
-    width = max(_max_index(lhs), _max_index(rhs))
-    return _finish(lhs, width), _finish(rhs, width)
-
-
-def with_width(term, width: int):
-    """The same term with every variable over the alphabet X_width, so that
-    terms built apart can share their variables."""
-    if isinstance(term, Variable):
-        return Variable(term.indices, width)
-    if isinstance(term, Word):
-        return Word(tuple(with_width(v, width) for v in term.letters))
-    if isinstance(term, InvTerm):
-        return InvTerm(tuple((with_width(v, width), e) for v, e in term.letters))
-    if isinstance(term, BlockWord):
-        return BlockWord(term.n, term.m, tuple(with_width(b, width) for b in term.blocks))
-    if isinstance(term, PowerOf):
-        return PowerOf(with_width(term.base, width), term.exponent)
-    raise TypeError(f"cannot rewrite {type(term).__name__}")
+    return _finish(lhs), _finish(rhs)
 
 
 def format_term(term: Term) -> str:

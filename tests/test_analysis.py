@@ -763,10 +763,8 @@ class TestCorpusInvariants:
             for _ in range(3):
                 length = int(rng.integers(1, 7))
                 picks = [int(rng.integers(1, 4)) for _ in range(length)]
-                width = max(picks)
-                w = T.Word(tuple(T.Variable((i,), width) for i in picks))
-                u = T.Word(tuple(T.Variable((i,), width)
-                                 for i in sorted(set(picks))))
+                w = T.Word(tuple(T.Variable((i,)) for i in picks))
+                u = T.Word(tuple(T.Variable((i,)) for i in sorted(set(picks))))
                 verdict = check_identity_exhaustive(
                     alg, T.PowerOf(w, p), T.PowerOf(u, p))
                 assert verdict.status == "holds"

@@ -233,7 +233,7 @@ class TestCommutatorForms:
     def test_forms_match_the_lookup_loop(self, inverted, s3, n):
         term = T.parse_term(COMMUTATOR_FORMS[n - 1])
         for tup in product(range(s3.size), repeat=n):
-            sub = {T.Variable((i + 1,), n): a for i, a in enumerate(tup)}
+            sub = {T.Variable((i + 1,)): a for i, a in enumerate(tup)}
             assert T.evaluate(term, sub, inverted) == loop_commutator_quotient(s3, tup)
         verdict = K.check_membership_exhaustive(inverted, term, {C.group_identity(s3)})
         assert (verdict.status, verdict.evaluations) == (K.HOLDS, s3.size**n)
@@ -263,7 +263,7 @@ class TestSampled:
         assert got.tolist() == want
 
     def test_sample_assignments_follow_the_reference_stream(self):
-        xs = [T.Variable((i,), 10) for i in range(1, 11)]
+        xs = [T.Variable((i,)) for i in range(1, 11)]
         doms = [[0, 1, 2, 3, 4], [4, 2], list(range(257)), [3],
                 [0], list(range(300, 557)), [0, 1, 2, 3, 4], [1, 0],
                 list(range(64)), list(range(256))]
@@ -277,13 +277,13 @@ class TestSampled:
         assert got[xs[8]].dtype == got[xs[9]].dtype == np.uint8
 
     def test_a_sample_block_draws_when_read(self):
-        xs = [T.Variable((i,), 4) for i in range(1, 5)]
+        xs = [T.Variable((i,)) for i in range(1, 5)]
         doms = [[0, 1, 2], list(range(256)), [9, 4], list(range(5))]
         draws = K.sample_assignments(xs, doms, seed=11, start=40, count=30)
         assert list(draws) == xs and len(draws) == 4
-        assert xs[0] in draws and T.Variable((1,), 5) not in draws
+        assert xs[0] in draws and T.Variable((5,)) not in draws
         with pytest.raises(KeyError):
-            draws[T.Variable((1,), 5)]
+            draws[T.Variable((5,))]
         assert draws[xs[2]].tolist() == draws[xs[2]].tolist()  # a re-read draws the same
         for s in (0, 13, 29):
             one = draws.substitution(s)
@@ -291,7 +291,7 @@ class TestSampled:
             assert all(type(x) is int for x in one.values())
 
     def test_a_narrowed_block_reads_the_kept_samples(self):
-        xs = [T.Variable((i,), 3) for i in range(1, 4)]
+        xs = [T.Variable((i,)) for i in range(1, 4)]
         doms = [[0, 1, 2], list(range(256)), [9, 4]]
         draws = K.sample_assignments(xs, doms, seed=5, start=70, count=40)
         kept = np.array([1, 2, 8, 30, 39])
@@ -767,6 +767,16 @@ class TestImageTechnique:
         left = T.evaluate(v, report.witness, z3)
         right = T.evaluate(T.PowerOf(v, 2), report.witness, z3)
         assert left == report.bad_value and left != right
+
+    def test_witness_binds_exactly_the_variables_of_v(self, s3):
+        # the witness builds its variables from index tuples alone, so they
+        # are v(2, 4, 5)'s own 1,024
+        report = K.check_v_square_image(s3, 2, 4, 5)
+        assert report.status == K.COUNTEREXAMPLE
+        v = T.v_word(2, 4, 5)
+        assert set(report.witness) == set(v.variables()) and len(report.witness) == 1024
+        assert T.evaluate(v, report.witness, s3) != T.evaluate(T.PowerOf(v, 2),
+                                                               report.witness, s3)
 
     def test_witness_past_the_node_budget_is_not_expanded(self, ps3_mul, monkeypatch):
         def refuse(*args):

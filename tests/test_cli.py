@@ -558,6 +558,24 @@ class TestCheck:
                              "--identity", "x1 x2 = x2 x1")
         assert (code, out, err) == (2, "", f"error: algebra data {message}\n")
 
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["check", "--identity", "x1 x2 = x2 x1", "--algebra"]],
+        ids=["analyze", "check"])
+    @pytest.mark.parametrize("data,message", [
+        ({"labels": ["a", "b"], "meta": [1]}, "'meta' must be a JSON object"),
+        ({"labels": ["a", "b"], "meta": "xy"}, "'meta' must be a JSON object"),
+        ({"labels": [1, 2]}, "'labels' must be strings"),
+    ], ids=["list-meta", "string-meta", "integer-labels"])
+    def test_malformed_meta_or_labels_exit_2(self, command, data, message, tmp_path,
+                                              capsys):
+        # [1] as meta once died with a TypeError and exit 1, the
+        # counterexample code of check, and integer labels loaded silently
+        path = str(tmp_path / "alg.json")
+        Path(path).write_text(json.dumps({"kind": "semigroup",
+                                          "mul": [[0, 1], [1, 0]], **data}))
+        code, out, err = run(capsys, *command, path)
+        assert (code, out, err) == (2, "", f"error: algebra data {message}\n")
+
     @pytest.mark.parametrize("table,triple,exhaustive", [
         ([[0, 2, 1], [2, 2, 0], [1, 0, 2]], "(0, 0, 1)", 1),
         ([[0, 0, 1], [1, 1, 1], [2, 1, 1]], "(0, 0, 2)", 0),

@@ -372,6 +372,22 @@ class TestJsonRoundTrip:
         with pytest.raises(BglabError, match="^algebra data 'labels' must be a list$"):
             FiniteAlgebra.from_dict(d)
 
+    @pytest.mark.parametrize("meta", [[1], "xy"], ids=["list", "string"])
+    def test_meta_that_is_no_object_is_refused(self, meta):
+        # dict() once read [1] with a TypeError and "xy" as a sequence of
+        # pairs, neither naming the key
+        d = {"kind": "semigroup", "labels": ["a", "b"], "mul": [[0, 1], [1, 0]],
+             "meta": meta}
+        with pytest.raises(BglabError, match="^algebra data 'meta' must be a JSON object$"):
+            FiniteAlgebra.from_dict(d)
+
+    def test_labels_that_are_no_strings_are_refused(self):
+        # 1 once loaded as the label "1"; to_dict writes strings only
+        d = {"kind": "semigroup", "labels": [1, 2], "mul": [[0, 1], [1, 0]]}
+        with pytest.raises(BglabError, match="^algebra data 'labels' must be strings$"):
+            FiniteAlgebra.from_dict(d)
+        assert FiniteAlgebra("semigroup", (1, 2), [[0, 1], [1, 0]]).labels == ("1", "2")
+
     def test_data_that_is_no_object_is_refused(self):
         with pytest.raises(BglabError, match="^algebra data must be a JSON object$"):
             FiniteAlgebra.from_dict([["semigroup"]])

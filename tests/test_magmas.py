@@ -37,11 +37,10 @@ def terms(draw):
     else:
         letters = draw(st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, -1])),
                                 min_size=1, max_size=8))
-        width = max(i for i, _ in letters)
         if kind == "word":
-            base = T.Word(tuple(T.Variable((i,), width) for i, _ in letters))
+            base = T.Word(tuple(T.Variable((i,)) for i, _ in letters))
         else:
-            base = T.InvTerm(tuple((T.Variable((i,), width), e) for i, e in letters))
+            base = T.InvTerm(tuple((T.Variable((i,)), e) for i, e in letters))
     exponent = draw(st.integers(0, 9))
     return T.PowerOf(base, exponent) if exponent else base
 

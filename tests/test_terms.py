@@ -60,7 +60,7 @@ class TestVFamily:
             T.v_word(2, 1, 10**8)
         # 4nm = 4 * 10^3000 at depth 2
         m = 10**3000
-        inner = [T.BlockWord(1, m, (T.Variable((1, j), 2), T.Variable((2, j), 2)))
+        inner = [T.BlockWord(1, m, (T.Variable((1, j)), T.Variable((2, j))))
                  for j in (1, 2)]
         with pytest.raises(LengthBudgetExceeded,
                            match=r"^flat length about 10\^6001 exceeds budget 1000000$"):
@@ -73,17 +73,17 @@ class TestVFamily:
 
 def append_index(node, j):
     if isinstance(node, T.Variable):
-        return T.Variable(node.indices + (j,), node.width)
+        return T.Variable(node.indices + (j,))
     return T.BlockWord(node.n, node.m, tuple(append_index(b, j) for b in node.blocks))
 
 
 def bottom_up_v_word(n, m, h):
     """The oracle: v(n, m, h) built level by level, each deeper level
     rebuilding 2n copies of the one below with an index appended."""
-    width = 2 * n
-    word = T.BlockWord(n, m, tuple(T.Variable((i,), width) for i in range(1, width + 1)))
+    indices = range(1, 2 * n + 1)
+    word = T.BlockWord(n, m, tuple(T.Variable((i,)) for i in indices))
     for _ in range(h - 1):
-        word = T.BlockWord(n, m, tuple(append_index(word, j) for j in range(1, width + 1)))
+        word = T.BlockWord(n, m, tuple(append_index(word, j) for j in indices))
     return word
 
 
@@ -112,25 +112,24 @@ class TestVWordBuild:
         xs = word.variables()
         expected = list(xs)
         xs.reverse()
-        xs.append(T.Variable((1,), 9))
+        xs.append(T.Variable((9,)))
         assert word.variables() == expected and word.variables() is not xs
         assert len(expected) == 16
 
-    @given(st.lists(st.tuples(st.lists(st.integers(1, 3), min_size=1, max_size=3),
-                              st.integers(3, 4)), max_size=20))
+    @given(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3), max_size=20))
     def test_keyed_sort_is_the_dataclass_order(self, specs):
-        xs = [T.Variable(tuple(ix), w) for ix, w in specs]
+        xs = [T.Variable(tuple(ix)) for ix in specs]
         assert sorted(xs, key=T.variable_key) == sorted(xs)
 
-    @pytest.mark.parametrize("indices,width,message", [
-        ((1,), 0, "width must be positive"),
-        ((), 2, "depth must be at least 1"),
-        ((0,), 2, r"indices \(0,\) out of range for width 2"),
-        ((1, 3, 1), 2, r"indices \(1, 3, 1\) out of range for width 2"),
-    ])
-    def test_variable_error_messages(self, indices, width, message):
+    @pytest.mark.parametrize("indices,message", [
+        ((), "depth must be at least 1"),
+        ((0,), r"indices \(0,\) must be positive"),
+        ((1, 0, 1), r"indices \(1, 0, 1\) must be positive"),
+        ((2, -1), r"indices \(2, -1\) must be positive"),
+    ], ids=["no-index", "zero", "zero-inside", "negative"])
+    def test_variable_error_messages(self, indices, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            T.Variable(indices, width)
+            T.Variable(indices)
 
 
 class TestUFamily:
@@ -276,11 +275,10 @@ def star_terms(draw):
     """A Word, an InvTerm with starred letters, or a PowerOf either."""
     letters = draw(st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, -1])),
                             min_size=1, max_size=8))
-    width = max(i for i, _ in letters)
     if draw(st.booleans()):
-        base = T.Word(tuple(T.Variable((i,), width) for i, _ in letters))
+        base = T.Word(tuple(T.Variable((i,)) for i, _ in letters))
     else:
-        base = T.InvTerm(tuple((T.Variable((i,), width), e) for i, e in letters))
+        base = T.InvTerm(tuple((T.Variable((i,)), e) for i, e in letters))
     exponent = draw(st.integers(0, 9))
     return T.PowerOf(base, exponent) if exponent else base
 
@@ -556,7 +554,7 @@ class TestParser:
     def test_tuple_indices(self):
         w = T.parse_term("x1_2 x2_1")
         assert w.letters[0].indices == (1, 2)
-        assert w.depth == 2 and w.width == 2
+        assert w.depth == 2
 
     def test_syntax_errors_carry_positions(self):
         with pytest.raises(TermSyntaxError) as err:
@@ -582,6 +580,18 @@ class TestParser:
         assert rhs.letters[0] == lhs.letters[0]
         assert set(rhs.variables()) < set(lhs.variables())
 
+    def test_a_variable_is_its_indices(self, s3):
+        # x1 of "x1" and x1 of v(1, 1, 1) once differed in an alphabet width
+        # (1 against 2n = 2), so a substitution keyed by one missed the other
+        x1, x2 = T.parse_term("x1").letters[0], T.parse_term("x2").letters[0]
+        v = T.v_word(1, 1, 1)
+        assert v.variables() == [x1, x2] and hash(v.variables()[0]) == hash(x1)
+        flat = T.parse_term("x1 x2 x1 x2")
+        for a, b in product(range(s3.size), repeat=2):
+            # keyed by the parsed variables, then by the v-word's own
+            for sub in ({x1: a, x2: b}, dict(zip(v.variables(), (a, b)))):
+                assert T.evaluate(v, sub, s3) == T.evaluate(flat, sub, s3)
+
     @pytest.mark.parametrize("mk", [
         lambda: T.v_word(2, 2, 2).flatten(),
         lambda: T.u_word(2, 1, 2),
@@ -596,11 +606,10 @@ class TestParser:
                     min_size=1, max_size=12))
     @settings(max_examples=120)
     def test_round_trip_on_random_terms(self, letters):
-        width = max(i for i, _ in letters)
         if all(e > 0 for _, e in letters):
-            t = T.Word(tuple(T.Variable((i,), width) for i, _ in letters))
+            t = T.Word(tuple(T.Variable((i,)) for i, _ in letters))
         else:
-            t = T.InvTerm(tuple((T.Variable((i,), width), e) for i, e in letters))
+            t = T.InvTerm(tuple((T.Variable((i,)), e) for i, e in letters))
         assert T.parse_term(T.format_term(t)) == t
 
     @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
