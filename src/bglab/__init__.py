@@ -7,9 +7,6 @@ from .core import (
     mult_reduct,
     save_algebra,
     validate,
-    validate_ai_semiring,
-    validate_involution,
-    validate_semigroup,
 )
 from .constructions import (
     adjoin_identity,

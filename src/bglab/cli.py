@@ -178,6 +178,9 @@ def _read_domain(path, alg) -> list[int]:
 
 
 def _cmd_check(args) -> int:
+    if args.mode == "block" and args.domain:
+        raise BglabError("--domain restricts exhaustive and sampled checks; block mode "
+                         "sweeps every block value and cannot honour it")
     alg = load_algebra(args.algebra)
     lhs, rhs = _parse_identity_arg(args.identity)
     domains = {}

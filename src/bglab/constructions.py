@@ -521,16 +521,15 @@ def subalgebra_generate(alg: FiniteAlgebra, seeds) -> list[int]:
     return closure(tables, seeds, alg.star)
 
 
-def induced_algebra(alg: FiniteAlgebra, elements) -> tuple[FiniteAlgebra, dict[int, int]]:
-    """Restrict every table to a closed element set; returns (algebra, old->new)."""
+def induced_algebra(alg: FiniteAlgebra, elements) -> FiniteAlgebra:
+    """Restrict every table to a closed element set, renumbered in index order."""
     old = sorted(int(x) for x in elements)
     _check_indices(old, alg.size)
     mul, add, star = (None if t is None else restrict(t, old, alg.labels)
                       for t in (alg.mul, alg.add, alg.star))
     labels = tuple(alg.labels[x] for x in old)
     meta = {"construction": "subalgebra", "elements": old, "parent": _nested_meta(alg)}
-    remap = {x: i for i, x in enumerate(old)}
-    return FiniteAlgebra(alg.kind, labels, mul, add, star, meta=meta), remap
+    return FiniteAlgebra(alg.kind, labels, mul, add, star, meta=meta)
 
 
 def ideal_violation(alg: FiniteAlgebra, ideal) -> tuple[int, int] | None:
@@ -645,8 +644,7 @@ REGISTRY = {
     "involution-power": (involution_power, ("group", FiniteAlgebra)),
     "hall": (hall_semiring, ("n", int), ("with_star", bool, True)),
     "kadourek": (lambda n, h: kadourek_semigroup(n, h)[0], ("n", int), ("h", int)),
-    "subalgebra": (lambda parent, elements: induced_algebra(parent, elements)[0],
-                   ("parent", FiniteAlgebra), ("elements", list)),
+    "subalgebra": (induced_algebra, ("parent", FiniteAlgebra), ("elements", list)),
     "rees-quotient": (rees_quotient, ("parent", FiniteAlgebra), ("ideal", list)),
     "adjoin-zero": (adjoin_zero, ("parent", FiniteAlgebra)),
     "adjoin-identity": (adjoin_identity, ("parent", FiniteAlgebra)),

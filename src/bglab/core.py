@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BglabError, MissingTable
+from .errors import BglabError
 
 KINDS = ("semigroup", "ai-semiring", "involution-semigroup", "involution-ai-semiring")
 
@@ -363,19 +363,13 @@ def _distrib_violation(mul: np.ndarray, add: np.ndarray) -> AxiomViolation | Non
     n = len(mul)
     rows = max(1, _SLAB_CELLS // (n * n))
     for lo in range(0, n, rows):
-        xs = np.arange(lo, min(lo + rows, n))
-        # x(y+z) = xy + xz, witness (x, y, z)
-        left = mul[xs[:, None, None], add[None, :, :]]
-        right = add[mul[xs, :][:, :, None], mul[xs, :][:, None, :]]
-        bad = _first_true(left != right)
-        if bad is not None:
-            return AxiomViolation("left-distributive", (bad[0] + lo, bad[1], bad[2]))
-        # (y+z)x = yx + zx, witness (x, y, z)
-        left = mul[add[None, :, :], xs[:, None, None]]
-        right = add[mul[:, xs].T[:, :, None], mul[:, xs].T[:, None, :]]
-        bad = _first_true(left != right)
-        if bad is not None:
-            return AxiomViolation("right-distributive", (bad[0] + lo, bad[1], bad[2]))
+        # prod[x] is x's row of mul for x(y+z) = xy + xz and its column for
+        # (y+z)x = yx + zx; the witness is (x, y, z) for both
+        for prod, law in ((mul, "left-distributive"), (mul.T, "right-distributive")):
+            sl = prod[lo : lo + rows]
+            bad = _first_true(sl[:, add] != add[sl[:, :, None], sl[:, None, :]])
+            if bad is not None:
+                return AxiomViolation(law, (bad[0] + lo, bad[1], bad[2]))
     return None
 
 
@@ -411,25 +405,9 @@ def mul_zero(memo: dict, mul: np.ndarray) -> int | None:
     return memo["zero"]
 
 
-def validate_semigroup(alg: FiniteAlgebra) -> AxiomViolation | None:
-    """None iff (xy)z = x(yz) for all triples; else the first bad triple."""
-    if alg.mul is None:
-        raise MissingTable("mul table required")
-    return mul_violation({}, alg.mul)
-
-
-def validate_ai_semiring(alg: FiniteAlgebra) -> AxiomViolation | None:
-    """Check both associativities, add commutativity/idempotency, distributivity."""
-    if alg.add is None:
-        raise MissingTable("add table required")
-    memo = {}
-    bad = mul_violation(memo, alg.mul)
-    return bad if bad is not None else _semiring_laws(alg.mul, alg.add, memo["gens"])
-
-
 def _semiring_laws(mul: np.ndarray, add: np.ndarray, gens) -> AxiomViolation | None:
-    """The ai-semiring laws past mul's associativity, in validate_ai_semiring's
-    order; gens is mul's generating set or None."""
+    """The ai-semiring laws past mul's associativity, in validate's order;
+    gens is mul's generating set or None."""
     bad = _associativity(add, "add-associative", _generators(add))
     if bad is not None:
         return bad
@@ -446,10 +424,8 @@ def _semiring_laws(mul: np.ndarray, add: np.ndarray, gens) -> AxiomViolation | N
     return _distrib_violation(mul, add)
 
 
-def validate_involution(alg: FiniteAlgebra) -> AxiomViolation | None:
-    """Check (x*)* = x and (xy)* = y*x*; plus (x+y)* = x*+y* when add is present."""
-    if alg.star is None:
-        raise MissingTable("star table required")
+def _involution_laws(alg: FiniteAlgebra) -> AxiomViolation | None:
+    """(x*)* = x and (xy)* = y*x*; plus (x+y)* = x*+y* when add is present."""
     n = alg.size
     star = alg.star
     w = _first_true(star[star] != np.arange(n))
@@ -470,7 +446,7 @@ def validate_involution(alg: FiniteAlgebra) -> AxiomViolation | None:
 
 
 def validate(alg: FiniteAlgebra) -> AxiomViolation | None:
-    """Run every validator the algebra's kind calls for; first violation wins.
+    """Decide every law the algebra's kind calls for; first violation wins.
     Each algebra object is validated once, and mul's associativity is
     decided once for it and its reduct; later calls return the verdict.
     Tables are read-only and the object is frozen, so it never goes stale."""
@@ -481,6 +457,6 @@ def validate(alg: FiniteAlgebra) -> AxiomViolation | None:
         if bad is None and alg.add is not None:
             bad = _semiring_laws(alg.mul, alg.add, memo["gens"])
         if bad is None and alg.star is not None:
-            bad = validate_involution(alg)
+            bad = _involution_laws(alg)
         facts["verdict"] = bad
     return facts["verdict"]

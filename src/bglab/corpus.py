@@ -73,11 +73,6 @@ def _fill(t: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
     return t[~bad.reshape(n * n, f).any(axis=0)]
 
 
-def _refuse_above_max(n: int) -> None:
-    if n > MAX_ORDER:
-        raise ValueError(f"n must be <= {MAX_ORDER}: order {n} has too many tables to hold")
-
-
 @lru_cache(maxsize=None)
 def semigroup_stack(n: int) -> np.ndarray:
     """Every associative n x n table, as a read-only C-contiguous uint8
@@ -85,7 +80,8 @@ def semigroup_stack(n: int) -> np.ndarray:
     above MAX_ORDER are refused before any work starts."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _refuse_above_max(n)
+    if n > MAX_ORDER:
+        raise ValueError(f"n must be <= {MAX_ORDER}: order {n} has too many tables to hold")
     t = np.full((1, (n + 1) ** 2), n, dtype=np.uint8)
     for i, j in _cells(n):
         # rebinding t to the children frees the parents before the join
@@ -102,17 +98,6 @@ def semigroup_tables(n: int):
     """Yield every associative n x n table as a tuple of row tuples."""
     for table in semigroup_stack(n).tolist():
         yield tuple(map(tuple, table))
-
-
-@lru_cache(maxsize=None)
-def all_semigroups_upto(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Every associative table of order 1..n, by order; orders above
-    MAX_ORDER are refused before any smaller order is enumerated."""
-    _refuse_above_max(n)
-    out = []
-    for size in range(1, n + 1):
-        out.extend(semigroup_tables(size))
-    return tuple(out)
 
 
 def as_algebra(table) -> FiniteAlgebra:

@@ -317,7 +317,7 @@ def subset_b_onto_b21(wb: Workbench):
     H = [e, s3.index("(12)")]
     g = s3.index("(13)")
     masks = constructions.subset_b(s3, H, g)
-    balg, _ = constructions.induced_algebra(wb.get("ps3_star"), masks)
+    balg = constructions.induced_algebra(wb.get("ps3_star"), masks)
     # {e}, H, g^-1 H, H g, g^-1 H g
     special = dict(zip(constructions.subset_b_masks(s3, H, g), "1ebaf"))
     b21 = wb.get("b21")

@@ -17,6 +17,12 @@ from bglab.core import FiniteAlgebra, mult_reduct, validate
 from bglab.errors import BglabError, SubgroupEnumerationBudget
 
 
+def corpus_algebras(order):
+    """Every corpus table of order 1..order, as a fresh algebra."""
+    return [corpus.as_algebra(t)
+            for n in range(1, order + 1) for t in corpus.semigroup_tables(n)]
+
+
 def left_zero(n):
     return FiniteAlgebra("semigroup", tuple(f"l{i}" for i in range(n)),
                          [[i] * n for i in range(n)])
@@ -174,7 +180,7 @@ def oracle_factor_kinds(alg, chain):
     factor (class + fresh zero at 0) built as an algebra and tested by the
     set oracle for Brandt semigroups, whose group order and index count
     are read off its H-classes and idempotents."""
-    kernel = C.induced_algebra(alg, chain[0])[0]
+    kernel = C.induced_algebra(alg, chain[0])
     kinds = [{"kind": "group", "order": kernel.size} if A.is_group(kernel)
              else {"kind": "other", "size": kernel.size}]
     for lo, hi in zip(chain, chain[1:]):
@@ -195,14 +201,14 @@ def oracle_factor_kinds(alg, chain):
 def oracle_restricted_j_trivial(alg, subset):
     """j_trivial inside the subsemigroup built as its own algebra, the
     witness mapped back to the parent's indices."""
-    ok, w = A.j_trivial(C.induced_algebra(alg, subset)[0])
+    ok, w = A.j_trivial(C.induced_algebra(alg, subset))
     members = sorted(subset)
     return ok, None if w is None else (members[w[0]], members[w[1]])
 
 
 def oracle_cases():
     s3 = C.symmetric_group(3)
-    yield from (corpus.as_algebra(t) for t in corpus.all_semigroups_upto(3))
+    yield from corpus_algebras(3)
     yield mult_reduct(C.brandt_monoid_b21())
     yield C.brandt_semigroup(C.cyclic_group(2), 2)
     yield mult_reduct(C.power_semiring(s3))
@@ -513,8 +519,7 @@ class TestPrincipalSeries:
             A.principal_series(alg)
 
     def test_every_corpus_algebra_gets_a_full_chain(self):
-        for table in corpus.all_semigroups_upto(3):
-            alg = corpus.as_algebra(table)
+        for alg in corpus_algebras(3):
             rep = A.principal_series(alg)
             assert rep.chain[-1] == list(range(alg.size))
             q, r = (2**rep.h) * rep.m, rep.k * rep.h + rep.h + rep.k
@@ -603,8 +608,7 @@ def analytics_groups():
         "semigroup", [str(i) for i in range(16)],
         [[2 * int(q8.mul[a // 2, b // 2]) + (a + b) % 2 for b in range(16)]
          for a in range(16)])
-    tables = [alg for alg in map(corpus.as_algebra, corpus.all_semigroups_upto(4))
-              if A.is_group(alg)]
+    tables = [alg for alg in corpus_algebras(4) if A.is_group(alg)]
     out.update({f"corpus{i}": alg for i, alg in enumerate(tables)})
     return out
 
@@ -687,9 +691,7 @@ class TestGroupAnalytics:
         # C2^4 needs four generators; corpus groups need not have e = 0
         c2_4 = FiniteAlgebra("semigroup", [str(i) for i in range(16)],
                              [[i ^ j for j in range(16)] for i in range(16)])
-        corpus_groups = [alg for alg in map(corpus.as_algebra,
-                                            corpus.all_semigroups_upto(4))
-                         if A.is_group(alg)]
+        corpus_groups = [alg for alg in corpus_algebras(4) if A.is_group(alg)]
         assert len(corpus_groups) == 22
         assert any(C.ensure_group(g)[0] != 0 for g in corpus_groups)
         for g in (s3, q8, z4, C.dihedral_group(4), c2_4, *corpus_groups):
@@ -726,15 +728,13 @@ class TestGroupAnalytics:
 
 class TestCorpusInvariants:
     def test_three_way_equivalence_small_orders(self):
-        for table in corpus.all_semigroups_upto(3):
-            alg = corpus.as_algebra(table)
+        for alg in corpus_algebras(3):
             bg = A.is_block_group(alg)
             assert bg == A.unique_inverse_check(alg)
             assert bg == A.j_trivial(alg, A.idempotent_generated(alg))[0]
 
     def test_regular_core_elements_are_idempotent_in_block_groups(self):
-        for table in corpus.all_semigroups_upto(3):
-            alg = corpus.as_algebra(table)
+        for alg in corpus_algebras(3):
             if not A.is_block_group(alg):
                 continue
             idem = set(A.idempotents(alg))
@@ -744,8 +744,7 @@ class TestCorpusInvariants:
                     assert a in idem
 
     def test_block_groups_have_brandt_series_and_conversely(self):
-        for table in corpus.all_semigroups_upto(3):
-            alg = corpus.as_algebra(table)
+        for alg in corpus_algebras(3):
             assert A.principal_series(alg).brandt_series == A.is_block_group(alg)
 
     def test_j_trivial_word_products_collapse(self):
@@ -754,8 +753,7 @@ class TestCorpusInvariants:
         # with index at most |S|, so p = |S| does
         rng = np.random.default_rng(11)
         checked = 0
-        for table in corpus.all_semigroups_upto(3):
-            alg = corpus.as_algebra(table)
+        for alg in corpus_algebras(3):
             if not A.j_trivial(alg)[0]:
                 continue
             p = alg.size

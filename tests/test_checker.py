@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from itertools import permutations, product
 from pathlib import Path
@@ -24,7 +25,7 @@ def parse(text):
     return T.parse_identity(text)
 
 
-SMALL_SEMIGROUPS = corpus.all_semigroups_upto(3)
+SMALL_SEMIGROUPS = [t for n in range(1, 4) for t in corpus.semigroup_tables(n)]
 MAGMAS = st.integers(2, 3).flatmap(lambda n: st.lists(
     st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n))
 
@@ -714,7 +715,7 @@ def looped_image_counts(alg, n, m, h):
 class TestImageTechnique:
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
     def test_level_images_are_np_unique_of_the_tuple_values(self, n, m, b21_mul, s3, ps3_mul):
-        algs = [corpus.as_algebra(t) for t in corpus.all_semigroups_upto(3)]
+        algs = [corpus.as_algebra(t) for t in SMALL_SEMIGROUPS]
         for alg in [*algs, b21_mul, s3, ps3_mul]:
             kernel = T.flat_kernel(alg)
             size = np.intp(alg.size)
@@ -767,6 +768,24 @@ class TestImageTechnique:
         left = T.evaluate(v, report.witness, z3)
         right = T.evaluate(T.PowerOf(v, 2), report.witness, z3)
         assert left == report.bad_value and left != right
+
+    @pytest.mark.parametrize("h", [2, 3, 5, 8])
+    def test_witness_sweeps_each_level_once(self, ps3_mul, monkeypatch, h):
+        # level 1 of power(S3) has 15 values; the witness reads several of
+        # them, and the forward layers it needs depend on the level alone
+        swept = []
+        forward = K._forward_states
+        monkeypatch.setattr(K, "_forward_states",
+                            lambda pair, size, vals, n: swept.append(vals.tobytes())
+                            or forward(pair, size, vals, n))
+        report = K.check_v_square_image(ps3_mul, 2, 4, h)
+        assert report.status == K.COUNTEREXAMPLE and report.witness is not None
+        # one sweep per level for its image, and at most one for the witness
+        assert max(Counter(swept).values()) <= 2
+        if h <= 3:
+            v = T.v_word(2, 4, h)
+            assert T.evaluate(v, report.witness, ps3_mul) != T.evaluate(
+                T.PowerOf(v, 2), report.witness, ps3_mul)
 
     def test_witness_binds_exactly_the_variables_of_v(self, s3):
         # the witness builds its variables from index tuples alone, so they

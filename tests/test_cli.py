@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bglab
-from bglab import analysis, core, suite
+from bglab import analysis, checker, core, suite
 from bglab.cli import BUILD_CHOICES, main
 from bglab.constructions import brandt_monoid_b21, hall_semiring, symmetric_group
 from bglab.core import FiniteAlgebra, load_algebra, mult_reduct
@@ -520,6 +520,16 @@ class TestCheck:
                              "--identity", "x1 x2 = x1", "--domain", "x2")
         assert (code, out, err) == (
             2, "", "error: --domain expects NAME=FILE, got 'x2'\n")
+
+    def test_block_mode_refuses_a_domain(self, b21_path, tmp_path, capsys, monkeypatch):
+        # the image sweep ranges over the whole carrier; a domain it ignored
+        # once printed the unrestricted verdict, holds with 36 evaluations
+        dom = tmp_path / "dom.json"
+        dom.write_text(json.dumps(["0", "1"]))
+        monkeypatch.setattr(checker, "check_v_square_image", lambda *a, **k: pytest.fail())
+        code, out, err = run(capsys, "check", "--algebra", b21_path, "--mode", "block",
+                             "--identity", "v[1,1,1] = v[1,1,1]^2", "--domain", f"x1={dom}")
+        assert code == 2 and out == "" and "--domain" in err
 
     def test_block_mode_beyond_n_2(self, b21_path, tmp_path, capsys):
         from bglab.terms import PowerOf, evaluate, v_word

@@ -670,10 +670,10 @@ def assert_restricts_like_the_loop(alg, elements) -> str:
             C.induced_algebra(alg, elements)
         assert str(got.value) == str(ex)
         return str(ex)
-    sub, remap = C.induced_algebra(alg, elements)
+    sub = C.induced_algebra(alg, elements)
     tables = (sub.mul, sub.add, sub.star)
     assert [None if t is None else t.tolist() for t in tables] == list(want)
-    assert remap == {x: i for i, x in enumerate(sorted(elements))}
+    assert sub.labels == tuple(alg.labels[x] for x in sorted(elements))
     return ""
 
 

@@ -16,11 +16,8 @@ from bglab.core import (
     load_algebra,
     mult_reduct,
     validate,
-    validate_ai_semiring,
-    validate_involution,
-    validate_semigroup,
 )
-from bglab.errors import BglabError, MissingTable
+from bglab.errors import BglabError
 from bglab.terms import evaluate_batch, flat_kernel, v_word
 
 
@@ -185,15 +182,15 @@ class TestRecord:
 
 class TestValidateSemigroup:
     def test_b21_multiplication_is_associative(self, b21):
-        assert validate_semigroup(b21) is None
+        assert validate(b21) is None
 
     def test_single_element(self):
-        assert validate_semigroup(semigroup([[0]])) is None
+        assert validate(semigroup([[0]])) is None
 
     def test_first_violation_matches_brute_force(self):
         # 0*0=1 breaks associativity; the witness must be the index-least triple
         table = [[1, 0], [0, 0]]
-        bad = validate_semigroup(semigroup(table))
+        bad = validate(semigroup(table))
         expected = brute_assoc_violation(table)
         assert expected is not None
         assert bad == AxiomViolation("mul-associative", expected)
@@ -204,14 +201,8 @@ class TestValidateSemigroup:
     def test_violations_replay_on_random_tables(self, seed):
         rng = np.random.default_rng(seed)
         table = rng.integers(0, 4, size=(4, 4)).tolist()
-        bad = validate_semigroup(semigroup(table))
+        bad = validate(semigroup(table))
         assert (bad.witness if bad else None) == brute_assoc_violation(table)
-
-    def test_missing_table_only_for_richer_validators(self, b2):
-        with pytest.raises(MissingTable):
-            validate_ai_semiring(b2)
-        with pytest.raises(MissingTable):
-            validate_involution(b2)
 
 
 class TestMulZero:
@@ -242,50 +233,50 @@ class TestMulZero:
 
 class TestValidateAiSemiring:
     def test_b21_is_an_ai_semiring(self, b21):
-        assert validate_ai_semiring(b21) is None
+        assert validate(b21) is None
 
     def test_semilattice_with_mul_equal_add(self):
         # meet table of the 3-chain used for both operations
         meet = [[min(i, j) for j in range(3)] for i in range(3)]
         alg = FiniteAlgebra("ai-semiring", ("0", "1", "2"), meet, add=meet)
-        assert validate_ai_semiring(alg) is None
+        assert validate(alg) is None
 
     def test_xor_addition_fails_idempotency_at_one(self):
         mul = [[0, 0], [0, 1]]
         xor = [[0, 1], [1, 0]]
         alg = FiniteAlgebra("ai-semiring", ("0", "1"), mul, add=xor)
-        bad = validate_ai_semiring(alg)
+        bad = validate(alg)
         assert bad == AxiomViolation("add-idempotent", (1,))
 
     def test_broken_distributivity_is_caught(self):
         mul = [[0, 0], [0, 1]]
         add = [[0, 1], [1, 1]]  # join: distributes
         alg = FiniteAlgebra("ai-semiring", ("0", "1"), mul, add=add)
-        assert validate_ai_semiring(alg) is None
+        assert validate(alg) is None
         skew = [[1, 1], [1, 1]]  # constant add: x(y+z) = x, xy+xz = 1
         alg = FiniteAlgebra("ai-semiring", ("0", "1"), mul, add=skew)
-        bad = validate_ai_semiring(alg)
+        bad = validate(alg)
         assert bad is not None and bad.law == "add-idempotent"
 
     def test_power_semiring_validates(self, ps3):
-        assert validate_ai_semiring(ps3) is None
+        assert validate(ps3) is None
 
 
 class TestValidateInvolution:
     def test_b21_transpose_star(self, b21):
-        assert validate_involution(b21) is None
+        assert validate(b21) is None
 
     def test_identity_star_on_commutative_semigroup(self, z4):
         alg = FiniteAlgebra("involution-semigroup", z4.labels, z4.mul,
                             star=list(range(4)))
-        assert validate_involution(alg) is None
+        assert validate(alg) is None
 
     def test_swapping_both_pairs_breaks_antiautomorphism(self, b21):
         # swap a<->b and e<->f on top of the matrix tables
         swap = [0, 1, 3, 2, 5, 4]
         alg = FiniteAlgebra("involution-ai-semiring", b21.labels, b21.mul,
                             add=b21.add, star=swap)
-        bad = validate_involution(alg)
+        bad = validate(alg)
         assert bad is not None and bad.law == "star-antiautomorphism"
         x, y = bad.witness
         assert swap[b21.mul[x, y]] != b21.mul[swap[y], swap[x]]
@@ -300,10 +291,16 @@ class TestValidateInvolution:
         psi = [0, 1, 2, 3, 5, 4]
         alg = FiniteAlgebra("involution-ai-semiring", b21.labels, b21.mul,
                             add=b21.add, star=psi)
-        assert validate_involution(alg) is None
+        assert validate(alg) is None
 
     def test_additive_star_law_checked_when_add_present(self, hall2):
-        assert validate_involution(hall2) is None
+        assert validate(hall2) is None
+        # the zero semigroup with the chain 0 < 1 < 2 as its sum: swapping 1
+        # and 2 keeps every product 0 but turns 1 + 2 = 2 into 1
+        chain = [[max(i, j) for j in range(3)] for i in range(3)]
+        alg = FiniteAlgebra("involution-ai-semiring", ("0", "1", "2"), [[0] * 3] * 3,
+                            add=chain, star=[0, 2, 1])
+        assert validate(alg) == AxiomViolation("star-additive", (1, 2))
 
     def test_validate_dispatches_on_kind(self, b21, ps3, ips3, b2):
         for alg in (b21, ps3, ips3, b2):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bglab import corpus
-from bglab.core import validate_semigroup
+from bglab.core import validate
 
 
 def brute_force_count(n):
@@ -192,18 +192,14 @@ class TestEnumeration:
             next(corpus.semigroup_tables(n))
 
     def test_order_above_five_is_refused_before_any_work(self):
-        # order 6 has 17,061,118 tables; neither call builds a frontier, and
-        # all_semigroups_upto enumerates no smaller order first
-        with mock.patch.object(corpus, "_fill", wraps=corpus._fill) as fill, \
-                mock.patch.object(corpus, "semigroup_tables",
-                                  wraps=corpus.semigroup_tables) as tables:
+        # order 6 has 17,061,118 tables; neither call builds a frontier
+        with mock.patch.object(corpus, "_fill", wraps=corpus._fill) as fill:
             for n in (corpus.MAX_ORDER + 1, 10**6):
                 with pytest.raises(ValueError, match="n must be <= 5"):
                     corpus.semigroup_stack(n)
                 with pytest.raises(ValueError, match="n must be <= 5"):
-                    corpus.all_semigroups_upto(n)
+                    next(corpus.semigroup_tables(n))
         fill.assert_not_called()
-        tables.assert_not_called()
 
     def test_tables_are_emitted_in_ascending_order(self):
         tables = list(corpus.semigroup_tables(2))
@@ -211,10 +207,6 @@ class TestEnumeration:
         assert tables[0] == ((0, 0), (0, 0))
 
     def test_every_emitted_table_is_associative(self):
-        for table in corpus.all_semigroups_upto(3):
-            assert validate_semigroup(corpus.as_algebra(table)) is None
-
-    def test_cache_includes_all_small_orders(self):
-        tables = corpus.all_semigroups_upto(3)
-        assert len(tables) == 1 + 8 + 113
-        assert len({len(t) for t in tables}) == 3
+        for n in range(1, 4):
+            for table in corpus.semigroup_tables(n):
+                assert validate(corpus.as_algebra(table)) is None
