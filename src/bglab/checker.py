@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import FiniteAlgebra, _check_indices, mult_reduct, validate
 from .errors import BglabError, MapNotTotal, MissingStar, MissingTable
-from .terms import (DEFAULT_NODE_BUDGET, InvTerm, PowerOf, Term, Variable, _advance,
-                    _power_exceeds, _power_text, _step, _tuple_values, evaluate_batch,
+from .terms import (DEFAULT_NODE_BUDGET, InvTerm, PowerOf, Term, Variable, _forward_states,
+                    _image, _least_preimage, _power_exceeds, _power_text, evaluate_batch,
                     flat_kernel, variable_key)
 
 HOLDS = "holds"
@@ -449,46 +449,6 @@ def verify_morphism(spec: MorphismSpec) -> MorphismReport:
 # block-value image technique for the v-family square identities
 
 
-def _forward_states(pair, size, vals, n):
-    """The reachable pair states after each of the 2n blocks, block values
-    drawn from vals; at most size^2 states per block."""
-    seen = np.zeros(size * size, dtype=bool)
-    layers = [vals * size + vals]
-    for i in range(2, 2 * n + 1):
-        layers.append(_advance(pair, size, layers[-1], vals, i, n, seen)[1])
-    return layers
-
-
-def _image(pair, size, power, vals, n) -> np.ndarray:
-    """The tuple values over block values vals, distinct and ascending, read
-    off a seen mask over the carrier (np.unique would sort them, and in
-    numpy 2 it imports numpy.ma on first use)."""
-    seen = np.zeros(size, dtype=bool)
-    seen[_tuple_values(pair, size, power, _forward_states(pair, size, vals, n)[-1])] = True
-    return np.flatnonzero(seen)
-
-
-def _least_preimage(pair, size, power, vals, layers, n, value) -> tuple[int, ...]:
-    """The lexicographically least (b1..b2n) over sorted vals with the given
-    tuple value: mark the states that can still reach it, last block first,
-    then take the least value that stays on a marked state, block by block.
-    live[i] marks layers[i] position by position."""
-    seen = np.zeros(size * size, dtype=bool)
-    live = [_tuple_values(pair, size, power, layers[-1]) == value]
-    for i in range(2 * n, 1, -1):
-        after = _advance(pair, size, layers[i - 2], vals, i, n, seen, ranked=True)[0]
-        live.append(live[-1][after].any(axis=1))
-    live.reverse()
-    picks = []
-    state = None
-    for i in range(1, 2 * n + 1):
-        after = vals * size + vals if i == 1 else _step(pair, size, state, vals, i, n)
-        at = int(np.argmax(live[i - 1][np.searchsorted(layers[i - 1], after)]))
-        picks.append(int(vals[at]))
-        state = after[at]
-    return tuple(picks)
-
-
 def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
                          budget: int | None = None) -> CheckVerdict:
     """Exact check of v = v^2 at depth h via level-by-level image sets
@@ -533,7 +493,6 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
         raise BglabError(f"the block-value image check needs an associative table: "
                          f"{bad.describe(alg)}")
     kernel = flat_kernel(alg)
-    size = np.intp(size)  # state codes P*size + M are computed in np.intp
     pair = kernel.pair
     carrier = np.arange(size, dtype=np.intp)
     power = kernel.power(carrier, 2 * m - 1)

@@ -151,7 +151,11 @@ def _parse_side(text: str):
     if not m:
         return terms.parse_term(text)
     params = [int(x) for x in m.group("args").split(",")]
-    family = {"v": terms.v_word, "u": terms.u_word, "w": terms.w_word}[m.group("fam")]
+    family, form = {"v": (terms.v_word, "v[n,m,h]"), "u": (terms.u_word, "u[n,k,m]"),
+                    "w": (terms.w_word, "w[n,h]")}[m.group("fam")]
+    if len(params) != form.count(",") + 1:
+        raise BglabError(f"{text.strip()!r} gives {len(params)} parameters, but the "
+                         f"form is {form}")
     base = family(*params)
     exp = m.group("exp")
     return terms.PowerOf(base, int(exp)) if exp else base

@@ -54,12 +54,17 @@ def _as_table(t, size, name):
 
 
 def _index_data(d: dict, key: str):
-    """d[key] as an integer array, or None when absent.  Floats, bools and
-    strings are refused rather than cast, and so are integers that the cast
-    of this array to int32 would wrap into valid indices."""
-    if d.get(key) is None:
+    """d[key] as an integer array, or None when absent.  A null or a scalar
+    is refused (NumPy reads null as an object, and the table casts would
+    widen a scalar to a list), and so are floats, bools and strings rather
+    than cast, and integers that the cast of this array to int32 would wrap
+    into valid indices."""
+    if key not in d:
         return None
     a = np.asarray(d[key])
+    if a.ndim == 0:
+        raise BglabError(f"algebra data {key!r} must be a list, not "
+                         f"{'null' if d[key] is None else 'a scalar'}")
     if a.dtype.kind in "iu" and _holds_bool(d[key], a):
         a = a.astype(bool)  # NumPy read the bools among the integers as 0 and 1
     if a.size and (a.dtype.kind not in "iu" or (a != a.astype(np.int32)).any()):

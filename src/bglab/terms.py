@@ -388,17 +388,18 @@ def _flat_kernel(mul, star, memo) -> Kernel:
 
 
 # ---------------------------------------------------------------------------
-# pair states: the image engine's sweep and the block-node tables
+# pair states: the image engine's sweep and witness, and the block-node tables
 
 
 def _step(pair, size, states, b, i, n):
-    """Pair states coded P*size + M after block i (1-based) takes value b:
-    P is the product of the blocks so far and M their product in middle
-    order bn..b1 b(n+1)..b2n, so block i multiplies M on the left for i <= n
-    and on the right after.  Broadcasts over states and b."""
+    """Pair states coded P*size + M, in np.intp, after block i (1-based)
+    takes value b: P is the product of the blocks so far and M their
+    product in middle order bn..b1 b(n+1)..b2n, so block i multiplies M on
+    the left for i <= n and on the right after.  Broadcasts over states
+    and b."""
     P, M = np.divmod(states, size)
     M = pair(b, M) if i <= n else pair(M, b)
-    return pair(P, b) * size + M
+    return pair(P, b) * np.intp(size) + M
 
 
 def _tuple_values(pair, size, power, states):
@@ -408,20 +409,55 @@ def _tuple_values(pair, size, power, states):
     return pair(P, power[M])
 
 
-def _advance(pair, size, states, vals, i, n, seen, ranked=False):
-    """Block i of a sweep: every state of `states` (ascending codes) takes
-    every value of vals.  Returns after, the |states| x |vals| states
-    reached, and the distinct ones in ascending order.  seen is a Boolean
-    mask of size^2 cells, all False, reused from block to block and left
-    all False.  When ranked, after holds each state's position among the
-    reached ones (a cumulative sum over the mask) instead of its code."""
+def _marks(cells, at):
+    """A Boolean mask of `cells` cells, True at the indices `at`."""
+    mask = np.zeros(cells, dtype=bool)
+    mask[at] = True
+    return mask
+
+
+def _advance(pair, size, states, vals, i, n):
+    """Block i of a sweep: every state of `states` takes every value of
+    vals.  Returns after, the |states| x |vals| states reached, and the
+    distinct ones in ascending order, read off a mask over the codes."""
     after = _step(pair, size, states[:, None], vals[None, :], i, n)
-    seen[after] = True
-    reached = np.flatnonzero(seen)
-    if ranked:
-        after = (np.cumsum(seen, dtype=np.intp) - 1).take(after)
-    seen[reached] = False
-    return after, reached
+    return after, np.flatnonzero(_marks(size * size, after))
+
+
+def _forward_states(pair, size, vals, n):
+    """The reachable pair states after each of the 2n blocks, block values
+    drawn from vals (np.intp, ascending); at most size^2 states per block."""
+    layers = [vals * size + vals]
+    for i in range(2, 2 * n + 1):
+        layers.append(_advance(pair, size, layers[-1], vals, i, n)[1])
+    return layers
+
+
+def _image(pair, size, power, vals, n) -> np.ndarray:
+    """The tuple values over block values vals, distinct and ascending, read
+    off a mask over the carrier (np.unique would sort them, and in numpy 2
+    it imports numpy.ma on first use)."""
+    final = _forward_states(pair, size, vals, n)[-1]
+    return np.flatnonzero(_marks(size, _tuple_values(pair, size, power, final)))
+
+
+def _least_preimage(pair, size, power, vals, layers, n, value) -> tuple[int, ...]:
+    """The lexicographically least (b1..b2n) over vals with the given tuple
+    value: mark the states of each layer of _forward_states that can still
+    reach it in a mask over the codes, last block first, then take the
+    least value that lands on a marked state, block by block."""
+    final = layers[-1]
+    masks = [_marks(size * size, final[_tuple_values(pair, size, power, final) == value])]
+    for i in range(2 * n, 1, -1):
+        states = layers[i - 2]
+        after = _step(pair, size, states[:, None], vals[None, :], i, n)
+        masks.insert(0, _marks(size * size, states[masks[0][after].any(axis=1)]))
+    picks = []
+    for i, live in enumerate(masks, start=1):
+        after = layers[0] if i == 1 else _step(pair, size, after[at], vals, i, n)
+        at = int(np.argmax(live[after]))
+        picks.append(int(vals[at]))
+    return tuple(picks)
 
 
 def _block_tables(pair, size, power, n):
@@ -431,12 +467,11 @@ def _block_tables(pair, size, power, n):
     The node's value is (L R)(L' R)^(2m-1), where L = b1..bn, L' = bn..b1
     and R = b(n+1)..b2n, so the evaluator walks the reachable left pair
     states (L, L') of _step and multiplies R in once.  The state after
-    block 1 is coded b1.  steps[i - 2] maps code*size + b(i) to the code of
-    the next state times size, pre-scaled like rows; values maps
-    code*size + R to the node's value, power[x] being x^(2m-1)."""
-    size = np.intp(size)  # state codes P*size + M are computed in np.intp
+    block 1 is coded b1, and each later one by its rank among the states
+    reached.  steps[i - 2] maps code*size + b(i) to the code of the next
+    state times size, pre-scaled like rows; values maps code*size + R to
+    the node's value, power[x] being x^(2m-1)."""
     carrier = np.arange(size, dtype=np.intp)
-    seen = np.zeros(size * size, dtype=bool)
     states = carrier * size + carrier
     steps = []
     cells = 0
@@ -444,8 +479,9 @@ def _block_tables(pair, size, power, n):
         cells += len(states) * size
         if cells > _BLOCK_TABLE_CELLS:
             return None
-        code, states = _advance(pair, size, states, carrier, i, n, seen, ranked=True)
-        steps.append(np.multiply(code, size, dtype=np.int32).reshape(-1))
+        after, states = _advance(pair, size, states, carrier, i, n)
+        steps.append(np.multiply(np.searchsorted(states, after), size,
+                                 dtype=np.int32).reshape(-1))
     cells += len(states) * size
     if cells > _BLOCK_TABLE_CELLS:
         return None

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -694,15 +695,30 @@ class TestRestrictedDomains:
         assert verdict.status == K.COUNTEREXAMPLE
 
 
+# (status, bad_value, level_sizes, evaluations, sha256 of the witness's
+# (index tuple, value) pairs in index order) of check_v_square_image on
+# carriers with many pair states: power(S3) (64 elements) and hall(3) (247)
+PINNED_IMAGE_WITNESSES = {
+    ("ps3_mul", (2, 4, 5)): (
+        "counterexample", 8, [24, 15, 15, 15, 15], 17260867,
+        "50349f020f80cd1722790b60ade0953c1231b6701cd7ff5225757b48c04fbbb4"),
+    ("ps3_mul", (2, 4, 8)): (
+        "counterexample", 8, [24, 15, 15, 15, 15, 15, 15, 15], 17412742,
+        "b2bde5600c6ffcba4b424e89872665e5651337b2a4c3d1ee0b08929b1fe98358"),
+    ("hall3", (2, 44, 6)): (
+        "counterexample", 8, [160, 64, 55, 55, 55, 55], 4421687172,
+        "0f09f06e678dd5e171e542255b61171ce57db5eafa48240987187e4aaf148d19"),
+}
+
+
 def looped_image_counts(alg, n, m, h):
     """Oracle: level_sizes and evaluations of the image check by the loop
     over all h levels that the check ran before its closed form."""
     kernel = T.flat_kernel(alg)
-    size = np.intp(alg.size)
-    inputs = [np.arange(size, dtype=np.intp)]
+    inputs = [np.arange(alg.size, dtype=np.intp)]
     power = kernel.power(inputs[0], 2 * m - 1)
     while len(inputs) <= h:
-        image = K._image(kernel.pair, size, power, inputs[-1], n)
+        image = T._image(kernel.pair, alg.size, power, inputs[-1], n)
         if np.array_equal(image, inputs[-1]):
             break
         inputs.append(image)
@@ -718,13 +734,13 @@ class TestImageTechnique:
         algs = [corpus.as_algebra(t) for t in SMALL_SEMIGROUPS]
         for alg in [*algs, b21_mul, s3, ps3_mul]:
             kernel = T.flat_kernel(alg)
-            size = np.intp(alg.size)
+            size = alg.size
             vals = np.arange(size, dtype=np.intp)
             power = kernel.power(vals, 2 * m - 1)
             for _ in range(4):
-                final = K._forward_states(kernel.pair, size, vals, n)[-1]
-                want = np.unique(K._tuple_values(kernel.pair, size, power, final))
-                vals = K._image(kernel.pair, size, power, vals, n)
+                final = T._forward_states(kernel.pair, size, vals, n)[-1]
+                want = np.unique(T._tuple_values(kernel.pair, size, power, final))
+                vals = T._image(kernel.pair, size, power, vals, n)
                 assert vals.tolist() == want.tolist()
 
     @pytest.mark.parametrize("run", [
@@ -773,11 +789,16 @@ class TestImageTechnique:
     def test_witness_sweeps_each_level_once(self, ps3_mul, monkeypatch, h):
         # level 1 of power(S3) has 15 values; the witness reads several of
         # them, and the forward layers it needs depend on the level alone
+        # the image sweep runs in terms, the witness's sweep in checker
         swept = []
-        forward = K._forward_states
-        monkeypatch.setattr(K, "_forward_states",
-                            lambda pair, size, vals, n: swept.append(vals.tobytes())
-                            or forward(pair, size, vals, n))
+        forward = T._forward_states
+
+        def spy(pair, size, vals, n):
+            swept.append(vals.tobytes())
+            return forward(pair, size, vals, n)
+
+        monkeypatch.setattr(T, "_forward_states", spy)
+        monkeypatch.setattr(K, "_forward_states", spy)
         report = K.check_v_square_image(ps3_mul, 2, 4, h)
         assert report.status == K.COUNTEREXAMPLE and report.witness is not None
         # one sweep per level for its image, and at most one for the witness
@@ -786,6 +807,15 @@ class TestImageTechnique:
             v = T.v_word(2, 4, h)
             assert T.evaluate(v, report.witness, ps3_mul) != T.evaluate(
                 T.PowerOf(v, 2), report.witness, ps3_mul)
+
+    @pytest.mark.parametrize("name, nmh", sorted(PINNED_IMAGE_WITNESSES), ids=str)
+    def test_witnesses_on_many_pair_states_are_pinned(self, name, nmh, request):
+        alg = mult_reduct(request.getfixturevalue(name))
+        report = K.check_v_square_image(alg, *nmh, budget=10**12)
+        witness = sorted((v.indices, x) for v, x in report.witness.items())
+        digest = hashlib.sha256(repr(witness).encode()).hexdigest()
+        assert (report.status, report.bad_value, report.level_sizes, report.evaluations,
+                digest) == PINNED_IMAGE_WITNESSES[name, nmh]
 
     def test_witness_binds_exactly_the_variables_of_v(self, s3):
         # the witness builds its variables from index tuples alone, so they

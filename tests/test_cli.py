@@ -575,16 +575,34 @@ class TestCheck:
         ({"labels": ["a", "b"], "meta": [1]}, "'meta' must be a JSON object"),
         ({"labels": ["a", "b"], "meta": "xy"}, "'meta' must be a JSON object"),
         ({"labels": [1, 2]}, "'labels' must be strings"),
-    ], ids=["list-meta", "string-meta", "integer-labels"])
+        ({"labels": ["a"], "mul": None}, "'mul' must be a list, not null"),
+        ({"kind": "involution-semigroup", "labels": ["a"], "mul": [[0]], "star": 0},
+         "'star' must be a list, not a scalar"),
+    ], ids=["list-meta", "string-meta", "integer-labels", "null-table", "scalar-star"])
     def test_malformed_meta_or_labels_exit_2(self, command, data, message, tmp_path,
                                               capsys):
-        # [1] as meta once died with a TypeError and exit 1, the
-        # counterexample code of check, and integer labels loaded silently
+        # [1] as meta and a null table once died with a TypeError and exit
+        # 1, the counterexample code of check; integer labels and a scalar
+        # star loaded silently
         path = str(tmp_path / "alg.json")
         Path(path).write_text(json.dumps({"kind": "semigroup",
                                           "mul": [[0, 1], [1, 0]], **data}))
         code, out, err = run(capsys, *command, path)
         assert (code, out, err) == (2, "", f"error: algebra data {message}\n")
+
+    @pytest.mark.parametrize("identity,form", [
+        ("v[1,1] = v[1,1]^2", "v[n,m,h]"),
+        ("x1 = v[1,1,1,1]^2", "v[n,m,h]"),
+        ("u[1,1,1,5] = x1", "u[n,k,m]"),
+        ("w[2,2,100] = x1 x1", "w[n,h]"),
+        ("w[1,1,1] = x1", "w[n,h]"),
+    ])
+    def test_word_family_with_the_wrong_parameter_count_exits_2(self, identity, form,
+                                                                  b21_path, capsys):
+        # too few or too many once died with a TypeError and exit 1, and a
+        # third w parameter was read as the length budget
+        code, out, err = run(capsys, "check", "--algebra", b21_path, "--identity", identity)
+        assert code == 2 and out == "" and err.endswith(f"but the form is {form}\n")
 
     @pytest.mark.parametrize("table,triple,exhaustive", [
         ([[0, 2, 1], [2, 2, 0], [1, 0, 2]], "(0, 0, 1)", 1),

@@ -363,6 +363,20 @@ class TestJsonRoundTrip:
                                              f"int32 integers, not {dtype} values$"):
             FiniteAlgebra.from_dict(d)
 
+    @pytest.mark.parametrize("kind,key,value,what", [
+        ("semigroup", "mul", None, "null"),
+        ("ai-semiring", "add", None, "null"),
+        ("involution-semigroup", "star", 0, "a scalar"),
+        ("semigroup", "mul", 0, "a scalar"),
+    ])
+    def test_tables_that_are_no_list_are_refused(self, kind, key, value, what):
+        # a null mul once died with a TypeError, and a scalar star was
+        # widened to the one-element list [0]
+        d = {"kind": kind, "labels": ["a"], "mul": [[0]], key: value}
+        with pytest.raises(BglabError, match=f"^algebra data '{key}' must be a list, "
+                                             f"not {what}$"):
+            FiniteAlgebra.from_dict(d)
+
     def test_labels_that_are_no_list_are_refused(self):
         # "ab" once read as the labels a, b
         d = {"kind": "semigroup", "labels": "ab", "mul": [[0, 1], [1, 0]]}

@@ -1,0 +1,32 @@
+"""The oracle matrix: engines that decide the same question must agree.
+
+The block-value image check and the exhaustive scan both decide
+v(n, m, h) = v^2.  They are compared on every semigroup table of order at
+most 3 and every 9th one of order 4, at the seven shapes whose words have
+at most four variables, so the scan reads at most 256 substitutions.  Each
+image witness must re-evaluate through scalar terms.evaluate: v gives the
+bad value, and v^2 does not.
+"""
+
+import pytest
+
+from bglab import checker as K
+from bglab import corpus
+from bglab import terms as T
+
+TABLES = [t for n in (1, 2, 3) for t in corpus.semigroup_stack(n).tolist()]
+TABLES += corpus.semigroup_stack(4)[::9].tolist()
+
+
+@pytest.mark.parametrize("nmh", [(1, 1, 1), (1, 2, 1), (1, 1, 2), (1, 3, 2),
+                                 (2, 1, 1), (2, 2, 1), (2, 3, 1)], ids=str)
+def test_image_check_agrees_with_the_exhaustive_scan(nmh):
+    v = T.v_word(*nmh)
+    square = T.PowerOf(v, 2)
+    for table in TABLES:
+        alg = corpus.as_algebra(table)
+        image = K.check_v_square_image(alg, *nmh)
+        assert image.status == K.check_identity_exhaustive(alg, v, square).status, table
+        if image.status == K.COUNTEREXAMPLE:
+            assert T.evaluate(v, image.witness, alg) == image.bad_value, table
+            assert T.evaluate(square, image.witness, alg) != image.bad_value, table
