@@ -518,15 +518,13 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
                             note=f"witness of (2n)^h = {_power_text(2 * n, h)} variables "
                                  f"exceeds node budget {DEFAULT_NODE_BUDGET}; not expanded")
 
-    # one forward sweep per level that the witness reads, shared by its values
+    # one forward sweep and one preimage per swept level that the witness
+    # reads, shared by the levels past the last one, which repeat it
     layers = cache(lambda at: _forward_states(pair, size, inputs[at], n))
-
-    @cache
-    def preimage(level, value):
-        at = min(level, last)
-        return _least_preimage(pair, size, power, inputs[at], layers(at), n, value)
-
-    witness = _expand_witness(preimage, bad_value, n, h)
+    swept = cache(lambda at, value: _least_preimage(pair, size, power, inputs[at],
+                                                    layers(at), n, value))
+    witness = _expand_witness(lambda level, value: swept(min(level, last), value),
+                              bad_value, n, h)
     return CheckVerdict(COUNTEREXAMPLE, witness, total, level_sizes=level_sizes,
                         bad_value=bad_value)
 

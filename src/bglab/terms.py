@@ -4,7 +4,10 @@ Variables are index tuples (i1..ih) of positive entries; ordering for
 substitution enumeration is lexicographic on the tuples.  Block words keep
 the recursive shape (2n leading blocks, then a middle group repeated 2m-1
 times) so evaluation never needs the flat word; flattening is available up
-to a length budget.
+to a length budget.  A block-word node is its parameters (n, m, depth,
+suffix) and builds its blocks only when an evaluator, variables() or
+flatten reads them, so the image engine, which needs (n, m, h) alone,
+builds no word.
 """
 
 from __future__ import annotations
@@ -136,22 +139,36 @@ class InvTerm:
 
 @dataclass(frozen=True)
 class BlockWord:
-    """Recursive word: blocks b1..b2n, then (bn..b1 b(n+1)..b2n)^(2m-1)."""
+    """Recursive word: blocks b1..b2n, then (bn..b1 b(n+1)..b2n)^(2m-1).
+
+    A node is its parameters: the node of v(n, m, h) at the given depth
+    whose ancestors appended `suffix` to every index tuple.  Its 2n blocks
+    are built on first read, so equality, hashing and the image engine read
+    the four fields alone."""
 
     n: int
     m: int
-    blocks: tuple  # 2n children, all BlockWord or all Variable
+    depth: int
+    suffix: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be positive")
-        if len(self.blocks) != 2 * self.n:
-            raise ValueError("need exactly 2n blocks")
+        if self.n < 1 or self.m < 1 or self.depth < 1:
+            raise ValueError("n, m and depth must be positive")
+        if _power_exceeds(2 * self.n, self.depth, DEFAULT_NODE_BUDGET):
+            raise LengthBudgetExceeded(
+                f"(2n)^h = {_power_text(2 * self.n, self.depth)} block nodes "
+                f"exceed budget {DEFAULT_NODE_BUDGET}")
 
-    @property
-    def depth(self) -> int:
-        child = self.blocks[0]
-        return 1 if isinstance(child, Variable) else 1 + child.depth
+    @cached_property
+    def blocks(self) -> tuple:
+        """The 2n children, Variables at depth 1; copy j of a deeper node
+        prepends j to its suffix.  A frozen dataclass admits the cache,
+        since cached_property writes the instance __dict__ directly."""
+        indices = range(1, 2 * self.n + 1)
+        if self.depth == 1:
+            return tuple(Variable((i,) + self.suffix) for i in indices)
+        return tuple(BlockWord(self.n, self.m, self.depth - 1, (j,) + self.suffix)
+                     for j in indices)
 
     def flatten(self, length_budget: int = DEFAULT_LENGTH_BUDGET) -> Word:
         base = 4 * self.n * self.m
@@ -175,8 +192,6 @@ class BlockWord:
 
     @cached_property
     def _variables(self) -> tuple[Variable, ...]:
-        # computed once per object; a frozen dataclass admits it, since
-        # cached_property writes the instance __dict__ directly
         out = set()
         stack = [self]
         while stack:
@@ -221,23 +236,14 @@ def v_word(n: int, m: int, h: int) -> BlockWord:
     """The depth-h block word over X_{2n}: at depth 1 it is
     x1..x2n (xn..x1 x(n+1)..x2n)^(2m-1); deeper levels repeat the shape on
     2n renamed copies of the previous level, copy j appending j to every
-    index tuple.  Built top down, each node once, and shared while held."""
+    index tuple.  Refused past DEFAULT_NODE_BUDGET block nodes before any
+    is built; each node builds its blocks on first read, and the word is
+    shared while held."""
     if n < 1 or m < 1 or h < 1:
         raise ValueError("v_word needs n, m, h >= 1")
-    if _power_exceeds(2 * n, h, DEFAULT_NODE_BUDGET):
-        raise LengthBudgetExceeded(f"(2n)^h = {_power_text(2 * n, h)} block nodes "
-                                   f"exceed budget {DEFAULT_NODE_BUDGET}")
     word = _V_WORDS.get((n, m, h))
     if word is None:
-        indices = range(1, 2 * n + 1)
-
-        def build(depth, suffix):
-            # the copy of depth `depth` whose ancestors appended `suffix`
-            if depth == 1:
-                return BlockWord(n, m, tuple(Variable((i,) + suffix) for i in indices))
-            return BlockWord(n, m, tuple(build(depth - 1, (j,) + suffix) for j in indices))
-
-        word = _V_WORDS[n, m, h] = build(h, ())
+        word = _V_WORDS[n, m, h] = BlockWord(n, m, h)
     return word
 
 
@@ -531,7 +537,7 @@ def _evaluate(term, sub, kernel: Kernel):
         return _product([sub[v] if e > 0 else star(sub[v]) for v, e in term.letters],
                         kernel)
     if isinstance(term, BlockWord):
-        if isinstance(term.blocks[0], Variable):
+        if term.depth == 1:
             return _node_value(term, [sub[b] for b in term.blocks], kernel)
         if kernel.zero is not None and hasattr(sub, "narrow"):
             return _absorbing(term, sub, kernel)

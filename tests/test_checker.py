@@ -808,6 +808,24 @@ class TestImageTechnique:
             assert T.evaluate(v, report.witness, ps3_mul) != T.evaluate(
                 T.PowerOf(v, 2), report.witness, ps3_mul)
 
+    @pytest.mark.parametrize("name, nmh, calls", [("s3", (2, 4, 5), 5),
+                                                  ("ps3_mul", (2, 4, 8), 7)], ids=str)
+    def test_witness_finds_each_preimage_once(self, name, nmh, calls, request,
+                                              monkeypatch):
+        # levels past the last swept one read its layers, so they share its
+        # preimages: one call per (swept level, value)
+        seen = []
+        least = K._least_preimage
+
+        def spy(pair, size, power, vals, layers, n, value):
+            seen.append((vals.tobytes(), value))
+            return least(pair, size, power, vals, layers, n, value)
+
+        monkeypatch.setattr(K, "_least_preimage", spy)
+        report = K.check_v_square_image(request.getfixturevalue(name), *nmh)
+        assert report.status == K.COUNTEREXAMPLE
+        assert len(seen) == len(set(seen)) == calls
+
     @pytest.mark.parametrize("name, nmh", sorted(PINNED_IMAGE_WITNESSES), ids=str)
     def test_witnesses_on_many_pair_states_are_pinned(self, name, nmh, request):
         alg = mult_reduct(request.getfixturevalue(name))

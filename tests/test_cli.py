@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import bglab
-from bglab import analysis, checker, core, suite
-from bglab.cli import BUILD_CHOICES, main
+from bglab import analysis, checker, core, suite, terms
+from bglab.cli import BUILD_CHOICES, _parse_identity_arg, main
 from bglab.constructions import brandt_monoid_b21, hall_semiring, symmetric_group
 from bglab.core import FiniteAlgebra, load_algebra, mult_reduct
 
@@ -623,6 +623,21 @@ class TestCheck:
                    f"mul-associative fails at {triple}\n")
         code, out, _ = run(capsys, "check", "--algebra", path, *identity)
         assert code == exhaustive and json.loads(out)["evaluations"] == 3**6
+
+    def test_block_check_builds_no_word(self, b21_path, capsys, monkeypatch):
+        # the image engine reads (n, m, h) alone: no variable is built and
+        # no node's blocks are read, by the library or by the CLI
+        built, read = [], []
+        monkeypatch.setattr(terms.Variable, "__post_init__", lambda v: built.append(v))
+        monkeypatch.setattr(terms.BlockWord, "blocks", property(read.append),
+                            raising=False)
+        lhs, rhs = _parse_identity_arg("v[2,4,5] = v[2,4,5]^2")
+        assert rhs.base is lhs == terms.BlockWord(2, 4, 5)
+        assert checker.check_v_square_image(brandt_monoid_b21(), 2, 4, 5).status == "holds"
+        code, out, _ = run(capsys, "check", "--algebra", b21_path, "--mode", "block",
+                           "--identity", "v[2,4,5] = v[2,4,5]^2")
+        assert (code, json.loads(out)["status"]) == (0, "holds")
+        assert built == [] and read == []
 
     @pytest.mark.parametrize("algebra,mode", sorted(PINNED_V245))
     def test_v245_output_is_pinned(self, algebra, mode, tmp_path, capsys):

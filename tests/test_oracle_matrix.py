@@ -6,6 +6,12 @@ most 3 and every 9th one of order 4, at the seven shapes whose words have
 at most four variables, so the scan reads at most 256 substitutions.  Each
 image witness must re-evaluate through scalar terms.evaluate: v gives the
 bad value, and v^2 does not.
+
+The sampled search (seed 1, 64 samples) is compared with the exhaustive
+scan on the same slice: a sampled counterexample is a real one, so the
+scan finds one too, and its witness re-evaluates through scalar
+terms.evaluate; where the scan says "holds", sampling finds nothing.  Both
+engines read the word's lazily built nodes, the image check does not.
 """
 
 import pytest
@@ -18,8 +24,11 @@ TABLES = [t for n in (1, 2, 3) for t in corpus.semigroup_stack(n).tolist()]
 TABLES += corpus.semigroup_stack(4)[::9].tolist()
 
 
-@pytest.mark.parametrize("nmh", [(1, 1, 1), (1, 2, 1), (1, 1, 2), (1, 3, 2),
-                                 (2, 1, 1), (2, 2, 1), (2, 3, 1)], ids=str)
+SHAPES = pytest.mark.parametrize("nmh", [(1, 1, 1), (1, 2, 1), (1, 1, 2), (1, 3, 2),
+                                         (2, 1, 1), (2, 2, 1), (2, 3, 1)], ids=str)
+
+
+@SHAPES
 def test_image_check_agrees_with_the_exhaustive_scan(nmh):
     v = T.v_word(*nmh)
     square = T.PowerOf(v, 2)
@@ -30,3 +39,19 @@ def test_image_check_agrees_with_the_exhaustive_scan(nmh):
         if image.status == K.COUNTEREXAMPLE:
             assert T.evaluate(v, image.witness, alg) == image.bad_value, table
             assert T.evaluate(square, image.witness, alg) != image.bad_value, table
+
+
+@SHAPES
+def test_sampled_search_agrees_with_the_exhaustive_scan(nmh):
+    v = T.v_word(*nmh)
+    square = T.PowerOf(v, 2)
+    for table in TABLES:
+        alg = corpus.as_algebra(table)
+        sampled = K.check_identity_sampled(alg, v, square, samples=64, seed=1)
+        exhaustive = K.check_identity_exhaustive(alg, v, square).status
+        if sampled.status == K.COUNTEREXAMPLE:
+            assert exhaustive == K.COUNTEREXAMPLE, table
+            assert T.evaluate(v, sampled.witness, alg) != T.evaluate(
+                square, sampled.witness, alg), table
+        else:  # so where the scan says "holds", sampling found nothing
+            assert sampled.status == K.NO_COUNTEREXAMPLE, table

@@ -59,12 +59,9 @@ class TestVFamily:
         with pytest.raises(LengthBudgetExceeded, match=r"about 10\^60205999 block nodes"):
             T.v_word(2, 1, 10**8)
         # 4nm = 4 * 10^3000 at depth 2
-        m = 10**3000
-        inner = [T.BlockWord(1, m, (T.Variable((1, j)), T.Variable((2, j))))
-                 for j in (1, 2)]
         with pytest.raises(LengthBudgetExceeded,
                            match=r"^flat length about 10\^6001 exceeds budget 1000000$"):
-            T.BlockWord(1, m, tuple(inner)).flatten()
+            T.BlockWord(1, 10**3000, 2).flatten()
 
     def test_rejects_depth_zero(self):
         with pytest.raises(ValueError):
@@ -74,26 +71,57 @@ class TestVFamily:
 def append_index(node, j):
     if isinstance(node, T.Variable):
         return T.Variable(node.indices + (j,))
-    return T.BlockWord(node.n, node.m, tuple(append_index(b, j) for b in node.blocks))
+    n, m, children = node
+    return n, m, tuple(append_index(b, j) for b in children)
 
 
 def bottom_up_v_word(n, m, h):
-    """The oracle: v(n, m, h) built level by level, each deeper level
-    rebuilding 2n copies of the one below with an index appended."""
+    """The oracle: v(n, m, h) as nested (n, m, children) tuples built level
+    by level, each deeper level rebuilding 2n copies of the one below with
+    an index appended."""
     indices = range(1, 2 * n + 1)
-    word = T.BlockWord(n, m, tuple(T.Variable((i,)) for i in indices))
+    word = (n, m, tuple(T.Variable((i,)) for i in indices))
     for _ in range(h - 1):
-        word = T.BlockWord(n, m, tuple(append_index(word, j) for j in indices))
+        word = (n, m, tuple(append_index(word, j) for j in indices))
     return word
+
+
+def oracle_leaves(node):
+    if isinstance(node, T.Variable):
+        return [node]
+    return [x for b in node[2] for x in oracle_leaves(b)]
+
+
+def oracle_letters(node):
+    """The flat word of an oracle node: its 2n blocks, then the middle
+    group bn..b1 b(n+1)..b2n repeated 2m-1 times."""
+    if isinstance(node, T.Variable):
+        return [node]
+    n, m, children = node
+    parts = [oracle_letters(b) for b in children]
+    middle = parts[n - 1 :: -1] + parts[n:]
+    return [x for p in parts + middle * (2 * m - 1) for x in p]
+
+
+def assert_same_tree(word, oracle):
+    """A walk of word's .blocks against the oracle, node by node."""
+    if isinstance(oracle, T.Variable):
+        assert word == oracle
+        return
+    n, m, children = oracle
+    assert isinstance(word, T.BlockWord) and (word.n, word.m) == (n, m)
+    assert len(word.blocks) == len(children)
+    for block, child in zip(word.blocks, children):
+        assert_same_tree(block, child)
 
 
 class TestVWordBuild:
     @pytest.mark.parametrize("n,m,h", list(product((1, 2, 3), (1, 2), (1, 2, 3, 4))))
     def test_matches_the_bottom_up_build(self, n, m, h):
         word, oracle = T.v_word(n, m, h), bottom_up_v_word(n, m, h)
-        assert word == oracle
-        assert word.variables() == oracle.variables()
-        assert word.flatten() == oracle.flatten()
+        assert_same_tree(word, oracle)
+        assert word.variables() == sorted(set(oracle_leaves(oracle)))
+        assert word.flatten() == T.Word(tuple(oracle_letters(oracle)))
 
     def test_interned_while_held(self):
         oracle = bottom_up_v_word(2, 4, 5)
@@ -105,7 +133,31 @@ class TestVWordBuild:
         gc.collect()
         assert held() is None and (2, 4, 5) not in T._V_WORDS
         again = T.v_word(2, 4, 5)
-        assert again == oracle and again.variables() == oracle.variables()
+        assert_same_tree(again, oracle)
+        assert again.variables() == sorted(set(oracle_leaves(oracle)))
+
+    def test_a_node_is_its_parameters(self):
+        word = T.v_word(2, 4, 5)
+        assert word == T.BlockWord(2, 4, 5) and hash(word) == hash(T.BlockWord(2, 4, 5))
+        assert word != T.BlockWord(2, 4, 5, (1,))
+        assert word.blocks[2] == T.BlockWord(2, 4, 4, (3,))
+        assert word.blocks[2].blocks[0].blocks[1] == T.BlockWord(2, 4, 2, (2, 1, 3))
+
+    def test_node_budget_is_refused_before_any_node_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(T.Variable, "__post_init__", lambda v: built.append(v))
+        with pytest.raises(LengthBudgetExceeded) as word_err:
+            T.v_word(2, 1, 40)
+        with pytest.raises(LengthBudgetExceeded) as node_err:
+            T.BlockWord(2, 1, 40)
+        assert str(node_err.value) == str(word_err.value) == (
+            f"(2n)^h = {4**40} block nodes exceed budget {T.DEFAULT_NODE_BUDGET}")
+        assert not built and (2, 1, 40) not in T._V_WORDS
+
+    @pytest.mark.parametrize("args", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+    def test_node_parameters_must_be_positive(self, args):
+        with pytest.raises(ValueError, match="^n, m and depth must be positive$"):
+            T.BlockWord(*args)
 
     def test_variables_returns_a_fresh_list(self):
         word = T.v_word(2, 1, 2)
