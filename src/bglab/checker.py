@@ -13,7 +13,7 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from math import prod
 from typing import NamedTuple
 
@@ -21,9 +21,9 @@ import numpy as np
 
 from .core import FiniteAlgebra, _check_indices, mult_reduct, validate
 from .errors import BglabError, MapNotTotal, MissingStar, MissingTable
-from .terms import (DEFAULT_NODE_BUDGET, InvTerm, PowerOf, Term, Variable, _forward_states,
-                    _image, _least_preimage, _power_exceeds, _power_text, evaluate_batch,
-                    flat_kernel, variable_key)
+from .terms import (DEFAULT_NODE_BUDGET, InvTerm, PowerOf, Term, Variable, _least_preimage,
+                    _levels, _power_exceeds, _power_text, evaluate_batch, flat_kernel,
+                    variable_key)
 
 HOLDS = "holds"
 COUNTEREXAMPLE = "counterexample"
@@ -456,18 +456,18 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     vary independently).
 
     Level l's image is the set of tuple values over block values from level
-    l-1's image (the carrier at level 0), found by a sweep over reachable
-    pair states.  Images only shrink with depth, and once a level's image
-    equals its block values every deeper level repeats it, so at most
-    min(h, size) levels are swept.  The witness, if any, binds each block to
-    the lexicographically least preimage of its value, bad_value.  A witness
-    of more than terms.DEFAULT_NODE_BUDGET variables, the bound v_word puts
-    on the same (2n)^h variables, is not expanded: the verdict keeps
-    bad_value and level_sizes, with witness None and a note.  The table
-    must be associative, since the sweep multiplies M from both ends; past
-    the budget refusal, one that is not is refused with a BglabError naming
-    the first bad triple, from validate(mult_reduct(alg)), which decides
-    associativity once for an algebra and its reduct.
+    l-1's image (the carrier at level 0), found by one sweep over reachable
+    pair states (terms._levels), whose layers the witness reads too.  Once
+    a level's image equals its block values every deeper level repeats it,
+    so at most min(h, size) levels are swept.  The witness, if any, binds
+    each block to the lexicographically least preimage of its value,
+    bad_value.  A witness of more than terms.DEFAULT_NODE_BUDGET variables,
+    the bound v_word puts on the same (2n)^h variables, is not expanded:
+    the verdict keeps bad_value and level_sizes, with witness None and a
+    note.  The table must be associative, since the sweep multiplies M from
+    both ends; past the budget refusal, one that is not is refused with a
+    BglabError naming the first bad triple, from validate(mult_reduct(alg)),
+    which decides associativity once for an algebra and its reduct.
 
     level_sizes[l] is the size of the level-l image set (empty when the
     budget refuses); past the last swept level it repeats the last size,
@@ -493,21 +493,13 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
         raise BglabError(f"the block-value image check needs an associative table: "
                          f"{bad.describe(alg)}")
     kernel = flat_kernel(alg)
-    pair = kernel.pair
-    carrier = np.arange(size, dtype=np.intp)
-    power = kernel.power(carrier, 2 * m - 1)
-    inputs = [carrier]  # block values of level l; inputs[l + 1] is its image
-    while len(inputs) <= h:
-        image = _image(pair, size, power, inputs[-1], n)
-        if np.array_equal(image, inputs[-1]):
-            break
-        inputs.append(image)
-    last = len(inputs) - 1
-    sizes = [len(values) for values in inputs]
-    level_sizes = sizes[1:]
-    level_sizes.extend(repeat(sizes[-1], h - last))
-    total = sum(k ** (2 * n) for k in sizes[:-1]) + (h - last) * sizes[-1] ** (2 * n)
-    top = inputs[min(h, last)]
+    pair, power = kernel.pair, kernel.power(np.arange(size, dtype=np.intp), 2 * m - 1)
+    levels = list(islice(_levels(pair, size, power, n), h))
+    past = h - len(levels)  # levels past the last swept one, which repeat it
+    top = levels[-1][2]
+    level_sizes = [len(image) for _, _, image in levels]
+    level_sizes.extend(repeat(len(top), past))
+    total = sum(len(vals) ** (2 * n) for vals, _, _ in levels) + past * len(top) ** (2 * n)
     bad = top[pair(top, top) != top]
     if not bad.size:
         return CheckVerdict(HOLDS, evaluations=total, level_sizes=level_sizes)
@@ -518,12 +510,10 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
                             note=f"witness of (2n)^h = {_power_text(2 * n, h)} variables "
                                  f"exceeds node budget {DEFAULT_NODE_BUDGET}; not expanded")
 
-    # one forward sweep and one preimage per swept level that the witness
-    # reads, shared by the levels past the last one, which repeat it
-    layers = cache(lambda at: _forward_states(pair, size, inputs[at], n))
-    swept = cache(lambda at, value: _least_preimage(pair, size, power, inputs[at],
-                                                    layers(at), n, value))
-    witness = _expand_witness(lambda level, value: swept(min(level, last), value),
+    # one preimage per (swept level, value), read off that level's layers
+    swept = cache(lambda at, value: _least_preimage(pair, size, power, *levels[at][:2], n,
+                                                    value))
+    witness = _expand_witness(lambda level, value: swept(min(level, len(levels) - 1), value),
                               bad_value, n, h)
     return CheckVerdict(COUNTEREXAMPLE, witness, total, level_sizes=level_sizes,
                         bad_value=bad_value)

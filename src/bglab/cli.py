@@ -207,11 +207,13 @@ def _cmd_check(args) -> int:
         verdict = checker.check_identity_sampled(
             alg, lhs, rhs, samples=args.samples, seed=args.seed,
             domains=domains or None, budget=args.budget)
-    else:  # block
-        if not (isinstance(lhs, terms.BlockWord) and isinstance(rhs, terms.PowerOf)
-                and rhs.base == lhs and rhs.exponent == 2):
-            raise BglabError("block mode expects v[n,m,h] = v[n,m,h]^2")
-        verdict = checker.check_v_square_image(alg, lhs.n, lhs.m, lhs.depth,
+    else:  # block: v = v^2 is the same identity as v^2 = v
+        word, square = (rhs, lhs) if isinstance(lhs, terms.PowerOf) else (lhs, rhs)
+        if not (isinstance(word, terms.BlockWord) and isinstance(square, terms.PowerOf)
+                and square.base == word and square.exponent == 2):
+            raise BglabError("block mode expects v[n,m,h] = v[n,m,h]^2 or "
+                             "v[n,m,h]^2 = v[n,m,h]")
+        verdict = checker.check_v_square_image(alg, word.n, word.m, word.depth,
                                                budget=args.budget)
     payload = {"status": verdict.status, "evaluations": verdict.evaluations}
     if verdict.seed is not None:

@@ -394,7 +394,7 @@ def _flat_kernel(mul, star, memo) -> Kernel:
 
 
 # ---------------------------------------------------------------------------
-# pair states: the image engine's sweep and witness, and the block-node tables
+# pair states: the image engine's levels and witness, and the block-node tables
 
 
 def _step(pair, size, states, b, i, n):
@@ -439,12 +439,21 @@ def _forward_states(pair, size, vals, n):
     return layers
 
 
-def _image(pair, size, power, vals, n) -> np.ndarray:
-    """The tuple values over block values vals, distinct and ascending, read
-    off a mask over the carrier (np.unique would sort them, and in numpy 2
-    it imports numpy.ma on first use)."""
-    final = _forward_states(pair, size, vals, n)[-1]
-    return np.flatnonzero(_marks(size, _tuple_values(pair, size, power, final)))
+def _levels(pair, size, power, n):
+    """The image engine's levels, each swept once, as (block values, their
+    _forward_states layers, image), from the carrier at level 0.  An image,
+    the tuple values off the last layer, distinct and ascending in a mask
+    (np.unique would sort them, and in numpy 2 imports numpy.ma), is the
+    next level's block values.  Images only shrink, so the levels stop,
+    after at most size, at the first whose image equals its values."""
+    vals = np.arange(size, dtype=np.intp)
+    while True:
+        layers = _forward_states(pair, size, vals, n)
+        image = np.flatnonzero(_marks(size, _tuple_values(pair, size, power, layers[-1])))
+        yield vals, layers, image
+        if np.array_equal(image, vals):
+            return
+        vals = image
 
 
 def _least_preimage(pair, size, power, vals, layers, n, value) -> tuple[int, ...]:

@@ -4,9 +4,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
 from functools import reduce
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -715,33 +714,28 @@ def looped_image_counts(alg, n, m, h):
     """Oracle: level_sizes and evaluations of the image check by the loop
     over all h levels that the check ran before its closed form."""
     kernel = T.flat_kernel(alg)
-    inputs = [np.arange(alg.size, dtype=np.intp)]
-    power = kernel.power(inputs[0], 2 * m - 1)
-    while len(inputs) <= h:
-        image = T._image(kernel.pair, alg.size, power, inputs[-1], n)
-        if np.array_equal(image, inputs[-1]):
-            break
-        inputs.append(image)
-    last = len(inputs) - 1
-    level_sizes = [len(inputs[min(level + 1, last)]) for level in range(h)]
-    total = sum(len(inputs[min(level, last)]) ** (2 * n) for level in range(h))
+    power = kernel.power(np.arange(alg.size, dtype=np.intp), 2 * m - 1)
+    levels = list(T._levels(kernel.pair, alg.size, power, n))
+    last = len(levels) - 1
+    level_sizes = [len(levels[min(level, last)][2]) for level in range(h)]
+    total = sum(len(levels[min(level, last)][0]) ** (2 * n) for level in range(h))
     return level_sizes, total
 
 
 class TestImageTechnique:
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
     def test_level_images_are_np_unique_of_the_tuple_values(self, n, m, b21_mul, s3, ps3_mul):
+        # and each level's block values are the image of the level before
         algs = [corpus.as_algebra(t) for t in SMALL_SEMIGROUPS]
         for alg in [*algs, b21_mul, s3, ps3_mul]:
             kernel = T.flat_kernel(alg)
             size = alg.size
-            vals = np.arange(size, dtype=np.intp)
-            power = kernel.power(vals, 2 * m - 1)
-            for _ in range(4):
-                final = T._forward_states(kernel.pair, size, vals, n)[-1]
-                want = np.unique(T._tuple_values(kernel.pair, size, power, final))
-                vals = T._image(kernel.pair, size, power, vals, n)
+            want = np.arange(size)
+            power = kernel.power(want, 2 * m - 1)
+            for vals, layers, image in islice(T._levels(kernel.pair, size, power, n), 4):
                 assert vals.tolist() == want.tolist()
+                want = np.unique(T._tuple_values(kernel.pair, size, power, layers[-1]))
+                assert image.tolist() == want.tolist()
 
     @pytest.mark.parametrize("run", [
         "from bglab import checker, constructions\n"
@@ -785,28 +779,34 @@ class TestImageTechnique:
         right = T.evaluate(T.PowerOf(v, 2), report.witness, z3)
         assert left == report.bad_value and left != right
 
-    @pytest.mark.parametrize("h", [2, 3, 5, 8])
-    def test_witness_sweeps_each_level_once(self, ps3_mul, monkeypatch, h):
-        # level 1 of power(S3) has 15 values; the witness reads several of
-        # them, and the forward layers it needs depend on the level alone
-        # the image sweep runs in terms, the witness's sweep in checker
+    # power(S3) at v(2, 4, h), with id h, and hall(3) at v(2, 44, 6)
+    @pytest.mark.parametrize("name, nmh, levels", [
+        ("ps3_mul", (2, 4, 2), 2), ("ps3_mul", (2, 4, 3), 3), ("ps3_mul", (2, 4, 5), 3),
+        ("ps3_mul", (2, 4, 8), 3), ("hall3", (2, 44, 6), 4)],
+        ids=["2", "3", "5", "8", "hall3-(2, 44, 6)"])
+    def test_witness_sweeps_each_level_once(self, name, nmh, levels, request):
+        # the witness reads several values of each level, and the image the
+        # layers it needs; the hook sees every terms._forward_states call,
+        # under whatever name it is made
+        alg = mult_reduct(request.getfixturevalue(name))
         swept = []
-        forward = T._forward_states
+        code = T._forward_states.__code__
 
-        def spy(pair, size, vals, n):
-            swept.append(vals.tobytes())
-            return forward(pair, size, vals, n)
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                swept.append(frame.f_locals["vals"].tobytes())
 
-        monkeypatch.setattr(T, "_forward_states", spy)
-        monkeypatch.setattr(K, "_forward_states", spy)
-        report = K.check_v_square_image(ps3_mul, 2, 4, h)
+        sys.setprofile(hook)
+        try:
+            report = K.check_v_square_image(alg, *nmh, budget=10**12)
+        finally:
+            sys.setprofile(None)
         assert report.status == K.COUNTEREXAMPLE and report.witness is not None
-        # one sweep per level for its image, and at most one for the witness
-        assert max(Counter(swept).values()) <= 2
-        if h <= 3:
-            v = T.v_word(2, 4, h)
-            assert T.evaluate(v, report.witness, ps3_mul) != T.evaluate(
-                T.PowerOf(v, 2), report.witness, ps3_mul)
+        assert len(swept) == len(set(swept)) == levels
+        if nmh[2] <= 3:
+            v = T.v_word(*nmh)
+            assert T.evaluate(v, report.witness, alg) != T.evaluate(
+                T.PowerOf(v, 2), report.witness, alg)
 
     @pytest.mark.parametrize("name, nmh, calls", [("s3", (2, 4, 5), 5),
                                                   ("ps3_mul", (2, 4, 8), 7)], ids=str)

@@ -432,6 +432,33 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["status"] == "holds"
 
+    @pytest.mark.parametrize("algebra", sorted(BUILDS))
+    def test_block_mode_reads_either_orientation(self, algebra, tmp_path, capsys):
+        # v^2 = v is the identity v = v^2: the same exit code and the same
+        # output, verdict and witness, as the pinned run
+        path = str(tmp_path / "alg.json")
+        run(capsys, "build", *BUILDS[algebra], "-o", path)
+        runs = [run(capsys, "check", "--algebra", path, "--mode", "block",
+                    "--identity", identity)
+                for identity in ("v[2,4,5] = v[2,4,5]^2", "v[2,4,5]^2 = v[2,4,5]")]
+        assert runs[0] == runs[1]
+        code, out, _ = runs[1]
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_V245[algebra,
+                                                                              "block"]
+
+    @pytest.mark.parametrize("identity", [
+        "v[2,1,2] = v[2,1,2]^3", "v[2,1,2]^3 = v[2,1,2]",
+        "v[2,1,2] = v[2,1,3]^2", "v[2,2,2]^2 = v[2,1,2]",
+        "v[2,1,2] = v[2,1,2]", "v[2,1,2]^2 = v[2,1,2]^2",
+        "u[1,1,1] = u[1,1,1]^2", "w[1,1]^2 = w[1,1]"])
+    def test_block_mode_refuses_other_identities(self, identity, b21_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(checker, "check_v_square_image", lambda *a, **k: pytest.fail())
+        code, out, err = run(capsys, "check", "--algebra", b21_path, "--mode", "block",
+                             "--identity", identity)
+        assert (code, out, err) == (2, "", "error: block mode expects v[n,m,h] = "
+                                           "v[n,m,h]^2 or v[n,m,h]^2 = v[n,m,h]\n")
+
     def test_domain_restriction_file(self, b21_path, tmp_path, capsys):
         dom = tmp_path / "units.json"
         dom.write_text(json.dumps(["1", "0"]))

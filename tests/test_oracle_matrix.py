@@ -12,10 +12,19 @@ scan on the same slice: a sampled counterexample is a real one, so the
 scan finds one too, and its witness re-evaluates through scalar
 terms.evaluate; where the scan says "holds", sampling finds nothing.  Both
 engines read the word's lazily built nodes, the image check does not.
+
+The generator-first search, with the table's idempotents (never none in a
+finite semigroup) as generators, is compared with the plain scan on the
+same slice and shapes: the statuses agree, and each of its witnesses
+re-evaluates through scalar terms.evaluate to two different values.  And
+on every table of the slice the image check holds at the (q, r) of the
+table's own principal series, the sufficiency a06 claims for b21 and
+power(S3).
 """
 
 import pytest
 
+from bglab import analysis
 from bglab import checker as K
 from bglab import corpus
 from bglab import terms as T
@@ -55,3 +64,25 @@ def test_sampled_search_agrees_with_the_exhaustive_scan(nmh):
                 square, sampled.witness, alg), table
         else:  # so where the scan says "holds", sampling found nothing
             assert sampled.status == K.NO_COUNTEREXAMPLE, table
+
+
+def test_image_check_holds_at_each_tables_own_series_parameters():
+    # the sufficiency a06 claims for b21 and power(S3): v(2, q, r) = v^2
+    # at the (q, r) of the table's own principal series
+    for table in TABLES:
+        alg = corpus.as_algebra(table)
+        series = analysis.principal_series(alg)
+        assert K.check_v_square_image(alg, 2, series.q, series.r).status == K.HOLDS, table
+
+
+@SHAPES
+def test_generator_first_search_agrees_with_the_exhaustive_scan(nmh):
+    v = T.v_word(*nmh)
+    square = T.PowerOf(v, 2)
+    for table in TABLES:
+        alg = corpus.as_algebra(table)
+        biased = K.find_identity_violation(alg, v, square, analysis.idempotents(alg))
+        assert biased.status == K.check_identity_exhaustive(alg, v, square).status, table
+        if biased.status == K.COUNTEREXAMPLE:
+            assert T.evaluate(v, biased.witness, alg) != T.evaluate(
+                square, biased.witness, alg), table
