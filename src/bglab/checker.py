@@ -33,7 +33,11 @@ BUDGET_EXCEEDED = "budget_exceeded"
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15
 
-_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+# splitmix64's constants as 0-d uint64 arrays: a ufunc takes these as they
+# are, where a NumPy or Python scalar is converted anew on every call
+_SPLITMIX_GAMMA = np.array(0x9E3779B97F4A7C15, dtype=np.uint64)
+_MIX_STEPS = tuple(np.array(c, dtype=np.uint64) for c in (
+    30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
 
 
 def default_budget() -> int:
@@ -72,13 +76,14 @@ def check_seed(seed: int) -> None:
 
 def _mix64(z, t):
     """splitmix64's output function, in place on z; t is scratch space."""
-    np.right_shift(z, np.uint64(30), out=t)
+    s30, m1, s27, m2, s31 = _MIX_STEPS
+    np.right_shift(z, s30, out=t)
     np.bitwise_xor(z, t, out=z)
-    np.multiply(z, np.uint64(0xBF58476D1CE4E5B9), out=z)
-    np.right_shift(z, np.uint64(27), out=t)
+    np.multiply(z, m1, out=z)
+    np.right_shift(z, s27, out=t)
     np.bitwise_xor(z, t, out=z)
-    np.multiply(z, np.uint64(0x94D049BB133111EB), out=z)
-    np.right_shift(z, np.uint64(31), out=t)
+    np.multiply(z, m2, out=z)
+    np.right_shift(z, s31, out=t)
     np.bitwise_xor(z, t, out=z)
     return z
 
@@ -228,9 +233,15 @@ def _side_evaluator(alg, lhs: Term, rhs: Term):
 
 class _Draw(NamedTuple):
     """A domain made ready for drawing: k values, gathered from `values`, or
-    straight indices 0..k-1 when `values` is None (a whole carrier)."""
+    straight indices 0..k-1 when `values` is None (a whole carrier).  A draw
+    is written in `dtype`, the narrowest that holds k - 1, and reduced mod k
+    through `mask`, k - 1 as a 0-d uint64, when k is a power of two, and
+    through `divisor`, k as a 0-d uint64, otherwise."""
     k: int
     values: np.ndarray | None
+    dtype: np.dtype
+    mask: np.ndarray | None
+    divisor: np.ndarray
 
 
 def _draw_domains(doms) -> list[_Draw]:
@@ -242,8 +253,11 @@ def _draw_domains(doms) -> list[_Draw]:
         if not isinstance(d, _Draw):
             if id(d) not in ready:
                 dom = np.asarray(d, dtype=np.int32)
-                whole = np.array_equal(dom, np.arange(len(dom)))
-                ready[id(d)] = _Draw(len(dom), None if whole else dom)
+                k = len(dom)
+                whole = np.array_equal(dom, np.arange(k))
+                mask = np.array(k - 1, dtype=np.uint64) if k & (k - 1) == 0 else None
+                ready[id(d)] = _Draw(k, None if whole else dom, np.min_scalar_type(k - 1),
+                                     mask, np.array(k, dtype=np.uint64))
             d = ready[id(d)]
         out.append(d)
     return out
@@ -256,6 +270,8 @@ class _Draws(Mapping):
         self._variables = variables
         self._at = {v: j for j, v in enumerate(variables)}
         self._doms = _draw_domains(doms)
+        # variable j's z is variable 0's plus j*gamma mod 2^64, one row per j
+        self._offsets = (np.arange(len(variables), dtype=np.uint64) * _SPLITMIX_GAMMA)[:, None]
         z0 = np.arange(start, start + count, dtype=np.uint64)
         z0 *= np.uint64(len(variables))
         z0 += np.uint64(1)
@@ -267,21 +283,20 @@ class _Draws(Mapping):
 
     def __getitem__(self, v: Variable) -> np.ndarray:
         j = self._at[v]
-        k, values = self._doms[j]
+        draw = self._doms[j]
         z, t = self._z, self._t
-        # j*gamma mod 2^64 in Python ints: a uint64 scalar product would warn
-        np.add(self._z0, np.uint64(j * int(_SPLITMIX_GAMMA) % 2**64), out=z)
+        np.add(self._z0, self._offsets[j], out=z)
         _mix64(z, t)
-        x = np.empty(len(z), dtype=np.min_scalar_type(k - 1))
-        if k & (k - 1) == 0:
+        x = np.empty(len(z), dtype=draw.dtype)
+        if draw.mask is not None:
             # z % k keeps the low bits when k is a power of two
-            np.bitwise_and(z, np.uint64(k - 1), out=x, casting="unsafe")
+            np.bitwise_and(z, draw.mask, out=x, casting="unsafe")
         else:
             # z % k as z - (z // k) * k: floor_divide by a scalar is much faster
-            np.floor_divide(z, np.uint64(k), out=t)
-            np.multiply(t, np.uint64(k), out=t)
+            np.floor_divide(z, draw.divisor, out=t)
+            np.multiply(t, draw.divisor, out=t)
             np.subtract(z, t, out=x, casting="unsafe")  # < k, so it fits
-        return x if values is None else values[x]
+        return x if draw.values is None else draw.values[x]
 
     def __contains__(self, v) -> bool:
         return v in self._at
@@ -306,12 +321,10 @@ class _Draws(Mapping):
         """Sample s of the block (0-based) as scalars: its V states, sample
         s's z0 plus j*gamma, are mixed in one call, then each is reduced by
         its domain."""
-        z = np.arange(len(self._variables), dtype=np.uint64)
-        z *= _SPLITMIX_GAMMA
-        z += self._z0[s]
+        z = self._offsets[:, 0] + self._z0[s]
         z = _mix64(z, np.empty_like(z)).tolist()
-        return {v: int(x % k if values is None else values[x % k])
-                for v, x, (k, values) in zip(self._variables, z, self._doms)}
+        return {v: int(x % d.k if d.values is None else d.values[x % d.k])
+                for v, x, d in zip(self._variables, z, self._doms)}
 
 
 def sample_assignments(variables, doms, seed: int, start: int, count: int) -> _Draws:
@@ -341,7 +354,7 @@ def check_identity_sampled(alg: FiniteAlgebra, lhs: Term, rhs: Term,
     a sample count below 1 or a seed outside [0, 2^64) raises ValueError.
     On a table with a zero, the evaluator stops each sample at the zero
     (terms._absorbing), and zero_samples counts the samples at which both
-    sides end there."""
+    sides end there; when that is every sample, the note says so."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     check_seed(seed)
@@ -368,7 +381,8 @@ def check_identity_sampled(alg: FiniteAlgebra, lhs: Term, rhs: Term,
             return CheckVerdict(COUNTEREXAMPLE,
                                 witness=draws.substitution(int(np.argmax(neq))),
                                 evaluations=done, seed=seed, zero_samples=zeros)
-    return CheckVerdict(NO_COUNTEREXAMPLE, evaluations=done, seed=seed,
+    note = f"all {done} samples ended at the zero on both sides" if zeros == done else ""
+    return CheckVerdict(NO_COUNTEREXAMPLE, evaluations=done, seed=seed, note=note,
                         zero_samples=zeros)
 
 

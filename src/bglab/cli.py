@@ -218,6 +218,8 @@ def _cmd_check(args) -> int:
     payload = {"status": verdict.status, "evaluations": verdict.evaluations}
     if verdict.seed is not None:
         payload["seed"] = verdict.seed
+    if verdict.zero_samples is not None:
+        payload["zero_samples"] = verdict.zero_samples
     if verdict.witness:
         payload["witness"] = {v.name: alg.labels[verdict.witness[v]] for v in
                               sorted(verdict.witness, key=terms.variable_key)}

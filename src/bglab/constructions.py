@@ -491,11 +491,38 @@ def kadourek_semigroup(n: int, h: int):
         # under multiplying by a seed, so every product is found
         return order[np.searchsorted(keys, _row_keys(maps), sorter=order)]
 
-    mul = np.empty((len(known), len(known)), dtype=np.int32)
-    rows = max(1, _SLAB_CELLS // (len(known) * width))
-    for lo in range(0, len(known), rows):
-        # [j, i] is known[lo + i] then known[j]
-        mul[lo:lo + rows] = index_of(known.take(known[lo:lo + rows], axis=1)).T
+    size, nseeds = len(known), len(seeds)
+    # the left Cayley graph: left[s, x] is seed s then known[x]
+    left = np.empty((nseeds, size), dtype=np.int32)
+    rows = max(1, _SLAB_CELLS // (nseeds * width))
+    for lo in range(0, size, rows):
+        # [i, s] is seed s then known[lo + i]
+        left[:, lo:lo + rows] = index_of(known[lo:lo + rows].take(seeds, axis=1)).T
+    # Froidure & Pin: with x = seed s then q, x then y is s then (q then y),
+    # so mul's row x is left[s, mul[q]].  Every element but the empty map is
+    # a product of seeds, so a breadth-first walk of the left graph from the
+    # seeds reaches every row; the empty map's row is all 0.
+    mul = np.empty((size, size), dtype=np.int32)
+    seed_at = index_of(seeds)
+    mul[seed_at] = left
+    done = np.zeros(size, dtype=bool)
+    done[seed_at] = True
+    frontier = np.flatnonzero(done)
+    mul[0] = 0
+    done[0] = True
+    rows = max(1, _SLAB_CELLS // size)
+    while frontier.size:
+        x, first = np.unique(left[:, frontier], return_index=True)
+        new = ~done[x]
+        x, first = x[new], first[new]
+        done[x] = True
+        by_seed, q = np.divmod(first, frontier.size)
+        for s in range(nseeds):
+            at = by_seed == s
+            xs, qs = x[at], frontier[q[at]]
+            for lo in range(0, xs.size, rows):
+                mul[xs[lo:lo + rows]] = left[s].take(mul[qs[lo:lo + rows]])
+        frontier = x
     star = index_of(_invert_rows(known))
     labels = tuple(partial_map_label(f)
                    for f in np.where(known == sink, -1, known)[:, :sink].tolist())

@@ -31,15 +31,16 @@ _KIND_TABLES = {
 _SLAB_CELLS = 1 << 22
 
 # Tables of fewer elements keep the n^3 slab scan, because Light's test
-# first pays for a generating set in Python.  Measured on cyclic groups and
-# Brandt semigroups (2-vCPU Xeon): at 40 elements the scan takes 0.12 ms and
+# first pays for a generating set.  Measured on cyclic groups and Brandt
+# semigroups (2-vCPU Xeon): at 40 elements the scan takes 0.12 ms and
 # Light's test 0.29 ms; they tie at 44 to 51; at 56 the scan takes 0.56 ms
-# and Light's test 0.28 ms.
+# and Light's test 0.28 ms.  closure switches from its row-list worklist to
+# Boolean masks at the same size.
 _LIGHT_MIN_SIZE = 48
 
 # Light's test runs only while the generating set has at most n / this many
-# elements.  Each greedy round walks new products in Python for the closure,
-# so rounds without end would approach the cost of the n^3 scan.
+# elements.  Each greedy round pays for a closure, so rounds without end
+# would approach the cost of the n^3 scan.
 _LIGHT_MAX_SHARE = 4
 
 
@@ -183,8 +184,34 @@ class FiniteAlgebra:
         save_algebra(self, path)
 
 
+def _json_list(items, pad: str) -> str:
+    """A JSON list of encoded items (at least one), laid out as
+    json.dumps(..., indent=2) lays out a list nested at `pad`."""
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+
+
 def save_algebra(alg: FiniteAlgebra, path) -> None:
-    data = (json.dumps(alg.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+    """Write json.dumps(alg.to_dict(), indent=2, sort_keys=True) and a
+    newline, gzipped for a .gz path.  An indent makes CPython's json use its
+    pure-Python encoder, so the tables and labels are joined here from
+    strings; only the small meta goes through json.dumps."""
+    cells = list(map(str, range(alg.size)))  # every table entry is an index
+
+    def table(t):
+        if t.ndim == 1:
+            return _json_list(map(cells.__getitem__, t.tolist()), "  ")
+        return _json_list((_json_list(map(cells.__getitem__, row), "    ")
+                           for row in t.tolist()), "  ")
+
+    fields = {"kind": json.dumps(alg.kind), "size": str(alg.size),
+              "labels": _json_list(map(json.dumps, alg.labels), "  "),
+              "meta": json.dumps(alg.meta, indent=2, sort_keys=True).replace("\n", "\n  ")}
+    for name, t in (("mul", alg.mul), ("add", alg.add), ("star", alg.star)):
+        if t is not None:
+            fields[name] = table(t)
+    data = ("{\n" + ",\n".join(f'  "{key}": {fields[key]}' for key in sorted(fields))
+            + "\n}\n").encode()
     path = str(path)
     if path.endswith(".gz"):
         # mtime pinned to keep outputs byte-for-byte reproducible
@@ -248,9 +275,13 @@ def closure(tables, seeds, star=None, closed=()) -> list[int]:
     `star`; sorted.
     `closed`, a list of indices already closed under them (such as an
     earlier result), joins the result without its own pairs being walked
-    again."""
+    again.  Tables of at least _LIGHT_MIN_SIZE elements are closed over
+    Boolean masks (_mask_closure); smaller ones by a worklist over Python
+    row lists, which costs less than a round of NumPy calls there."""
     members = set(map(int, seeds))
     _check_indices(members, len(tables[0]))
+    if len(tables[0]) >= _LIGHT_MIN_SIZE:
+        return _mask_closure(tables, members, star, closed)
     found = [*closed, *members.difference(closed)] if closed else list(members)
     members.update(closed)
     walked = len(closed)
@@ -272,6 +303,38 @@ def closure(tables, seeds, star=None, closed=()) -> list[int]:
                         members.add(p)
                         found.append(p)
     return sorted(found)
+
+
+def _mask_closure(tables, seeds, star, closed) -> list[int]:
+    """closure over Boolean masks of the n indices.  Each round takes the
+    elements new in the last one, marks their stars and, per table, the
+    products new x inside and inside x new, gathered in slabs of new rows of
+    at most _SLAB_CELLS cells; whatever is marked and not yet inside is the
+    next round's new.  Pairs of elements inside before a round met in an
+    earlier one, or lie in `closed`."""
+    tables = [np.asarray(t) for t in tables]
+    star = None if star is None else np.asarray(star)
+    n = len(tables[0])
+    inside = np.zeros(n, dtype=bool)
+    inside[list(closed)] = True
+    new = np.zeros(n, dtype=bool)
+    new[list(seeds)] = True
+    new &= ~inside
+    while new.any():
+        inside |= new
+        fresh = np.flatnonzero(new)
+        members = np.flatnonzero(inside)
+        marked = np.zeros(n, dtype=bool)
+        if star is not None:
+            marked[star[fresh]] = True
+        rows = max(1, _SLAB_CELLS // members.size)
+        for lo in range(0, fresh.size, rows):
+            a = fresh[lo : lo + rows]
+            for t in tables:
+                marked[t[np.ix_(a, members)]] = True
+                marked[t[np.ix_(members, a)]] = True
+        new = marked & ~inside
+    return np.flatnonzero(inside).tolist()
 
 
 def restrict(table: np.ndarray, members, labels) -> np.ndarray:
@@ -308,13 +371,12 @@ def _generators(table: np.ndarray) -> list[int] | None:
     other = (table != ids[:, None]) & (table != ids)
     gens = np.flatnonzero(np.bincount(table[other], minlength=n) == 0).tolist()
     most = n // _LIGHT_MAX_SHARE
-    rows = [table.tolist()]
-    found = closure(rows, gens) if 0 < len(gens) <= most else []
+    found = closure([table], gens) if 0 < len(gens) <= most else []
     while len(gens) <= most and len(found) < n:
         # found is sorted, so its first gap is the least element outside
         x = next((i for i, y in enumerate(found) if i != y), len(found))
         gens.append(x)
-        found = closure(rows, [x], closed=found)
+        found = closure([table], [x], closed=found)
     return gens if len(gens) <= most else None
 
 

@@ -541,6 +541,7 @@ class TestSamplesStopAtTheZero:
                                            T.PowerOf(v, 2), 100_000, seed=1)
         assert verdict.status == K.NO_COUNTEREXAMPLE and verdict.evaluations == 100_000
         assert verdict.zero_samples == 100_000
+        assert verdict.note == "all 100000 samples ended at the zero on both sides"
         assert sum(drawn) <= share * 1024 * 100_000
 
     def test_without_a_zero_every_sample_is_drawn(self, s3, drawn):
@@ -548,7 +549,7 @@ class TestSamplesStopAtTheZero:
         v = T.v_word(2, 4, 5)
         verdict = K.check_identity_sampled(s3, v, T.PowerOf(v, 2), 3000, seed=5)
         assert sum(drawn) == 1024 * 3000 + 1024
-        assert verdict.zero_samples is None
+        assert verdict.zero_samples is None and verdict.note == ""
         want = frozen_sampled(s3, v, T.PowerOf(v, 2), 3000, 5)
         assert (verdict.status, verdict.witness, verdict.evaluations) == want
 

@@ -358,13 +358,16 @@ BUILDS = {"b21": ["b21"], "S3": ["group", "--group", "S3"]}
 
 # (exit code, sha256 of stdout) of `check --identity 'v[2,4,5] = v[2,4,5]^2'`
 # with --samples 1000 in sampled mode: b21 holds; on S3 both modes print a
-# witness of all 1,024 variables.
+# witness of all 1,024 variables.  b21's sampled output also carries
+# zero_samples and its note; without them it printed the bytes of
+# B21_SAMPLED_BEFORE.
 PINNED_V245 = {
     ("b21", "block"): (0, "9cb80bd802f472f4a17d0d35745f7bf8527ba29b18872e8cf61f3b0df5db99a3"),
-    ("b21", "sampled"): (0, "aeaa01d7689e45a59c4eba0c87cfa39ce2cf8a97077461ec9f33896a723e1b27"),
+    ("b21", "sampled"): (0, "f403981812aaa1411830b76a3c179c35165ec492719cb974f77a965a293695ec"),
     ("S3", "block"): (1, "3830ee9d8ee83275e3ec12273214be13b005f9c2c97a4cef121f591ff6295e52"),
     ("S3", "sampled"): (1, "ee3a71178eae5b8264fe44d77f8eb25bd578feb63eb9236e366c912fbf29a70a"),
 }
+B21_SAMPLED_BEFORE = "aeaa01d7689e45a59c4eba0c87cfa39ce2cf8a97077461ec9f33896a723e1b27"
 
 
 class TestCheck:
@@ -677,6 +680,30 @@ class TestCheck:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert (code, digest) == PINNED_V245[algebra, mode]
         assert len(json.loads(out).get("witness", {})) == (1024 if code else 0)
+
+    @pytest.mark.parametrize("algebra", sorted(BUILDS))
+    def test_sampled_output_reports_zero_samples(self, algebra, tmp_path, capsys):
+        path = str(tmp_path / "alg.json")
+        run(capsys, "build", *BUILDS[algebra], "-o", path)
+        code, out, _ = run(capsys, "check", "--algebra", path, "--identity",
+                           "v[2,4,5] = v[2,4,5]^2", "--mode", "sampled", "--samples", "1000")
+        payload = json.loads(out)
+        if algebra == "S3":  # no zero: no key, and the output is as before
+            assert code == 1 and "zero_samples" not in payload and "note" not in payload
+            return
+        # every b21 sample ends at the zero; the rest of the output is as before
+        assert payload.pop("zero_samples") == payload["evaluations"] == 1000
+        assert payload.pop("note") == "all 1000 samples ended at the zero on both sides"
+        before = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(before.encode()).hexdigest() == B21_SAMPLED_BEFORE
+
+    def test_sampled_counterexample_counts_its_zero_samples(self, b21_path, capsys):
+        code, out, _ = run(capsys, "check", "--algebra", b21_path, "--identity",
+                           "x1 x2 = x2 x1", "--mode", "sampled", "--samples", "1000",
+                           "--seed", "3")
+        payload = json.loads(out)
+        assert code == 1 and 0 < payload["zero_samples"] < payload["evaluations"]
+        assert "note" not in payload
 
 
 class TestVerifySuite:

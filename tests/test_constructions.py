@@ -1,5 +1,7 @@
 import hashlib
+import json
 from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -457,7 +459,7 @@ class TestKadourek:
 
     def test_gathers_stay_within_the_slab(self, monkeypatch):
         alg, gen_index = C.kadourek_semigroup(2, 2)
-        sizes = []
+        sizes, cayley = [], []
         append_new, row_keys = C._append_new, C._row_keys
 
         def spy_append_new(known, cand):  # cand: one worklist gather
@@ -465,18 +467,28 @@ class TestKadourek:
             return append_new(known, cand)
 
         def spy_row_keys(rows):
-            if rows.ndim == 3:  # one row slab of the table gather
-                sizes.append(rows.size)
+            if rows.ndim == 3:  # one slab of the left Cayley graph's gather
+                cayley.append(rows.size)
             return row_keys(rows)
 
         monkeypatch.setattr(C, "_SLAB_CELLS", 20_000)
         monkeypatch.setattr(C, "_append_new", spy_append_new)
         monkeypatch.setattr(C, "_row_keys", spy_row_keys)
         small, small_index = C.kadourek_semigroup(2, 2)
-        assert len(sizes) > 100 and max(sizes) <= 20_000
+        # 356 elements, 8 seeds and 18 points: 138 elements per Cayley slab
+        assert cayley == [138 * 8 * 18] * 2 + [80 * 8 * 18]
+        assert len(sizes) == 17 and max(sizes + cayley) <= 20_000
         assert small.labels == alg.labels and small_index == gen_index
         assert np.array_equal(small.mul, alg.mul)
         assert np.array_equal(small.star, alg.star)
+
+    def test_kadourek_23_is_pinned(self):
+        # 4,936 elements; the digest of the table the n^2 gather built
+        alg, _ = C.kadourek_semigroup(2, 3)
+        data = alg.mul.tobytes() + alg.star.tobytes() + "\n".join(alg.labels).encode()
+        assert alg.size == 4936 and alg.labels[0] == "[]"
+        assert (hashlib.sha256(data).hexdigest()
+                == "f381843a5aede7f15e99c2b8f9ba13b9a9214c79b9a4e801b1795ff4f56aeda2")
 
     def test_depth2_generators_match_arrow_diagram(self):
         from bglab.suite import KADOUREK_22_GENERATORS
@@ -510,7 +522,55 @@ def magma_closure_cases(draw):
     return tables, seeds, star
 
 
+def both_closures(tables, seeds, star=None, closed=(), slab_cells=core._SLAB_CELLS):
+    """closure by the row-list worklist and by Boolean masks in slabs of
+    slab_cells cells, whatever the table size."""
+    with mock.patch.object(core, "_LIGHT_MIN_SIZE", 1 << 30):
+        rows = C.closure(tables, seeds, star, closed)
+    with mock.patch.multiple(core, _LIGHT_MIN_SIZE=1, _SLAB_CELLS=slab_cells):
+        masks = C.closure(tables, seeds, star, closed)
+    return rows, masks
+
+
 class TestClosure:
+    @pytest.mark.parametrize("slab_cells", [1, 7, 1 << 22])
+    def test_masks_match_the_worklist_on_corpus_tables(self, slab_cells):
+        for order in (1, 2, 3):
+            star = np.arange(order)[::-1]  # closure takes any unary map
+            for table in corpus.semigroup_tables(order):
+                mul = np.array(table)
+                for r in range(1, order + 1):
+                    for seeds in combinations(range(order), r):
+                        for unary in (None, star):
+                            rows, masks = both_closures([mul], seeds, unary,
+                                                        slab_cells=slab_cells)
+                            assert masks == rows
+                            # grown from the closure of the first seed
+                            first = C.closure([mul], seeds[:1], unary)
+                            grown = both_closures([mul], seeds[1:], unary, closed=first,
+                                                  slab_cells=slab_cells)
+                            assert grown == (rows, rows)
+
+    @pytest.mark.parametrize("name", ["b21", "ps3_star", "hall2", "hall3", "kad21", "kad22"])
+    def test_masks_match_the_worklist_on_constructions(self, request, name):
+        alg = request.getfixturevalue(name)
+        rng = np.random.default_rng(7)
+        tables = [[alg.mul]] + ([[alg.mul, alg.add]] if alg.add is not None else [])
+        for _ in range(4):
+            seeds = rng.integers(0, alg.size, 2).tolist()
+            for ts in tables:
+                for unary in (None, alg.star):
+                    rows, masks = both_closures(ts, seeds, unary, slab_cells=1000)
+                    assert masks == rows
+                    first = C.closure(ts, seeds[:1], unary)
+                    assert both_closures(ts, seeds[1:], unary, closed=first) == (rows, rows)
+
+    @given(magma_closure_cases())
+    def test_masks_match_the_worklist_on_random_magmas(self, case):
+        tables, seeds, star = case  # one or two tables, with or without a star
+        rows, masks = both_closures(tables, seeds, star, slab_cells=3)
+        assert masks == rows
+
     @given(magma_closure_cases())
     def test_matches_naive_fixpoint_on_random_magmas(self, case):
         tables, seeds, star = case
@@ -834,3 +894,14 @@ def test_saved_bytes_are_pinned(name, tmp_path):
     path = tmp_path / "alg.json"
     save_algebra(build(), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_saved_bytes_are_json_dumps_with_an_indent(tmp_path):
+    # the meta and labels escape, nest and sort as json.dumps has them
+    meta = {"z": [], "a": {"y": [1, [2, "é"]], "x": {}}, "m": [True, None, 0.5, {"k": "v"}]}
+    alg = FiniteAlgebra("involution-semigroup", ("0", "é\"\\", "\n"),
+                        [[0, 0, 0], [0, 1, 2], [0, 2, 1]], star=[0, 1, 2], meta=meta)
+    path = tmp_path / "alg.json"
+    save_algebra(alg, path)
+    want = json.dumps(alg.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode()

@@ -243,6 +243,18 @@ class TestLightsTest:
         with light_path():
             assert core.validate(semiring(mul, add)) == want
 
+    @pytest.mark.parametrize("build, want", [
+        (lambda: C.hall_semiring(3), [0, 1, 2, 4, 8, 79]),
+        (lambda: C.power_semiring(C.dihedral_group(4)),
+         [0, 1, 2, 3, 5, 16, 17, 18, 19, 21, 23, 26, 27, 31, 53, 87, 91]),
+        (lambda: C.kadourek_semigroup(2, 2)[0], [1, 2, 3, 4, 5, 6, 7, 8]),
+    ], ids=["hall3", "power-d4", "kadourek-2-2"])
+    def test_generating_sets_are_pinned(self, build, want):
+        # the greedy sets that the row-list closure found
+        alg = build()
+        assert core.validate(alg) is None
+        assert alg._facts["mul"]["gens"] == want
+
     def test_large_tables_take_lights_path(self):
         hall3 = C.hall_semiring(3)
         assert hall3.size >= core._LIGHT_MIN_SIZE
