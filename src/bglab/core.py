@@ -35,7 +35,8 @@ _SLAB_CELLS = 1 << 22
 # semigroups (2-vCPU Xeon): at 40 elements the scan takes 0.12 ms and
 # Light's test 0.29 ms; they tie at 44 to 51; at 56 the scan takes 0.56 ms
 # and Light's test 0.28 ms.  closure switches from its row-list worklist to
-# Boolean masks at the same size.
+# Boolean masks at the same size.  analysis' Green record switches from row
+# lists to packed Boolean masks at its own, smaller size, _MASK_MIN_SIZE.
 _LIGHT_MIN_SIZE = 48
 
 # Light's test runs only while the generating set has at most n / this many
@@ -97,7 +98,7 @@ class FiniteAlgebra:
     meta: dict = field(default_factory=dict)
     # The record of facts about this object, filled on first use: "mul", the
     # memo of mul_violation and mul_zero and of analysis' Green's facts
-    # ("reach", the read-only pair of aS^1 and S^1a masks; "idempotents";
+    # ("green", the read-only R, L and J bit rows; "idempotents";
     # "subgroups", the maximal subgroups as tuples), which mult_reduct
     # shares with the reduct; "reduct"; "verdict", validate's; "kernel",
     # terms.flat_kernel's.  It never holds an algebra that holds it, so

@@ -228,6 +228,11 @@ class TestKernelsAgainstSetOracles:
             assert np.array_equal(A.ideal_masks(alg), masks)
             assert np.array_equal(A._reach(alg.mul), oracle_rows(alg, oracle_right_ideal))
             assert np.array_equal(A._reach(alg.mul.T), oracle_rows(alg, oracle_left_ideal))
+            green = A._green(alg)
+            assert np.array_equal(A._unpacked(green.right, alg.size),
+                                  oracle_rows(alg, oracle_right_ideal))
+            assert np.array_equal(A._unpacked(green.left, alg.size),
+                                  oracle_rows(alg, oracle_left_ideal))
             assert np.array_equal(A.inverse_matrix(alg), inverses)
             assert A.j_classes(alg) == oracle_j_classes(alg)
             assert A.j_trivial(alg) == oracle_j_trivial(alg)
@@ -242,21 +247,36 @@ class TestKernelsAgainstSetOracles:
             assert rep.chain == oracle_chain(alg)
             got.append(rep.to_dict())
         # the same reports with the rows aS^1 and S^1a, which the series
-        # reads as _reach of mul and mul.T, computed from the set oracles
-        reached = []
+        # reads as _ideal_rows of mul, computed from the set oracles
+        built = []
 
-        def oracle_reach(table):
-            reached.append(table)
+        def oracle_ideal_rows(table):
+            built.append(table)
             alg = FiniteAlgebra("semigroup", tuple(map(str, range(len(table)))),
                                 np.array(table))
-            return oracle_rows(alg, oracle_right_ideal)
+            return tuple(tuple(sum(1 << x for x in ideal(alg, a)) for a in range(alg.size))
+                         for ideal in (oracle_right_ideal, oracle_left_ideal))
 
-        monkeypatch.setattr(A, "_reach", oracle_reach)
+        monkeypatch.setattr(A, "_ideal_rows", oracle_ideal_rows)
         for alg, series in zip(cases, got):
-            before = len(reached)
-            # a fresh copy starts an empty record, so the series reaches anew
+            before = len(built)
+            # a fresh copy starts an empty record, so the series builds anew
             assert series == A.principal_series(dataclasses.replace(alg)).to_dict()
-            assert len(reached) == before + 2
+            assert len(built) == before + 1
+
+    def test_row_lists_and_packed_masks_agree(self, monkeypatch):
+        # the Green rows from row lists and from packed masks, on tables on
+        # both sides of _MASK_MIN_SIZE, associative or not
+        rng = np.random.default_rng(3)
+        tables = [alg.mul for alg in oracle_cases()]
+        tables += [rng.integers(0, n, (n, n)) for n in (1, 5, 13, 14, 70)]
+        for table in tables:
+            got = []
+            for size in (1, 1 << 30):
+                monkeypatch.setattr(A, "_MASK_MIN_SIZE", size)
+                right, left = A._ideal_rows(table)
+                got.append((right, left, A._ideals(right, left)))
+            assert got[0] == got[1]
 
     def test_large_carrier_series_values(self, hall3):
         rep = A.principal_series(mult_reduct(hall3))
@@ -429,6 +449,14 @@ class TestPrincipalSeries:
                                      sort_keys=True).encode())
         assert digest.hexdigest() == (
             "d12a993ad2dded982f6bb1c743ec8b7165be7355c5a54ef531b9bbb329d9a8e5")
+
+    @pytest.mark.parametrize("k, want", [(4, "2385d43bf27e75f5"), (5, "4924f52225f15cfb")])
+    def test_power_dihedral_reports_are_pinned(self, k, want):
+        # sha256[:16] of the report on P(D_k), 4^k elements, recorded when
+        # the J-classes came from a Boolean matrix product
+        rep = A.principal_series(mult_reduct(C.power_semiring(C.dihedral_group(k))))
+        got = hashlib.sha256(json.dumps(rep.to_dict(), sort_keys=True).encode())
+        assert got.hexdigest()[:16] == want
 
     def test_derived_length_three_and_a_non_solvable_subgroup(self):
         rep = A.principal_series(C.brandt_semigroup(C.symmetric_group(4), 2))

@@ -108,7 +108,7 @@ def analyze_sequence(alg):
 
 class TestRecord:
     """One record of facts per algebra object: mul's associativity, its
-    reach matrices, idempotents and maximal subgroups are decided once for
+    Green's rows, idempotents and maximal subgroups are decided once for
     an algebra and its reduct, and the record keeps neither alive."""
 
     @pytest.mark.parametrize("reduct_first", [False, True],
@@ -139,7 +139,7 @@ class TestRecord:
             alg = power_semiring(symmetric_group(3))
             read_mul_everywhere(alg, reduct_first=False)
             analyze_sequence(alg)
-            assert {"reach", "idempotents", "subgroups"} <= alg._facts["mul"].keys()
+            assert {"green", "idempotents", "subgroups"} <= alg._facts["mul"].keys()
             refs = weakref.ref(alg), weakref.ref(mult_reduct(alg))
             del alg
             assert [ref() for ref in refs] == [None, None]
@@ -156,28 +156,31 @@ class TestRecord:
         idems.append(99)
         assert (analysis.maximal_subgroups(alg), analysis.idempotents(alg)) == want
 
-    def test_reach_matrices_are_read_only_and_shared_with_the_reduct(self):
+    def test_green_record_is_read_only_and_shared_with_the_reduct(self):
         alg = power_semiring(symmetric_group(3))
-        pair = analysis._reaches(alg)
-        assert analysis._reaches(mult_reduct(alg)) is pair
-        for a in pair:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0, 0] = False
+        green = analysis._green(alg)
+        assert analysis._green(mult_reduct(alg)) is green
+        for rows in green:
+            assert isinstance(rows, tuple) and len(rows) == alg.size
+            with pytest.raises(TypeError):
+                rows[0] = 0
+        with pytest.raises(AttributeError):
+            green.ideal = ()
 
-    def test_reach_is_built_twice_per_table(self, monkeypatch):
-        reached = []
-        reach = analysis._reach
-        monkeypatch.setattr(analysis, "_reach", lambda t: reached.append(t) or reach(t))
+    def test_record_is_built_once_per_table(self, monkeypatch):
+        built = []
+        ideal_rows = analysis._ideal_rows
+        monkeypatch.setattr(analysis, "_ideal_rows",
+                            lambda t: built.append(t) or ideal_rows(t))
         alg = mult_reduct(power_semiring(symmetric_group(3)))
         analysis.principal_series(alg)
         analysis.ideal_masks(alg)
         analysis.j_classes(alg)
         assert analysis.j_trivial(alg) == analysis.j_trivial(alg, range(alg.size))
-        assert len(reached) == 2
-        # any other subset builds its own pair on its own table
+        assert len(built) == 1
+        # any other subset builds its own rows on its own table
         analysis.j_trivial(alg, [0])
-        assert len(reached) == 4
+        assert len(built) == 2
 
 
 class TestValidateSemigroup:
