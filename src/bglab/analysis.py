@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from heapq import heappop, heappush
 from math import lcm
 from operator import or_
 from typing import NamedTuple
@@ -17,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .constructions import ensure_group, group_inverses
-from .core import FiniteAlgebra, _check_indices, closure, mult_reduct, restrict, validate
-from .errors import BglabError, NotAGroup, SubgroupEnumerationBudget
+from .core import FiniteAlgebra, _check_indices, closure, require_associative, restrict
+from .errors import NotAGroup, SubgroupEnumerationBudget
 from .terms import flat_kernel
 
 SUBGROUP_SIZE_BUDGET = 16
@@ -172,12 +171,6 @@ def _green(alg: FiniteAlgebra) -> Green:
     return memo["green"]
 
 
-def ideal_masks(alg: FiniteAlgebra) -> np.ndarray:
-    """n x n Boolean matrix whose row a is the membership mask of
-    S^1 a S^1 = {a} + aS + Sa + SaS, the record's J[a] unpacked."""
-    return _unpacked(_green(alg).ideal, alg.size)
-
-
 def _classes(values) -> list[list[int]]:
     """Indices grouped by equal values, classes and members in first-seen order."""
     by_value: dict = {}
@@ -278,19 +271,20 @@ def block_group_tests(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def maximal_subgroups(alg: FiniteAlgebra) -> list[tuple[int, list[int]]]:
-    """For each idempotent e, the group of units of the local monoid eSe.
+    """For each idempotent e, ascending, its maximal subgroup, members
+    ascending: by Green's theorem the H-class of e, the elements a with
+    aS^1 = eS^1 and S^1a = S^1e (Howie 1995, ch. 2), read off the Green
+    record.  That holds in a semigroup only, so a table that is not
+    associative is refused with a BglabError naming the law and the triple.
     Found once per table, kept as tuples in the record that the reduct
     shares; each call returns fresh lists."""
     memo = alg._facts["mul"]
     if "subgroups" not in memo:
-        rows = alg.mul.tolist()
-        found = []
-        for e in _idempotents(alg):
-            local = sorted({rows[x][e] for x in rows[e]})
-            members = tuple(a for a in local
-                            if any(rows[a][b] == e and rows[b][a] == e for b in local))
-            found.append((e, members))
-        memo["subgroups"] = tuple(found)
+        require_associative(alg, "maximal_subgroups")
+        green = _green(alg)
+        keys = list(zip(green.right, green.left))
+        h_class = {keys[cls[0]]: tuple(cls) for cls in _classes(keys)}
+        memo["subgroups"] = tuple((e, h_class[keys[e]]) for e in _idempotents(alg))
     return [(e, list(members)) for e, members in memo["subgroups"]]
 
 
@@ -367,45 +361,31 @@ def principal_series(alg: FiniteAlgebra) -> SeriesReport:
     """Maximal ideal chain built one J-class at a time along the J-order,
     ties broken by least element index; factors classified; (h,m,k,q,r) filled.
 
-    The table must be associative, by validate(mult_reduct(alg)), which
-    decides it once for an algebra and its reduct; a table that is not is
-    refused with a BglabError naming the law and the triple.  Each
+    The table must be associative: core.require_associative refuses one
+    that is not with a BglabError naming the law and the triple.  Each
     maximal subgroup H_e is then a group (Green's theorem), so its exponent
     and derived series are read off the parent's rows restricted to H_e,
     with e as identity."""
-    bad = validate(mult_reduct(alg))
-    if bad is not None:
-        raise BglabError(f"principal series needs an associative table: "
-                         f"{bad.describe(alg)}")
+    require_associative(alg, "principal series")
     green = _green(alg)
     ideal = green.ideal
-    classes = _classes(ideal)  # ascending least members
-    reps = [cls[0] for cls in classes]
-    # above[j]: the classes i != j whose ideal holds class j, ascending
-    above: list[list[int]] = [[] for _ in reps]
-    pending = []
-    for i, rep in enumerate(reps):
-        below = [j for j, r in enumerate(reps) if j != i and ideal[rep] >> r & 1]
-        pending.append(len(below))
-        for j in below:
-            above[j].append(i)
-    # Kahn's algorithm: the least class with nothing left below it comes next
-    ready = [i for i, p in enumerate(pending) if not p]
+    rest = _classes(ideal)  # ascending least members
     chain: list[list[int]] = []
     factors: list[dict] = []
     current: set[int] = set()
+    chain_bits = 0
     idems = set(_idempotents(alg))
-    while ready:
-        i = heappop(ready)
-        cls = classes[i]
+    while rest:
+        # the least class with no other class left below it: the bits of
+        # its ideal outside the chain are its own members
+        at = next(i for i, cls in enumerate(rest)
+                  if (ideal[cls[0]] & ~chain_bits).bit_count() == len(cls))
+        cls = rest.pop(at)
         factors.append(_classify_factor(idems, green, cls) if chain
                        else _classify_bottom(idems, cls))
         current.update(cls)
         chain.append(sorted(current))
-        for k in above[i]:
-            pending[k] -= 1
-            if not pending[k]:
-                heappush(ready, k)
+        chain_bits |= ideal[cls[0]]
     h = len(chain) - 1
     m = 1
     lengths = []

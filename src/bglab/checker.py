@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FiniteAlgebra, _check_indices, mult_reduct, validate
-from .errors import BglabError, MapNotTotal, MissingStar, MissingTable
+from .core import FiniteAlgebra, _check_indices, require_associative
+from .errors import MapNotTotal, MissingStar, MissingTable
 from .terms import (DEFAULT_NODE_BUDGET, InvTerm, PowerOf, Term, Variable, _least_preimage,
                     _levels, _power_exceeds, _power_text, evaluate_batch, flat_kernel,
                     variable_key)
@@ -66,6 +66,16 @@ class CheckVerdict:
     @property
     def ok(self) -> bool:
         return self.status in (HOLDS, NO_COUNTEREXAMPLE)
+
+
+def _over_budget(work: int, unit: str, budget: int | None, **fields) -> CheckVerdict | None:
+    """The budget_exceeded verdict, with the other fields given, when work
+    units pass the budget (default_budget() when None); None within it."""
+    budget = default_budget() if budget is None else budget
+    if work <= budget:
+        return None
+    return CheckVerdict(BUDGET_EXCEEDED, attempted=work,
+                        note=f"{work} {unit} exceed budget {budget}", **fields)
 
 
 def check_seed(seed: int) -> None:
@@ -154,13 +164,12 @@ def _odometer_scan(alg, terms, domains, budget, mismatch) -> CheckVerdict:
     block at a time.  Past the budget refusal, mismatch() gives the test of
     a block: assign -> its failures as a Boolean array; the first failure
     is the counterexample."""
-    budget = default_budget() if budget is None else budget
     variables = _variables_of(*terms)
     doms = _domain_lists(variables, alg, domains)
     space = prod(len(d) for d in doms)
-    if space > budget:
-        return CheckVerdict(BUDGET_EXCEEDED, attempted=space,
-                            note=f"{space} substitutions exceed budget {budget}")
+    refused = _over_budget(space, "substitutions", budget)
+    if refused is not None:
+        return refused
     failures = mismatch()
     done = 0
     for assign, origin in _substitution_blocks(variables, doms):
@@ -358,11 +367,9 @@ def check_identity_sampled(alg: FiniteAlgebra, lhs: Term, rhs: Term,
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     check_seed(seed)
-    if budget is None:
-        budget = default_budget()
-    if samples > budget:
-        return CheckVerdict(BUDGET_EXCEEDED, attempted=samples,
-                            note=f"{samples} samples exceed budget {budget}")
+    refused = _over_budget(samples, "samples", budget)
+    if refused is not None:
+        return refused
     variables = _variables_of(lhs, rhs)
     doms = _draw_domains(_domain_lists(variables, alg, domains))
     sides = _side_evaluator(alg, lhs, rhs)
@@ -479,9 +486,8 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     the bound v_word puts on the same (2n)^h variables, is not expanded:
     the verdict keeps bad_value and level_sizes, with witness None and a
     note.  The table must be associative, since the sweep multiplies M from
-    both ends; past the budget refusal, one that is not is refused with a
-    BglabError naming the first bad triple, from validate(mult_reduct(alg)),
-    which decides associativity once for an algebra and its reduct.
+    both ends; past the budget refusal, one that is not is refused by
+    core.require_associative, with a BglabError naming the first bad triple.
 
     level_sizes[l] is the size of the level-l image set (empty when the
     budget refuses); past the last swept level it repeats the last size,
@@ -494,18 +500,13 @@ def check_v_square_image(alg: FiniteAlgebra, n: int, m: int, h: int,
     if n < 1 or m < 1 or h < 1:
         raise ValueError("need n, m, h >= 1")
     size = alg.size
-    if budget is None:
-        budget = default_budget()
     # levels x block values x states, summed over the 2n blocks of a sweep,
     # which meet 1, |S|, then at most |S|^2 states each
     work = min(h, size) * size * (1 + size + (2 * n - 2) * size**2)
-    if work > budget:
-        return CheckVerdict(BUDGET_EXCEEDED, level_sizes=[],
-                            note=f"{work} pair-state steps exceed budget {budget}")
-    bad = validate(mult_reduct(alg))
-    if bad is not None:
-        raise BglabError(f"the block-value image check needs an associative table: "
-                         f"{bad.describe(alg)}")
+    refused = _over_budget(work, "pair-state steps", budget, level_sizes=[])
+    if refused is not None:
+        return refused
+    require_associative(alg, "the block-value image check")
     kernel = flat_kernel(alg)
     pair, power = kernel.pair, kernel.power(np.arange(size, dtype=np.intp), 2 * m - 1)
     levels = list(islice(_levels(pair, size, power, n), h))

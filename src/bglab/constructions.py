@@ -325,7 +325,9 @@ def _hall_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(masks, matrices) of every n x n Boolean matrix that contains a
     permutation matrix, ascending: one permutation gather over all 2^(n^2)
     matrices, the one with bit i n + j set having entry (i, j)."""
-    if n < 1 or n > HALL_MAX_N:
+    if n < 1:
+        raise UnsupportedSize("hall_semiring needs n >= 1")
+    if n > HALL_MAX_N:
         raise CarrierTooLarge(f"hall_semiring supports 1 <= n <= {HALL_MAX_N}")
     every = (np.arange(1 << n * n)[:, None] >> np.arange(n * n) & 1).astype(bool)
     every = every.reshape(-1, n, n)

@@ -528,3 +528,13 @@ def validate(alg: FiniteAlgebra) -> AxiomViolation | None:
             bad = _involution_laws(alg)
         facts["verdict"] = bad
     return facts["verdict"]
+
+
+def require_associative(alg: FiniteAlgebra, what: str) -> None:
+    """Refuse alg unless its mul is associative, with a BglabError that
+    reads "<what> needs an associative table: " and the law and its first
+    bad triple.  Decided by validate(mult_reduct(alg)), once for an algebra
+    and its reduct."""
+    bad = validate(mult_reduct(alg))
+    if bad is not None:
+        raise BglabError(f"{what} needs an associative table: {bad.describe(alg)}")

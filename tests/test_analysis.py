@@ -162,6 +162,18 @@ def oracle_brandt_parameters(alg, zero):
     return len(group), len(idems)
 
 
+def oracle_maximal_subgroups(alg):
+    """For each idempotent e, the group of units of the local monoid eSe,
+    by a scan of the table's rows."""
+    rows = alg.mul.tolist()
+    out = []
+    for e in A.idempotents(alg):
+        local = sorted({rows[x][e] for x in rows[e]})
+        out.append((e, [a for a in local
+                        if any(rows[a][b] == e and rows[b][a] == e for b in local)]))
+    return out
+
+
 def series_says_brandt(alg):
     """A semigroup is Brandt iff its series is {0} < S with one Brandt
     factor, for that factor is S/{0}, a copy of S."""
@@ -225,7 +237,7 @@ class TestKernelsAgainstSetOracles:
         for alg in oracle_cases():
             masks = oracle_rows(alg, oracle_principal_ideal)
             inverses = oracle_rows(alg, oracle_inverses_of)
-            assert np.array_equal(A.ideal_masks(alg), masks)
+            assert np.array_equal(A._unpacked(A._green(alg).ideal, alg.size), masks)
             assert np.array_equal(A._reach(alg.mul), oracle_rows(alg, oracle_right_ideal))
             assert np.array_equal(A._reach(alg.mul.T), oracle_rows(alg, oracle_left_ideal))
             green = A._green(alg)
@@ -480,13 +492,14 @@ class TestPrincipalSeries:
 
         monkeypatch.setattr(A, "ensure_group", boom)
         monkeypatch.setattr(A, "is_group", boom)
-        monkeypatch.setattr(A, "validate", counted)
+        monkeypatch.setattr(core, "validate", counted)
         for alg, params in ((ps3_mul, (9, 6, 2, 3072, 29)),
                             (mult_reduct(hall3), (14, 6, 2, 98304, 44))):
             before = len(calls)
             rep = A.principal_series(alg)
             assert (rep.h, rep.m, rep.k, rep.q, rep.r) == params
-            assert len(calls) == before + 1
+            # the table itself is validated, no subgroup as its own algebra
+            assert calls[before:] and all(table is alg for table in calls[before:])
 
     def test_factors_agree_with_the_rees_factor_oracle(self, hall3):
         algs = [corpus.as_algebra(t) for n in range(1, 5)
@@ -546,6 +559,20 @@ class TestPrincipalSeries:
                            match=r"mul-associative fails at \(a, a, b\)"):
             A.principal_series(alg)
 
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_long_chain_is_its_ideals_in_order(self, descending):
+        # 500 one-element J-classes; listed top first, every step of the
+        # walk takes the last class still outside the chain
+        n = 500
+        alg = chain_semilattice(n)
+        order = list(range(n))
+        if descending:  # c_i above c_j for i < j
+            alg = FiniteAlgebra("semigroup", alg.labels, np.maximum.outer(order, order))
+            order.reverse()
+        rep = A.principal_series(alg)
+        assert rep.chain == [sorted(order[: k + 1]) for k in range(n)]
+        assert rep.h == n - 1 and rep.brandt_series
+
     def test_every_corpus_algebra_gets_a_full_chain(self):
         for alg in corpus_algebras(3):
             rep = A.principal_series(alg)
@@ -602,6 +629,21 @@ class TestMaximalSubgroups:
 
     def test_group_is_its_own_maximal_subgroup(self, s3):
         assert A.maximal_subgroups(s3) == [(0, list(range(6)))]
+
+    def test_h_classes_agree_with_the_units_of_ese(self, b21_mul, bz2, ps3_mul, hall3):
+        algs = corpus_algebras(3) + [
+            b21_mul, bz2, ps3_mul, C.kadourek_semigroup(2, 2)[0], mult_reduct(hall3),
+            mult_reduct(C.power_semiring(C.dihedral_group(4)))]
+        for alg in algs:
+            assert A.maximal_subgroups(alg) == oracle_maximal_subgroups(alg)
+
+    def test_non_associative_table_is_refused(self):
+        # (aa)b = bb = a but a(ab) = aa = b
+        alg = FiniteAlgebra("semigroup", ("a", "b"), [[1, 0], [0, 0]])
+        for find in (A.maximal_subgroups, A.subgroup_union):
+            with pytest.raises(BglabError, match=r"^maximal_subgroups needs an associative "
+                                                 r"table: mul-associative fails at \(a, a, b\)$"):
+                find(alg)
 
 
 def brute_subgroups(alg):

@@ -880,6 +880,7 @@ class TestImageTechnique:
             work = b2.size * sum(b2.size ** min(i, 2) for i in range(2 * n))
             report = K.check_v_square_image(b2, n, 1, 1, budget=work - 1)
             assert report.note == f"{work} pair-state steps exceed budget {work - 1}"
+            assert report.attempted == work and report.level_sizes == []
         # and it is read in closed form, with no Python call per block
         calls = []
         sys.setprofile(lambda frame, event, arg: calls.append(event == "call"))

@@ -95,6 +95,11 @@ class TestBuild:
                            "-o", str(tmp_path / "x.json"))
         assert code == 2 and "error" in err
 
+    def test_build_rejects_empty_hall(self, tmp_path, capsys):
+        code, _, err = run(capsys, "build", "hall", "--n", "0",
+                           "-o", str(tmp_path / "x.json"))
+        assert code == 2 and "needs n >= 1" in err
+
     def test_round_trip_build_analyze_rebuild(self, tmp_path, capsys):
         first = str(tmp_path / "a.json")
         second = str(tmp_path / "b.json")

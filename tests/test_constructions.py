@@ -311,8 +311,12 @@ class TestHall:
         assert validate(hall3) is None
 
     def test_size_limits(self, monkeypatch):
-        with pytest.raises(CarrierTooLarge):
-            C.hall_semiring(5)
+        for build in (C.hall_semiring, C.hall_masks):
+            for n in (-1, 0):
+                with pytest.raises(UnsupportedSize, match="needs n >= 1"):
+                    build(n)
+            with pytest.raises(CarrierTooLarge, match="1 <= n <= 4"):
+                build(5)
 
         def no_products(*args):
             raise AssertionError("the product step ran")

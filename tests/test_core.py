@@ -174,7 +174,7 @@ class TestRecord:
                             lambda t: built.append(t) or ideal_rows(t))
         alg = mult_reduct(power_semiring(symmetric_group(3)))
         analysis.principal_series(alg)
-        analysis.ideal_masks(alg)
+        analysis._unpacked(analysis._green(alg).ideal, alg.size)
         analysis.j_classes(alg)
         assert analysis.j_trivial(alg) == analysis.j_trivial(alg, range(alg.size))
         assert len(built) == 1
