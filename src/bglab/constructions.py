@@ -404,16 +404,9 @@ def subset_b(group: FiniteAlgebra, subgroup, g: int) -> list[int]:
 # "f, then g" (x -> g[f[x]]) is the gather g[f], and the row's bytes its key.
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One void scalar per (contiguous) row, for sorting and exact lookup."""
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
-
-
-def _append_new(known: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """known, then the rows of cand it lacks, once each, in first-seen order."""
-    both = np.concatenate([known, cand])
-    _, first = np.unique(_row_keys(both), return_index=True)
-    return both[np.sort(first)]
+def _then(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Row r is the map first[r], then second[r]."""
+    return np.take_along_axis(second, first, axis=1)
 
 
 def _invert_rows(rows: np.ndarray) -> np.ndarray:
@@ -452,83 +445,84 @@ def kadourek_semigroup(n: int, h: int):
     Returns (algebra, generator_index) where generator_index maps each index
     tuple to the generator's carrier position.  The empty map is the zero.
     Elements are numbered in FIFO worklist order (each element times every
-    generator and inverse, on the right, then on the left).  The worklist
-    stops with CarrierTooLarge as soon as it holds more elements than
-    MAX_TABLE_CELLS allows, before any table.
+    generator and inverse, on the right, then on the left), through one dict
+    from each row's bytes to its index.  The worklist stops with
+    CarrierTooLarge as soon as it holds more elements than MAX_TABLE_CELLS
+    allows, before any table; a word whose (2n)^h + 1 points pass int16 is
+    refused with UnsupportedSize before any row is built.  The table is
+    filled one row per element, from the product that first found it.
     """
+    limit = np.iinfo(np.int16).max  # the sink point, (2n)^h + 1, is an int16
+    if n >= 2 and h >= 1 and terms._power_exceeds(2 * n, h, limit - 1):
+        letters = terms._power_text(2 * n, h)  # one point more than letters
+        points = str(int(letters) + 1) if letters.isdigit() else letters
+        raise UnsupportedSize(f"kadourek({n},{h}) acts on {points} points, more than "
+                              f"the {limit} an int16 row holds")
     gens = kadourek_generators(n, h)
     sink = len(next(iter(gens.values())))
     g = np.array(list(gens.values()), dtype=np.int16)
     g = np.pad(np.where(g < 0, sink, g), ((0, 0), (0, 1)), constant_values=sink)
     width = sink + 1
-    # the empty map, then each generator followed by its inverse
-    start = np.concatenate([np.full((1, width), sink, dtype=np.int16),
-                            np.stack([g, _invert_rows(g)], axis=1).reshape(-1, width)])
-    seeds = start[1:]
-    known = _append_new(start[:0], start)
+    # each generator followed by its inverse: with the empty map before them,
+    # the elements 0..2G
+    seeds = np.stack([g, _invert_rows(g)], axis=1).reshape(-1, width)
+    nseeds = len(seeds)
+    keys = [np.full(width, sink, dtype=np.int16).tobytes()] + list(map(bytes, seeds))
+    index = {key: x for x, key in enumerate(keys)}
+    # whence[x] = (q, s, side): element x was first found as q then seed s
+    # (side 0) or as seed s then q (side 1); left_graph holds (s, q, x) for
+    # every non-empty product x = seed s then q
+    whence = [None] * len(keys)
+    left_graph = []
 
     def domain_and_image(maps):  # Boolean masks over the P points
         return [m[:, :sink] < sink for m in (maps, _invert_rows(maps))]
 
     seed_dom, seed_img = domain_and_image(seeds)
-    # the worklist, one block of parents per gather
-    rows = max(1, _SLAB_CELLS // (2 * len(seeds) * width))
+    # the worklist, one block of parents at a time, its products gathered in
+    # slabs of at most _SLAB_CELLS cells
+    rows = max(1, _SLAB_CELLS // (2 * nseeds * width))
+    slab = max(1, _SLAB_CELLS // width)
     head = 0
-    while head < len(known):
-        _table_budget(len(known), f"kadourek({n},{h}), closure so far")
-        f = known[head:head + rows]
-        head += len(f)
+    while head < len(keys):
+        _table_budget(len(keys), f"kadourek({n},{h}), closure so far")
+        f = np.frombuffer(b"".join(keys[head:head + rows]), dtype=np.int16).reshape(-1, width)
         # [i, s, 0]: f_i then seed s, [i, s, 1]: seed s then f_i, gathered only
-        # where an image meets a domain; every other product is the empty map,
-        # known from the start
+        # where an image meets a domain; every other product is the empty map
         dom, img = domain_and_image(f)
-        i, s, left = np.nonzero(np.stack([img @ seed_dom.T, dom @ seed_img.T], axis=2))
-        prods = np.where(left[:, None], f[i[:, None], seeds[s]], seeds[s[:, None], f[i]])
-        known = _append_new(known, prods)
-    keys = _row_keys(known)
-    order = np.argsort(keys)
-
-    def index_of(maps):
-        # every element is a product of seeds and the carrier is closed
-        # under multiplying by a seed, so every product is found
-        return order[np.searchsorted(keys, _row_keys(maps), sorter=order)]
-
-    size, nseeds = len(known), len(seeds)
-    # the left Cayley graph: left[s, x] is seed s then known[x]
-    left = np.empty((nseeds, size), dtype=np.int32)
-    rows = max(1, _SLAB_CELLS // (nseeds * width))
-    for lo in range(0, size, rows):
-        # [i, s] is seed s then known[lo + i]
-        left[:, lo:lo + rows] = index_of(known[lo:lo + rows].take(seeds, axis=1)).T
+        i, s, side = np.nonzero(np.stack([img @ seed_dom.T, dom @ seed_img.T], axis=2))
+        for lo in range(0, len(i), slab):
+            at = slice(lo, lo + slab)
+            on_left = side[at, None] == 1
+            parent, seed = f[i[at]], seeds[s[at]]
+            prods = _then(np.where(on_left, seed, parent), np.where(on_left, parent, seed))
+            origins = zip((head + i[at]).tolist(), s[at].tolist(), side[at].tolist())
+            for key, (q, t, u) in zip(map(bytes, prods), origins):
+                x = index.setdefault(key, len(keys))
+                if x == len(keys):
+                    keys.append(key)
+                    whence.append((q, t, u))
+                if u:
+                    left_graph.append((t, q, x))
+        head += len(f)
+    known = np.frombuffer(b"".join(keys), dtype=np.int16).reshape(-1, width)
+    size = len(known)
+    left = np.zeros((nseeds, size), dtype=np.int32)  # seed s then x; 0 if empty
+    s, q, x = np.array(left_graph).T
+    left[s, q] = x
     # Froidure & Pin: with x = seed s then q, x then y is s then (q then y),
-    # so mul's row x is left[s, mul[q]].  Every element but the empty map is
-    # a product of seeds, so a breadth-first walk of the left graph from the
-    # seeds reaches every row; the empty map's row is all 0.
+    # so row x of the table is left[s, mul[q]]; with x = q then seed s, it is
+    # mul[q, left[s]].  q comes before x, so its row is already filled.
     mul = np.empty((size, size), dtype=np.int32)
-    seed_at = index_of(seeds)
-    mul[seed_at] = left
-    done = np.zeros(size, dtype=bool)
-    done[seed_at] = True
-    frontier = np.flatnonzero(done)
     mul[0] = 0
-    done[0] = True
-    rows = max(1, _SLAB_CELLS // size)
-    while frontier.size:
-        x, first = np.unique(left[:, frontier], return_index=True)
-        new = ~done[x]
-        x, first = x[new], first[new]
-        done[x] = True
-        by_seed, q = np.divmod(first, frontier.size)
-        for s in range(nseeds):
-            at = by_seed == s
-            xs, qs = x[at], frontier[q[at]]
-            for lo in range(0, xs.size, rows):
-                mul[xs[lo:lo + rows]] = left[s].take(mul[qs[lo:lo + rows]])
-        frontier = x
-    star = index_of(_invert_rows(known))
+    mul[1:1 + nseeds] = left
+    for x in range(1 + nseeds, size):
+        q, s, on_left = whence[x]
+        mul[x] = left[s].take(mul[q]) if on_left else mul[q].take(left[s])
+    star = [index[row.tobytes()] for row in _invert_rows(known)]
     labels = tuple(partial_map_label(f)
                    for f in np.where(known == sink, -1, known)[:, :sink].tolist())
-    gen_index = dict(zip(gens, index_of(g).tolist()))
+    gen_index = {t: index[row.tobytes()] for t, row in zip(gens, g)}
     meta = {
         "construction": "kadourek", "n": n, "h": h,
         "generators": {"".join(map(str, t)): i for t, i in gen_index.items()},

@@ -95,6 +95,17 @@ class TestBuild:
                            "-o", str(tmp_path / "x.json"))
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("n,h,points", [("2", "8", "65537"), ("3", "6", "46657")])
+    def test_build_refuses_kadourek_past_int16(self, tmp_path, n, h, points):
+        # the sink point (2n)^h + 1 must fit an int16 row: exit 2, no traceback
+        src = str(Path(bglab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "bglab", "build", "kadourek",
+                               "--n", n, "--height", h, "-o", str(tmp_path / "k.json")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2 and "Traceback" not in done.stderr
+        assert f"{points} points" in done.stderr and "32767" in done.stderr
+
     def test_build_rejects_empty_hall(self, tmp_path, capsys):
         code, _, err = run(capsys, "build", "hall", "--n", "0",
                            "-o", str(tmp_path / "x.json"))

@@ -461,30 +461,63 @@ class TestKadourek:
         assert gen_index == ref_index
         assert alg.meta == meta
 
+    @staticmethod
+    def spied_build(monkeypatch, slab_cells):
+        """kadourek(2,2) with _SLAB_CELLS = slab_cells, and the cells of each
+        gather of worklist products."""
+        sizes, then = [], C._then
+
+        def spy_then(first, second):  # one slab of products
+            sizes.append(first.size)
+            return then(first, second)
+
+        monkeypatch.setattr(C, "_SLAB_CELLS", slab_cells)
+        monkeypatch.setattr(C, "_then", spy_then)
+        alg, gen_index = C.kadourek_semigroup(2, 2)
+        return alg, gen_index, sizes
+
     def test_gathers_stay_within_the_slab(self, monkeypatch):
         alg, gen_index = C.kadourek_semigroup(2, 2)
-        sizes, cayley = [], []
-        append_new, row_keys = C._append_new, C._row_keys
-
-        def spy_append_new(known, cand):  # cand: one worklist gather
-            sizes.append(cand.size)
-            return append_new(known, cand)
-
-        def spy_row_keys(rows):
-            if rows.ndim == 3:  # one slab of the left Cayley graph's gather
-                cayley.append(rows.size)
-            return row_keys(rows)
-
-        monkeypatch.setattr(C, "_SLAB_CELLS", 20_000)
-        monkeypatch.setattr(C, "_append_new", spy_append_new)
-        monkeypatch.setattr(C, "_row_keys", spy_row_keys)
-        small, small_index = C.kadourek_semigroup(2, 2)
-        # 356 elements, 8 seeds and 18 points: 138 elements per Cayley slab
-        assert cayley == [138 * 8 * 18] * 2 + [80 * 8 * 18]
-        assert len(sizes) == 17 and max(sizes + cayley) <= 20_000
+        small, small_index, sizes = self.spied_build(monkeypatch, 20_000)
+        # 356 elements, 8 seeds and 18 points: 69 parents per block, and one
+        # gather for each of the 16 blocks with a non-empty product, 1,412
+        # products in all
+        assert len(sizes) == 16 and sum(sizes) == 1412 * 18
+        assert max(sizes) <= 20_000
         assert small.labels == alg.labels and small_index == gen_index
         assert np.array_equal(small.mul, alg.mul)
         assert np.array_equal(small.star, alg.star)
+
+    def test_one_parents_products_are_split_into_slabs(self, monkeypatch):
+        # 100 cells: below one parent's 2 * 8 * 18 = 288 possible product
+        # cells and its at most 8 non-empty products (144 cells), so the
+        # products come in slabs of 5 rows
+        alg, gen_index = C.kadourek_semigroup(2, 2)
+        small, small_index, sizes = self.spied_build(monkeypatch, 100)
+        assert max(sizes) <= 100 and sum(sizes) == 1412 * 18
+        assert len(sizes) > 355  # more gathers than parents with a product
+        assert small.labels == alg.labels and small_index == gen_index
+        assert np.array_equal(small.mul, alg.mul)
+        assert np.array_equal(small.star, alg.star)
+
+    @pytest.mark.parametrize("n,h,points", [(2, 8, "65537"), (3, 6, "46657"),
+                                            (16384, 1, "32769"),
+                                            (2, 100_000, "about 10^60205")])
+    def test_points_past_int16_are_refused_before_any_row(self, n, h, points):
+        # the sink point, (2n)^h + 1, must be an int16; no word is built
+        with mock.patch.object(C, "kadourek_generators", side_effect=AssertionError):
+            with pytest.raises(UnsupportedSize) as err:
+                C.kadourek_semigroup(n, h)
+        assert str(err.value) == (f"kadourek({n},{h}) acts on {points} points, more "
+                                  "than the 32767 an int16 row holds")
+
+    @pytest.mark.parametrize("n,h", [(2, 7), (16383, 1)])
+    def test_points_within_int16_go_on_to_the_word(self, n, h):
+        # 4^7 + 1 = 16,385 points fit, and so do 32,766 + 1, the sink at
+        # int16's largest value: the generators are read off the word
+        with mock.patch.object(C, "kadourek_generators", side_effect=RuntimeError("built")):
+            with pytest.raises(RuntimeError, match="built"):
+                C.kadourek_semigroup(n, h)
 
     def test_kadourek_23_is_pinned(self):
         # 4,936 elements; the digest of the table the n^2 gather built
