@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .constructions import ensure_group, group_inverses
-from .core import FiniteAlgebra, _check_indices, closure, require_associative, restrict
+from .core import (_SLAB_CELLS, FiniteAlgebra, _check_indices, closure, require_associative,
+                   restrict)
 from .errors import NotAGroup, SubgroupEnumerationBudget
 from .terms import flat_kernel
 
@@ -26,8 +27,28 @@ SUBGROUP_SIZE_BUDGET = 16
 # packed Boolean masks, smaller ones from Python row lists.  Measured per
 # table, R and L plus J (2-vCPU Xeon): at 10 elements the lists take 19 µs
 # and the masks 33 µs, at 12 both 29 µs, at 17 the lists 48 µs and the
-# masks 41 µs, at 34 the lists 220 µs and the masks 80 µs.
+# masks 41 µs, at 34 the lists 220 µs and the masks 80 µs.  Below it the
+# record also keeps the table's row list, which every reader here takes
+# in place of the array; from it on the record holds none, since a row
+# list costs some 30 bytes a cell (16.7 M ints for power(D6)).
 _MASK_MIN_SIZE = 14
+
+
+def _table(alg: FiniteAlgebra):
+    """alg's table as every small-table reader here takes it: below
+    _MASK_MIN_SIZE elements its row list, built once per table into the
+    record that the reduct shares, from it on the array itself."""
+    if alg.size >= _MASK_MIN_SIZE:
+        return alg.mul
+    memo = alg._facts["mul"]
+    if "rows" not in memo:
+        memo["rows"] = alg.mul.tolist()
+    return memo["rows"]
+
+
+def _as_rows(table) -> list[list[int]]:
+    """A table, array or row list, as a row list."""
+    return table if isinstance(table, list) else table.tolist()
 
 
 def _idempotents(alg: FiniteAlgebra) -> tuple[int, ...]:
@@ -35,8 +56,12 @@ def _idempotents(alg: FiniteAlgebra) -> tuple[int, ...]:
     the reduct shares."""
     memo = alg._facts["mul"]
     if "idempotents" not in memo:
-        fixed = alg.mul.diagonal() == np.arange(alg.size)
-        memo["idempotents"] = tuple(np.flatnonzero(fixed).tolist())
+        table = _table(alg)
+        if isinstance(table, list):
+            fixed = tuple(x for x, row in enumerate(table) if row[x] == x)
+        else:
+            fixed = tuple(np.flatnonzero(table.diagonal() == np.arange(alg.size)).tolist())
+        memo["idempotents"] = fixed
     return memo["idempotents"]
 
 
@@ -110,14 +135,15 @@ def _unpacked(rows, n: int) -> np.ndarray:
                          bitorder="little").view(bool)
 
 
-def _ideal_rows(table: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(R, L) for the table: bit x of R[a] is set iff x is in aS^1, and bit
-    x of L[a] iff x is in S^1a.  Below _MASK_MIN_SIZE elements from Python
-    row lists, which cost less there than NumPy's calls; from it on from
-    the _reach masks, packed."""
+def _ideal_rows(table) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(R, L) for the table, an array or its row list: bit x of R[a] is set
+    iff x is in aS^1, and bit x of L[a] iff x is in S^1a.  Below
+    _MASK_MIN_SIZE elements from Python row lists, which cost less there
+    than NumPy's calls; from it on from the _reach masks, packed."""
     if len(table) >= _MASK_MIN_SIZE:
+        table = np.asarray(table)
         return _packed(_reach(table)), _packed(_reach(table.T))
-    rows = table.tolist()
+    rows = _as_rows(table)
     out = []
     for lines in (rows, zip(*rows)):
         found = []
@@ -163,10 +189,11 @@ class Green(NamedTuple):
 
 def _green(alg: FiniteAlgebra) -> Green:
     """The Green record of alg's table: built once per table, in the record
-    that the reduct shares, and holding no row list of the table."""
+    that the reduct shares, from _table's row list below _MASK_MIN_SIZE
+    elements and from the array from it on."""
     memo = alg._facts["mul"]
     if "green" not in memo:
-        right, left = _ideal_rows(alg.mul)
+        right, left = _ideal_rows(_table(alg))
         memo["green"] = Green(right, left, _ideals(right, left))
     return memo["green"]
 
@@ -203,7 +230,7 @@ def j_trivial(alg: FiniteAlgebra, subset=None) -> tuple[bool, tuple[int, int] | 
     if len(members) == alg.size:  # sorted, distinct and in range: all of S
         ideal = _green(alg).ideal
     else:
-        ideal = _ideals(*_ideal_rows(restrict(alg.mul, members, alg.labels)))
+        ideal = _ideals(*_ideal_rows(restrict(_table(alg), members, alg.labels)))
     # the first repeated ideal is the class whose second member comes first
     repeats = [cls[:2] for cls in _classes(ideal) if len(cls) > 1]
     if not repeats:
@@ -214,7 +241,7 @@ def j_trivial(alg: FiniteAlgebra, subset=None) -> tuple[bool, tuple[int, int] | 
 
 def idempotent_generated(alg: FiniteAlgebra) -> list[int]:
     """Carrier of the subsemigroup generated by all idempotents (mul only)."""
-    return closure([alg.mul], _idempotents(alg))
+    return closure([_table(alg)], _idempotents(alg))
 
 
 def block_group_tests(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -394,7 +421,7 @@ def principal_series(alg: FiniteAlgebra) -> SeriesReport:
         if len(members) == 1:
             continue  # exponent 1, derived length 0
         # H_e's rows, renumbered 0..|H_e|-1 in the order of its members
-        rows = restrict(alg.mul, members, alg.labels).tolist()
+        rows = _as_rows(restrict(_table(alg), members, alg.labels))
         one = members.index(e)
         m = lcm(m, _exponent(rows, one))
         lengths.append(_length(_derived_series(rows, one)))
@@ -436,15 +463,33 @@ def _exponent(rows: list[list[int]], one: int) -> int:
     return out
 
 
-def _derived_series(rows: list[list[int]], one: int) -> list[frozenset[int]]:
-    """G, G', G'', ... down to the first repetition, for the group table rows
-    with identity one."""
-    inv = [row.index(one) for row in rows]
-    series = [frozenset(range(len(rows)))]
+def _derived_series(table, one: int) -> list[frozenset[int]]:
+    """G, G', G'', ... down to the first repetition, for the group table (an
+    array or its row list) with identity one.  Each step closes the
+    commutators ((a^-1 b^-1) a) b of the last group: below _MASK_MIN_SIZE
+    elements read off the row list, from it on by one gather over the
+    array per _SLAB_CELLS cells."""
+    n = len(table)
+    if n < _MASK_MIN_SIZE:
+        table = _as_rows(table)
+        inv = [row.index(one) for row in table]
+    else:
+        table = np.asarray(table)
+        inv = (table == one).argmax(axis=1)
+    series = [frozenset(range(n))]
     while True:
         cur = series[-1]
-        comms = {rows[rows[rows[inv[a]][inv[b]]][a]][b] for a in cur for b in cur}
-        nxt = frozenset(closure([rows], comms))
+        if n < _MASK_MIN_SIZE:
+            comms = {table[table[table[inv[a]][inv[b]]][a]][b] for a in cur for b in cur}
+        else:
+            members = np.fromiter(cur, np.intp, len(cur))
+            marked = np.zeros(n, dtype=bool)
+            step = max(1, _SLAB_CELLS // members.size)
+            for lo in range(0, members.size, step):
+                a, b = members[lo : lo + step, None], members
+                marked[table[table[table[inv[a], inv[b]], a], b]] = True
+            comms = np.flatnonzero(marked).tolist()
+        nxt = frozenset(closure([table], comms))
         if nxt == cur:
             return series
         series.append(nxt)
@@ -463,7 +508,7 @@ def group_exponent(alg: FiniteAlgebra) -> int:
 def derived_series(alg: FiniteAlgebra) -> list[frozenset[int]]:
     """G, G', G'', ... down to the first repetition."""
     e, _ = ensure_group(alg)
-    return _derived_series(alg.mul.tolist(), e)
+    return _derived_series(alg.mul, e)
 
 
 def derived_length(alg: FiniteAlgebra) -> int | None:

@@ -431,7 +431,9 @@ def kadourek_generators(n: int, h: int) -> dict[tuple[int, ...], tuple[int, ...]
     npoints = len(word.letters) + 1
     gens: dict[tuple[int, ...], list[int]] = {}
     for p, (var, exp) in enumerate(word.letters, start=1):
-        f = gens.setdefault(var.indices, [-1] * npoints)
+        f = gens.get(var.indices)
+        if f is None:  # the variable's first letter
+            f = gens[var.indices] = [-1] * npoints
         src, dst = (p - 1, p) if exp > 0 else (p, p - 1)
         if f[src] >= 0:
             raise ValueError("conflicting letter positions for one generator")
@@ -475,12 +477,18 @@ def kadourek_semigroup(n: int, h: int):
     whence = [None] * len(keys)
     left_graph = []
 
-    def domain_and_image(maps):  # Boolean masks over the P points
-        return [m[:, :sink] < sink for m in (maps, _invert_rows(maps))]
+    def domain_and_image(maps):
+        # 0/1 masks over the P points, as float32: a product of two is a
+        # BLAS call (NumPy multiplies Boolean arrays without BLAS), and it
+        # counts the points where an image meets a domain exactly, since
+        # there are at most P <= 32,767 < 2^24 of them
+        return [(m[:, :sink] < sink).astype(np.float32) for m in (maps, _invert_rows(maps))]
 
-    seed_dom, seed_img = domain_and_image(seeds)
+    # (P, seeds), laid out as BLAS reads the right operand fastest
+    seed_dom, seed_img = (np.ascontiguousarray(m.T) for m in domain_and_image(seeds))
     # the worklist, one block of parents at a time, its products gathered in
-    # slabs of at most _SLAB_CELLS cells
+    # slabs of at most _SLAB_CELLS cells; a block's two float32 masks hold
+    # at most _SLAB_CELLS / nseeds cells
     rows = max(1, _SLAB_CELLS // (2 * nseeds * width))
     slab = max(1, _SLAB_CELLS // width)
     head = 0
@@ -490,7 +498,8 @@ def kadourek_semigroup(n: int, h: int):
         # [i, s, 0]: f_i then seed s, [i, s, 1]: seed s then f_i, gathered only
         # where an image meets a domain; every other product is the empty map
         dom, img = domain_and_image(f)
-        i, s, side = np.nonzero(np.stack([img @ seed_dom.T, dom @ seed_img.T], axis=2))
+        met = np.stack([img @ seed_dom, dom @ seed_img], axis=2)
+        i, s, side = np.nonzero(met > 0)
         for lo in range(0, len(i), slab):
             at = slice(lo, lo + slab)
             on_left = side[at, None] == 1

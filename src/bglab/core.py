@@ -36,7 +36,8 @@ _SLAB_CELLS = 1 << 22
 # Light's test 0.29 ms; they tie at 44 to 51; at 56 the scan takes 0.56 ms
 # and Light's test 0.28 ms.  closure switches from its row-list worklist to
 # Boolean masks at the same size.  analysis' Green record switches from row
-# lists to packed Boolean masks at its own, smaller size, _MASK_MIN_SIZE.
+# lists to packed Boolean masks, and its memo stops keeping mul's row list,
+# at its own, smaller size, _MASK_MIN_SIZE.
 _LIGHT_MIN_SIZE = 48
 
 # Light's test runs only while the generating set has at most n / this many
@@ -99,7 +100,8 @@ class FiniteAlgebra:
     # The record of facts about this object, filled on first use: "mul", the
     # memo of mul_violation and mul_zero and of analysis' Green's facts
     # ("green", the read-only R, L and J bit rows; "idempotents";
-    # "subgroups", the maximal subgroups as tuples), which mult_reduct
+    # "subgroups", the maximal subgroups as tuples; "rows", mul's row list,
+    # kept for tables below analysis._MASK_MIN_SIZE only), which mult_reduct
     # shares with the reduct; "reduct"; "verdict", validate's; "kernel",
     # terms.flat_kernel's.  It never holds an algebra that holds it, so
     # algebras are freed by reference counting alone.
@@ -338,11 +340,15 @@ def _mask_closure(tables, seeds, star, closed) -> list[int]:
     return np.flatnonzero(inside).tolist()
 
 
-def restrict(table: np.ndarray, members, labels) -> np.ndarray:
+def restrict(table, members, labels):
     """A binary (n x n) or unary (star) table restricted to the index set
     `members`, sorted, and renumbered 0..len-1 in member order.  A product
     outside the set raises ValueError naming the first one in row-major
-    order, with the parent's `labels`."""
+    order, with the parent's `labels`.  A binary table given as a row list
+    is restricted in plain Python, which costs less than NumPy's calls on a
+    small table, and comes back as a row list of the same values."""
+    if isinstance(table, list):
+        return _restrict_rows(table, members, labels)
     members = np.asarray(members, dtype=np.intp)
     local = np.full(len(table), -1, dtype=np.int32)
     local[members] = np.arange(members.size, dtype=np.int32)
@@ -355,6 +361,23 @@ def restrict(table: np.ndarray, members, labels) -> np.ndarray:
     if unary:
         raise ValueError(f"set not closed under star at {names[0]}")
     raise ValueError(f"set not closed: {names[0]} o {names[1]} escapes")
+
+
+def _restrict_rows(rows: list, members, labels) -> list[list[int]]:
+    """restrict for a binary table given as a row list."""
+    members = list(map(int, members))
+    local = [-1] * len(rows)
+    for i, x in enumerate(members):
+        local[x] = i
+    out = []
+    for a in members:
+        row = rows[a]
+        got = [local[row[b]] for b in members]
+        if -1 in got:
+            b = members[got.index(-1)]
+            raise ValueError(f"set not closed: {labels[a]} o {labels[b]} escapes")
+        out.append(got)
+    return out
 
 
 def _generators(table: np.ndarray) -> list[int] | None:

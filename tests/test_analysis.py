@@ -301,6 +301,111 @@ class TestKernelsAgainstSetOracles:
         assert rep.brandt_series
 
 
+def a_non_closed_subset(alg):
+    """The first {x} or {x, y} that some product of its members escapes, or
+    None when every such set is closed."""
+    rows = alg.mul.tolist()
+    for x in range(alg.size):
+        if rows[x][x] != x:
+            return [x]
+    for x in range(alg.size):
+        for y in range(x + 1, alg.size):
+            if {rows[x][y], rows[y][x]} - {x, y}:
+                return [x, y]
+    return None
+
+
+def row_list_cases():
+    """Every table of order at most 4, b21, Brandt(S3, 2) and random magmas
+    of 1, 5, 13 and 14 elements: tables on both sides of _MASK_MIN_SIZE."""
+    rng = np.random.default_rng(11)
+    yield from corpus_algebras(4)
+    yield mult_reduct(C.brandt_monoid_b21())
+    yield mult_reduct(C.brandt_semigroup(C.symmetric_group(3), 2))
+    for n in (1, 5, 13, 14):
+        for _ in range(3):
+            yield FiniteAlgebra("semigroup", tuple(map(str, range(n))),
+                                rng.integers(0, n, (n, n)))
+
+
+def small_table_readers(alg):
+    """What the small-table readers return on a fresh copy of alg; refusals
+    of a non-closed subset as their message."""
+    alg = dataclasses.replace(alg)
+    core_set = A.idempotent_generated(alg)
+    out = [A._idempotents(alg), core_set, A.j_trivial(alg),
+           A.j_trivial(alg, core_set) if core_set else None]  # a magma may have none
+    subset = a_non_closed_subset(alg)
+    if subset is not None:
+        with pytest.raises(ValueError, match="^set not closed: ") as refused:
+            A.j_trivial(alg, subset)
+        out.append(str(refused.value))
+    if validate(alg) is None:
+        out += [A.maximal_subgroups(alg), A.principal_series(alg).to_dict()]
+    return out
+
+
+class TestRowListAgainstArray:
+    """Below _MASK_MIN_SIZE elements the readers of a table take its row
+    list, from it on the array: forcing either path on every table gives
+    the same results."""
+
+    def test_both_paths_agree(self, monkeypatch):
+        cases = list(row_list_cases())
+        assert {alg.size for alg in cases} == {1, 2, 3, 4, 5, 6, 13, 14, 25}
+        got = []
+        for size in (1, 1 << 30):
+            monkeypatch.setattr(A, "_MASK_MIN_SIZE", size)
+            got.append([small_table_readers(alg) for alg in cases])
+        assert got[0] == got[1]
+        # non-closed subsets, associative tables and both sizes were met
+        assert sum(len(out) in (5, 7) for out in got[0]) > 1000
+        assert sum(len(out) >= 6 for out in got[0]) > 3000
+
+    def test_row_list_is_built_once_and_shared_with_the_reduct(self, monkeypatch):
+        seen = []  # (reader, the table it was given)
+
+        def spy(name, table_of):
+            original = getattr(A, name)
+
+            def wrapped(*args):
+                seen.append((name, table_of(args)))
+                return original(*args)
+            monkeypatch.setattr(A, name, wrapped)
+
+        spy("closure", lambda args: args[0][0])
+        spy("restrict", lambda args: args[0])
+        spy("_ideal_rows", lambda args: args[0])
+        b21 = C.brandt_monoid_b21()
+        reduct = mult_reduct(b21)
+        A.idempotent_generated(b21)
+        A.j_trivial(reduct, A.idempotent_generated(reduct))  # the core is 0, 1, e, f
+        A.principal_series(reduct)  # every maximal subgroup is trivial
+        A.j_trivial(b21, [0])
+        rows = b21._facts["mul"]["rows"]
+        assert reduct._facts["mul"]["rows"] is rows
+        assert rows == b21.mul.tolist()
+        assert [(name, table is rows) for name, table in seen] == [
+            ("closure", True), ("closure", True),
+            ("restrict", True), ("_ideal_rows", False),  # the core's own rows
+            ("_ideal_rows", True),                       # the Green record
+            ("restrict", True), ("_ideal_rows", False)]  # {0}'s own rows
+        assert [table for name, table in seen if table is not rows] == [
+            core.restrict(b21.mul, [0, 1, 4, 5], b21.labels).tolist(), [[0]]]
+
+    def test_tables_of_the_mask_size_keep_no_row_list(self):
+        table = np.arange(14)[None, :].repeat(14, axis=0)  # a right-zero band
+        alg = FiniteAlgebra("semigroup", tuple(map(str, range(14))), table)
+        A.j_trivial(alg, A.idempotent_generated(alg))
+        A.principal_series(alg)
+        memo = alg._facts["mul"]
+        assert {"green", "idempotents", "subgroups"} <= memo.keys()
+        assert "rows" not in memo
+        small = dataclasses.replace(alg, labels=alg.labels[:13], mul=table[:13, :13])
+        A.principal_series(small)
+        assert small._facts["mul"]["rows"] == table[:13, :13].tolist()
+
+
 class TestIdempotentsAndCore:
     def test_b21_idempotents(self, b21_mul, b21):
         got = {b21.labels[i] for i in A.idempotents(b21_mul)}
@@ -767,6 +872,18 @@ class TestGroupAnalytics:
         for g in (s3, q8, z4, C.dihedral_group(4), c2_4, *corpus_groups):
             assert A.subgroups_of(g) == brute_subgroups(g)
         assert len(A.subgroups_of(c2_4)) == 67
+
+    def test_gathered_commutators_agree_with_the_row_lists(self, monkeypatch):
+        # groups from 14 elements on gather each step's commutators over the
+        # array; forcing either path on every group gives the same series
+        groups = [*analytics_groups().values(), C.symmetric_group(5)]
+        assert max(g.size for g in groups) >= A._MASK_MIN_SIZE
+        got = []
+        for size in (1, 1 << 30):
+            monkeypatch.setattr(A, "_MASK_MIN_SIZE", size)
+            got.append([A.derived_series(g) for g in groups])
+        assert got[0] == got[1]
+        assert [len(s) for s in got[0][-1]] == [120, 60]
 
     def test_s3(self, s3):
         ga = A.group_analytics(s3)

@@ -310,6 +310,36 @@ class TestValidateInvolution:
             assert validate(alg) is None
 
 
+class TestRestrict:
+    def test_row_lists_restrict_like_arrays(self):
+        # the same values and the same first escape, row-major, on closed
+        # and non-closed subsets of random magmas
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for n in (1, 2, 3, 5, 13, 14, 30):
+            table = rng.integers(0, n, (n, n)).astype(np.int32)
+            labels = tuple(f"x{i}" for i in range(n))
+            for size in range(1, n + 1):
+                members = sorted(rng.choice(n, size, replace=False).tolist())
+                got = []
+                for t in (table, table.tolist()):
+                    try:
+                        out = core.restrict(t, members, labels)
+                    except ValueError as refused:
+                        got.append(str(refused))
+                    else:
+                        got.append(out if isinstance(out, list) else out.tolist())
+                assert got[0] == got[1]
+                outcomes.add(isinstance(got[0], str))
+        assert outcomes == {True, False}
+
+    def test_a_row_list_comes_back_as_a_row_list(self):
+        rows = [[0, 1, 1], [1, 1, 2], [2, 2, 2]]
+        assert core.restrict(rows, [1, 2], ("a", "b", "c")) == [[0, 1], [1, 1]]
+        with pytest.raises(ValueError, match=r"^set not closed: a o c escapes$"):
+            core.restrict(rows, [0, 2], ("a", "b", "c"))
+
+
 class TestJsonRoundTrip:
     def test_plain_round_trip(self, tmp_path, b21):
         path = tmp_path / "b21.json"
