@@ -15,9 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constructions import ensure_group, group_inverses
 from .core import (_SLAB_CELLS, FiniteAlgebra, _check_indices, closure, require_associative,
-                   restrict)
+                   restrict, validate)
 from .errors import NotAGroup, SubgroupEnumerationBudget
 from .terms import flat_kernel
 
@@ -67,6 +66,55 @@ def _idempotents(alg: FiniteAlgebra) -> tuple[int, ...]:
 
 def idempotents(alg: FiniteAlgebra) -> list[int]:
     return list(_idempotents(alg))
+
+
+def _group(alg: FiniteAlgebra) -> tuple[int, tuple[int, ...]] | str:
+    """The identity and the least two-sided inverse of each element, or the
+    NotAGroup reason when either is missing: found once per table, into the
+    record that the reduct shares.  Associativity is not checked."""
+    memo = alg._facts["mul"]
+    if "group" not in memo:
+        memo["group"] = _group_facts(_table(alg), _idempotents(alg), alg.labels)
+    return memo["group"]
+
+
+def _group_facts(table, idems, labels) -> tuple[int, tuple[int, ...]] | str:
+    """(identity, inverses) of a table or its row list, or why there are none:
+    the identity is the idempotent in idems whose row and column are the
+    carrier, and an array's inverses are read a slab of rows at a time."""
+    n = len(table)
+    ids = list(range(n))
+    e = next((e for e in idems if list(table[e]) == ids == [row[e] for row in table]), None)
+    if e is None:
+        return "no identity element"
+    if isinstance(table, list):  # n marks an element with no inverse
+        inv = [next((y for y, v in enumerate(row) if v == e == table[y][x]), n)
+               for x, row in enumerate(table)]
+    else:
+        inv, step = [], max(1, _SLAB_CELLS // n)
+        for lo in range(0, n, step):
+            # [x, y]: xy = e = yx, for the x of this slab
+            both = table[lo : lo + step] == e
+            both &= table[:, lo : lo + step].T == e
+            inv += np.where(both.any(axis=1), both.argmax(axis=1), n).tolist()
+            if n in inv:
+                break
+    if n in inv:
+        return f"element {labels[inv.index(n)]} has no inverse"
+    return e, tuple(inv)
+
+
+def ensure_group(alg: FiniteAlgebra) -> tuple[int, tuple[int, ...]]:
+    """_group's identity and inverses, once validate passes the algebra;
+    NotAGroup names the law that fails and its labelled witness, or _group's
+    reason."""
+    bad = validate(alg)
+    if bad is not None:
+        raise NotAGroup(f"not associative: {bad.describe(alg)}")
+    found = _group(alg)
+    if isinstance(found, str):
+        raise NotAGroup(found)
+    return found
 
 
 def block_group_violation(alg: FiniteAlgebra) -> tuple[int, int] | None:
@@ -323,11 +371,7 @@ def subgroup_union(alg: FiniteAlgebra) -> set[int]:
 def is_group(alg: FiniteAlgebra) -> bool:
     """A two-sided identity and an inverse for every element (associativity
     is not checked)."""
-    try:
-        group_inverses(alg)
-    except NotAGroup:
-        return False
-    return True
+    return not isinstance(_group(alg), str)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +468,7 @@ def principal_series(alg: FiniteAlgebra) -> SeriesReport:
         rows = _as_rows(restrict(_table(alg), members, alg.labels))
         one = members.index(e)
         m = lcm(m, _exponent(rows, one))
-        lengths.append(_length(_derived_series(rows, one)))
+        lengths.append(_length(_derived_series(rows, [row.index(one) for row in rows])))
     if None in lengths:
         k, floored, r = None, False, None
     else:
@@ -463,19 +507,15 @@ def _exponent(rows: list[list[int]], one: int) -> int:
     return out
 
 
-def _derived_series(table, one: int) -> list[frozenset[int]]:
-    """G, G', G'', ... down to the first repetition, for the group table (an
-    array or its row list) with identity one.  Each step closes the
-    commutators ((a^-1 b^-1) a) b of the last group: below _MASK_MIN_SIZE
-    elements read off the row list, from it on by one gather over the
-    array per _SLAB_CELLS cells."""
+def _derived_series(table, inv) -> list[frozenset[int]]:
+    """G, G', G'', ... down to the first repetition, for the group table
+    with inverses inv.  Each step closes the commutators ((a^-1 b^-1) a) b
+    of the last group: below _MASK_MIN_SIZE elements read off the table's
+    row list, from it on by one gather over the table as an array per
+    _SLAB_CELLS cells."""
     n = len(table)
-    if n < _MASK_MIN_SIZE:
-        table = _as_rows(table)
-        inv = [row.index(one) for row in table]
-    else:
-        table = np.asarray(table)
-        inv = (table == one).argmax(axis=1)
+    if n >= _MASK_MIN_SIZE:
+        table, inv = np.asarray(table), np.asarray(inv)
     series = [frozenset(range(n))]
     while True:
         cur = series[-1]
@@ -502,13 +542,13 @@ def _length(series: list[frozenset[int]]) -> int | None:
 
 def group_exponent(alg: FiniteAlgebra) -> int:
     e, _ = ensure_group(alg)
-    return _exponent(alg.mul.tolist(), e)
+    return _exponent(_as_rows(_table(alg)), e)
 
 
 def derived_series(alg: FiniteAlgebra) -> list[frozenset[int]]:
     """G, G', G'', ... down to the first repetition."""
-    e, _ = ensure_group(alg)
-    return _derived_series(alg.mul, e)
+    _, inv = ensure_group(alg)
+    return _derived_series(_table(alg), inv)
 
 
 def derived_length(alg: FiniteAlgebra) -> int | None:
@@ -526,7 +566,7 @@ def subgroups_of(alg: FiniteAlgebra) -> list[frozenset[int]]:
     if alg.size > SUBGROUP_SIZE_BUDGET:
         raise SubgroupEnumerationBudget(
             f"|G| = {alg.size} exceeds the enumeration budget {SUBGROUP_SIZE_BUDGET}")
-    rows = alg.mul.tolist()
+    rows = _as_rows(_table(alg))
     found = {frozenset([e])}
     todo = list(found)
     while todo:
@@ -562,11 +602,11 @@ class GroupAnalytics:
 def group_analytics(alg: FiniteAlgebra) -> GroupAnalytics:
     """Exponent, derived length, the Dedekind test (every subgroup normal)
     and the quaternion test (an 8-element subgroup, non-abelian with one
-    involution) from one copy of the rows; refused as by subgroups_of."""
+    involution) from the rows; refused as by subgroups_of."""
     subgroups = subgroups_of(alg)
     e, inv = ensure_group(alg)
-    rows = alg.mul.tolist()
-    d = _length(_derived_series(rows, e))
+    rows = _as_rows(_table(alg))
+    d = _length(_derived_series(rows, inv))
     dedekind = all({rows[rows[g][h]][inv[g]] for h in H} == H
                    for H in subgroups for g in range(alg.size))
     # x^2 = e for e and for each involution, so one involution gives two

@@ -16,13 +16,13 @@ from math import isqrt
 import numpy as np
 
 from . import terms
+from .analysis import ensure_group
 from .core import (_SLAB_CELLS, FiniteAlgebra, _check_indices, _first_true, closure,
-                   mult_reduct, restrict, validate)
+                   mult_reduct, restrict)
 from .errors import (
     BglabError,
     CarrierTooLarge,
     NormalSubgroup,
-    NotAGroup,
     NotAnIdeal,
     NotASubgroup,
     UnsupportedSize,
@@ -149,48 +149,6 @@ def make_group(family: str, n: int | None = None) -> FiniteAlgebra:
     if family == "quaternion8":
         return quaternion_group()
     raise UnsupportedSize(f"unknown group family {family!r}")
-
-
-def group_identity(alg: FiniteAlgebra) -> int:
-    """The least two-sided identity; raises NotAGroup when there is none."""
-    return _identity(alg.mul.tolist())
-
-
-def _identity(rows: list[list[int]]) -> int:
-    # Python lists: most tables here are tiny, where numpy's per-call cost
-    # outweighs the scan.
-    ids = list(range(len(rows)))
-    for e, row in enumerate(rows):
-        if row == ids and all(r[e] == x for x, r in enumerate(rows)):
-            return e
-    raise NotAGroup("no identity element")
-
-
-def _identity_and_inverses(alg: FiniteAlgebra) -> tuple[int, list[int]]:
-    """The least identity and the least two-sided inverse of every element,
-    from one reading of the table; raises NotAGroup when either is missing."""
-    rows = alg.mul.tolist()
-    e = _identity(rows)
-    inv = []
-    for x, row in enumerate(rows):
-        y = next((y for y, v in enumerate(row) if v == e and rows[y][x] == e), None)
-        if y is None:
-            raise NotAGroup(f"element {alg.labels[x]} has no inverse")
-        inv.append(y)
-    return e, inv
-
-
-def group_inverses(alg: FiniteAlgebra) -> list[int]:
-    """The least two-sided inverse of every element; raises NotAGroup when an
-    element has none.  Associativity is not checked (see ensure_group)."""
-    return _identity_and_inverses(alg)[1]
-
-
-def ensure_group(alg: FiniteAlgebra) -> tuple[int, list[int]]:
-    bad = validate(alg)
-    if bad is not None:
-        raise NotAGroup(f"not associative: {bad}")
-    return _identity_and_inverses(alg)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +327,7 @@ def subset_b_masks(group: FiniteAlgebra, subgroup, g: int) -> tuple[int, ...]:
                            f"products reach {group.labels[outside[0]]}, outside the set")
     _check_indices([g], group.size)
     mul = group.mul
-    e, inv = _identity_and_inverses(group)
+    e, inv = ensure_group(group)
     gH = frozenset(int(mul[inv[g], h]) for h in H)
     conj = frozenset(int(mul[x, g]) for x in gH)
     if conj == H:

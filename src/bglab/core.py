@@ -98,13 +98,13 @@ class FiniteAlgebra:
     star: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
     # The record of facts about this object, filled on first use: "mul", the
-    # memo of mul_violation and mul_zero and of analysis' Green's facts
-    # ("green", the read-only R, L and J bit rows; "idempotents";
-    # "subgroups", the maximal subgroups as tuples; "rows", mul's row list,
-    # kept for tables below analysis._MASK_MIN_SIZE only), which mult_reduct
-    # shares with the reduct; "reduct"; "verdict", validate's; "kernel",
-    # terms.flat_kernel's.  It never holds an algebra that holds it, so
-    # algebras are freed by reference counting alone.
+    # memo of mul_violation and mul_zero and of analysis' facts ("green",
+    # the read-only R, L and J bit rows; "idempotents"; "subgroups", the
+    # maximal subgroups as tuples; "group", the identity and inverses or the
+    # NotAGroup reason; "rows", mul's row list, below _MASK_MIN_SIZE only),
+    # which mult_reduct shares with the reduct; "reduct"; "verdict",
+    # validate's; "kernel", terms.flat_kernel's.  It never holds an algebra
+    # that holds it, so algebras are freed by reference counting alone.
     _facts: dict = field(default_factory=lambda: {"mul": {}}, init=False, repr=False)
 
     def __post_init__(self):

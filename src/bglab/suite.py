@@ -198,7 +198,7 @@ def check_power_law(wb: Workbench, profile: str, seed: int):
 
 def check_group_identities(wb: Workbench, profile: str, seed: int):
     s3 = wb.get("s3")
-    one = constructions.group_identity(s3)
+    one = analysis.ensure_group(s3)[0]
     evals = 0
     verdict = checker.check_membership_exhaustive(s3, terms.v_word(1, 6, 2), {one})
     evals += verdict.evaluations
@@ -217,13 +217,13 @@ def check_group_identities(wb: Workbench, profile: str, seed: int):
     z4 = wb.get("z4")
     for n in (1, 2):
         verdict = checker.check_membership_exhaustive(
-            z4, terms.v_word(n, 4, 1), {constructions.group_identity(z4)})
+            z4, terms.v_word(n, 4, 1), {analysis.ensure_group(z4)[0]})
         evals += verdict.evaluations
         _need(verdict.status == checker.HOLDS, f"Z4: v({n},4,1) != 1")
     # a1..an a1'..an' is [a1',a2'][(a2 a1)',a3'], with [a,b] = a'b'ab, so
     # the left side times the inverse of the right lands in {e}
     inverted = FiniteAlgebra("involution-semigroup", s3.labels, s3.mul,
-                             star=constructions.group_inverses(s3))
+                             star=analysis.ensure_group(s3)[1])
     for form in ("x1 x1'", "x1 x2 x1' x2' (x1'' x2'' x1' x2')'",
                  "x1 x2 x3 x1' x2' x3' (x1'' x2'' x1' x2' (x2 x1)'' x3'' (x2 x1)' x3')'"):
         verdict = checker.check_membership_exhaustive(inverted, terms.parse_term(form), {one})
@@ -313,7 +313,7 @@ B21_TO_HALL2 = ("11|11", "10|01", "01|11", "11|10", "10|11", "11|01")
 def subset_b_onto_b21(wb: Workbench):
     """The canonical surjection from the subset subsemiring onto the monoid."""
     s3 = wb.get("s3")
-    e = constructions.group_identity(s3)
+    e = analysis.ensure_group(s3)[0]
     H = [e, s3.index("(12)")]
     g = s3.index("(13)")
     masks = constructions.subset_b(s3, H, g)
@@ -368,7 +368,7 @@ def check_structure_reports(wb: Workbench, profile: str, seed: int):
     _need(chain_sizes == [1, 5, 6], f"b21 chain sizes {chain_sizes}")
     ps3 = wb.get("ps3_mul")
     s3 = wb.get("s3")
-    e = constructions.group_identity(s3)
+    e = analysis.ensure_group(s3)[0]
     subgroup_mask = (1 << e) | (1 << s3.index("(12)"))
     locals_ = dict(analysis.maximal_subgroups(ps3))
     _need(len(locals_[subgroup_mask]) == 1,

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from math import lcm
 
 import numpy as np
@@ -13,6 +14,7 @@ from bglab import constructions as C
 from bglab import core, corpus, suite
 from bglab import terms as T
 from bglab.checker import check_identity_exhaustive
+from bglab.cli import main
 from bglab.core import FiniteAlgebra, mult_reduct, validate
 from bglab.errors import BglabError, SubgroupEnumerationBudget
 
@@ -445,7 +447,7 @@ class TestBlockGroup:
         assert np.flatnonzero(rows[b21.index("0")]).tolist() == [b21.index("0")]
 
     def test_group_inverse_is_the_unique_inverse(self, s3):
-        inv = C.group_inverses(s3)
+        inv = C.ensure_group(s3)[1]
         rows = A.inverse_matrix(s3)
         for g in range(6):
             assert np.flatnonzero(rows[g]).tolist() == [inv[g]]
@@ -846,21 +848,53 @@ class TestGroupAnalytics:
         # Q8 and Q8 x C2 are the Dedekind groups with a quaternion subgroup
         assert flags == {(True, False), (False, False), (True, True)}
 
-    def test_identity_and_inverses_are_read_once(self, monkeypatch):
+    def test_identity_and_inverses_are_read_once(self, monkeypatch, tmp_path, capsys):
         # subgroups_of and group_analytics call ensure_group once each, the
-        # power builders once, and ensure_group finds the identity once
+        # power builders once, and the table's facts are read once
         calls = []
-        original = C._identity
+        original = A._group_facts
 
-        def spy(rows):
-            calls.append(len(rows))
-            return original(rows)
+        def spy(table, idems, labels):
+            calls.append(len(table))
+            return original(table, idems, labels)
 
-        monkeypatch.setattr(C, "_identity", spy)
+        monkeypatch.setattr(A, "_group_facts", spy)
         A.group_analytics(C.dihedral_group(4))
         C.power_semiring(C.symmetric_group(3), with_star=True)
         C.involution_power(C.cyclic_group(3))
-        assert calls == [8, 8, 6, 3]
+        assert calls == [8, 6, 3]
+        # analyze on S5: is_group, then group_analytics refused by the size
+        # budget, group_exponent and derived_length, on one read
+        C.symmetric_group(5).save(str(tmp_path / "s5.json"))
+        del calls[:]
+        assert main(["analyze", str(tmp_path / "s5.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["derived_length"] is None
+        assert calls == [120]
+
+    def test_group_facts_are_shared_with_the_reduct(self, s3):
+        inverted = FiniteAlgebra("involution-semigroup", s3.labels, s3.mul,
+                                 star=C.ensure_group(s3)[1])
+        power = C.power_semiring(s3)
+        for alg, group in ((inverted, True), (power, False)):
+            assert A.is_group(alg) == group
+            facts = alg._facts["mul"]["group"]
+            assert mult_reduct(alg)._facts["mul"]["group"] is facts
+            assert A.is_group(mult_reduct(alg)) == group
+        assert inverted._facts["mul"]["group"] == (0, tuple(inverted.star.tolist()))
+        assert power._facts["mul"]["group"] == "element {} has no inverse"
+
+    def test_no_group_copies_no_table(self):
+        # power(D5)'s reduct has the identity {e} and no inverse of the
+        # empty set; deciding that reads one slab of the array, no row list
+        alg = mult_reduct(C.power_semiring(C.dihedral_group(5)))
+        tracemalloc.start()
+        try:
+            assert not A.is_group(alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+        assert "rows" not in alg._facts["mul"]
 
     def test_subgroup_enumeration_matches_brute_force(self, s3, q8, z4):
         # C2^4 needs four generators; corpus groups need not have e = 0

@@ -106,6 +106,24 @@ class TestBuild:
         assert done.returncode == 2 and "Traceback" not in done.stderr
         assert f"{points} points" in done.stderr and "32767" in done.stderr
 
+    def test_brandt_over_a_non_associative_loop_is_refused(self, tmp_path):
+        # a Latin square with identity e whose (aa)b != a(ab): exit 2, the
+        # law and the labelled triple in the message, no traceback
+        loop = FiniteAlgebra("semigroup", ("e", "a", "b", "c", "d"),
+                             [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                              [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+        loop.save(str(tmp_path / "loop.json"))
+        src = str(Path(bglab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "bglab", "build", "brandt",
+                               "--group", str(tmp_path / "loop.json"), "--indices", "2",
+                               "-o", str(tmp_path / "b.json")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2 and "Traceback" not in done.stderr
+        assert done.stderr == ("error: not associative: "
+                               "mul-associative fails at (a, a, b)\n")
+        assert "AxiomViolation(" not in done.stderr
+
     def test_build_rejects_empty_hall(self, tmp_path, capsys):
         code, _, err = run(capsys, "build", "hall", "--n", "0",
                            "-o", str(tmp_path / "x.json"))

@@ -277,8 +277,8 @@ class TestEvaluate:
     def test_group_value_reduces_to_first_half_times_inverses(self, s3):
         # with exponent dividing m the value is a1..an a1^-1..an^-1,
         # independent of the second half; exhaustive over all 6^4 substitutions
-        from bglab.constructions import group_inverses
-        inv = group_inverses(s3)
+        from bglab.constructions import ensure_group
+        inv = ensure_group(s3)[1]
         word = T.v_word(2, 6, 1)
         xs = sorted(word.variables())
         for tup in product(range(6), repeat=4):
