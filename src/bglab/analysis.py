@@ -1,8 +1,8 @@
 """Structural analytics over finite semigroups.
 
-Everything here reads only the multiplication table (callers pass reducts of
-richer algebras or let us ignore add/star).  Scans are deterministic: first
-witnesses are minimal in the ascending index order.
+Everything here reads only the multiplication table and its memo in the
+algebra's record, whatever else the algebra carries.  Scans are
+deterministic: first witnesses are minimal in the ascending index order.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (_SLAB_CELLS, FiniteAlgebra, _check_indices, closure, require_associative,
-                   restrict, validate)
+from .core import (_SLAB_CELLS, FiniteAlgebra, _check_indices, closure, mul_violation,
+                   require_associative, restrict)
 from .errors import NotAGroup, SubgroupEnumerationBudget
-from .terms import flat_kernel
 
 SUBGROUP_SIZE_BUDGET = 16
 
@@ -105,10 +104,10 @@ def _group_facts(table, idems, labels) -> tuple[int, tuple[int, ...]] | str:
 
 
 def ensure_group(alg: FiniteAlgebra) -> tuple[int, tuple[int, ...]]:
-    """_group's identity and inverses, once validate passes the algebra;
-    NotAGroup names the law that fails and its labelled witness, or _group's
-    reason."""
-    bad = validate(alg)
+    """_group's identity and inverses, once core.mul_violation finds mul
+    associative on its memo, whatever add or star are; NotAGroup names the
+    failing law and its labelled witness, or _group's reason."""
+    bad = mul_violation(alg._facts["mul"], alg.mul)
     if bad is not None:
         raise NotAGroup(f"not associative: {bad.describe(alg)}")
     found = _group(alg)
@@ -478,17 +477,6 @@ def principal_series(alg: FiniteAlgebra) -> SeriesReport:
         f["kind"] in ("brandt", "zero") for f in factors[1:])
     return SeriesReport(chain, factors, h, m, k, floored, (2**h) * m, r, brandt,
                         subgroups)
-
-
-def satisfies_power_identity(alg: FiniteAlgebra, e1: int, e2: int):
-    """Element-wise check of x^e1 = x^e2, e1, e2 >= 1 (huge exponents
-    welcome), on the kernel's power tables; returns (ok, first bad element)."""
-    if min(e1, e2) < 1:
-        raise ValueError("exponent must be >= 1")
-    kernel = flat_kernel(alg)
-    carrier = np.arange(alg.size)
-    bad = np.flatnonzero(kernel.power(carrier, e1) != kernel.power(carrier, e2))
-    return (True, None) if not bad.size else (False, int(bad[0]))
 
 
 # ---------------------------------------------------------------------------

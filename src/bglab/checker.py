@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import FiniteAlgebra, _check_indices, require_associative
-from .errors import MapNotTotal, MissingStar, MissingTable
+from .errors import BglabError, MapNotTotal, MissingStar, MissingTable
 from .terms import (DEFAULT_NODE_BUDGET, InvTerm, PowerOf, Term, Variable, _least_preimage,
                     _levels, _power_exceeds, _power_text, evaluate_batch, flat_kernel,
                     variable_key)
@@ -41,9 +41,15 @@ _MIX_STEPS = tuple(np.array(c, dtype=np.uint64) for c in (
 
 
 def default_budget() -> int:
-    """The evaluation budget; BGLAB_BUDGET in the environment overrides it."""
+    """The evaluation budget: BGLAB_BUDGET in the environment when it is set
+    and not empty, else DEFAULT_BUDGET.  A value that is no integer >= 0 is
+    refused with a BglabError naming the variable."""
     raw = os.environ.get("BGLAB_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    if not raw.strip().isdecimal():
+        raise BglabError(f"BGLAB_BUDGET must be an integer >= 0, not {raw!r}")
+    return int(raw)
 
 
 @dataclass
@@ -68,10 +74,19 @@ class CheckVerdict:
         return self.status in (HOLDS, NO_COUNTEREXAMPLE)
 
 
+def _budget(budget: int | None) -> int:
+    """budget, or default_budget() when None; a BglabError unless an integer >= 0."""
+    if budget is None:
+        return default_budget()
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise BglabError(f"the budget argument must be an integer >= 0, not {budget!r}")
+    return budget
+
+
 def _over_budget(work: int, unit: str, budget: int | None, **fields) -> CheckVerdict | None:
     """The budget_exceeded verdict, with the other fields given, when work
-    units pass the budget (default_budget() when None); None within it."""
-    budget = default_budget() if budget is None else budget
+    units pass _budget(budget); None within it."""
+    budget = _budget(budget)
     if work <= budget:
         return None
     return CheckVerdict(BUDGET_EXCEEDED, attempted=work,
@@ -186,10 +201,11 @@ def _odometer_scan(alg, terms, domains, budget, mismatch) -> CheckVerdict:
 def check_identity_exhaustive(alg: FiniteAlgebra, lhs: Term, rhs: Term,
                               domains=None, budget: int | None = None) -> CheckVerdict:
     """Enumerate every substitution; first counterexample in odometer order.
-    Equal sides hold with no evaluation, once the domains and the star the
-    scan would need have been checked."""
+    Equal sides hold with no evaluation, once the domains, the budget and
+    the star the scan would need have been checked."""
     if lhs == rhs:
         _domain_lists(_variables_of(lhs), alg, domains)
+        _budget(budget)
         if alg.star is None and _inverse_letters(lhs):
             raise MissingStar("term has inverse letters but the algebra has no star")
         return CheckVerdict(HOLDS, evaluations=0, note="syntactic equality")

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / identity holds; 1 semantic failure (counterexample
 or suite failure); 2 invalid input or validation error.  BGLAB_BUDGET in
-the environment overrides the default evaluation budget.
+the environment, an integer >= 0, overrides the default evaluation budget.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import re
 import sys
 
 from . import analysis, checker, constructions, suite, terms
-from .core import load_algebra, mult_reduct, validate
-from .errors import BglabError
+from .core import load_algebra, validate
+from .errors import BglabError, SubgroupEnumerationBudget
 
 _FAMILIES = {"S": "symmetric", "C": "cyclic", "D": "dihedral"}
 
@@ -92,22 +92,21 @@ def _cmd_analyze(args) -> int:
     if bad is not None:
         print(f"validation failed: {bad.describe(alg)}", file=sys.stderr)
         return 2
-    reduct = mult_reduct(alg)
     out: dict = {"kind": alg.kind, "size": alg.size}
-    if analysis.is_group(reduct):
+    if analysis.is_group(alg):
         out["group"] = True
         try:
-            out.update(analysis.group_analytics(reduct).to_dict())
-        except BglabError:
-            out["exponent"] = analysis.group_exponent(reduct)
-            out["derived_length"] = analysis.derived_length(reduct)
+            out.update(analysis.group_analytics(alg).to_dict())
+        except SubgroupEnumerationBudget:
+            out["exponent"] = analysis.group_exponent(alg)
+            out["derived_length"] = analysis.derived_length(alg)
             out["solvable"] = out["derived_length"] is not None
             out["subgroup_enumeration"] = "skipped (size budget)"
     else:
-        core_set = analysis.idempotent_generated(reduct)
-        out["block_group"] = analysis.is_block_group(reduct)
-        out["j_trivial_ES"] = analysis.j_trivial(reduct, core_set)[0]
-        rep = analysis.principal_series(reduct)
+        core_set = analysis.idempotent_generated(alg)
+        out["block_group"] = analysis.is_block_group(alg)
+        out["j_trivial_ES"] = analysis.j_trivial(alg, core_set)[0]
+        rep = analysis.principal_series(alg)
         out.update(rep.to_dict())
         out["subgroups"] = [
             {"idempotent": e, "order": len(members)}

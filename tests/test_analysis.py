@@ -13,10 +13,19 @@ from bglab import analysis as A
 from bglab import constructions as C
 from bglab import core, corpus, suite
 from bglab import terms as T
-from bglab.checker import check_identity_exhaustive
+from bglab.checker import check_identity_exhaustive, check_v_square_image
 from bglab.cli import main
-from bglab.core import FiniteAlgebra, mult_reduct, validate
-from bglab.errors import BglabError, SubgroupEnumerationBudget
+from bglab.core import FiniteAlgebra, mul_violation, mult_reduct, validate
+from bglab.errors import BglabError, NotAGroup, SubgroupEnumerationBudget
+
+
+X1 = T.Variable((1,))
+
+
+def power_law(alg, e1, e2):
+    """The exhaustive engine's verdict on x1^e1 = x1^e2."""
+    x = T.Word((X1,))
+    return check_identity_exhaustive(alg, T.PowerOf(x, e1), T.PowerOf(x, e2))
 
 
 def corpus_algebras(order):
@@ -593,20 +602,20 @@ class TestPrincipalSeries:
         def boom(alg):
             raise AssertionError("a subgroup or the kernel was built as a group")
 
-        def counted(alg):
-            calls.append(alg)
-            return validate(alg)
+        def counted(memo, mul):
+            calls.append(mul)
+            return mul_violation(memo, mul)
 
         monkeypatch.setattr(A, "ensure_group", boom)
         monkeypatch.setattr(A, "is_group", boom)
-        monkeypatch.setattr(core, "validate", counted)
+        monkeypatch.setattr(core, "mul_violation", counted)
         for alg, params in ((ps3_mul, (9, 6, 2, 3072, 29)),
                             (mult_reduct(hall3), (14, 6, 2, 98304, 44))):
             before = len(calls)
             rep = A.principal_series(alg)
             assert (rep.h, rep.m, rep.k, rep.q, rep.r) == params
-            # the table itself is validated, no subgroup as its own algebra
-            assert calls[before:] and all(table is alg for table in calls[before:])
+            # the table itself is checked, no subgroup as its own algebra
+            assert calls[before:] and all(table is alg.mul for table in calls[before:])
 
     def test_factors_agree_with_the_rees_factor_oracle(self, hall3):
         algs = [corpus.as_algebra(t) for n in range(1, 5)
@@ -646,7 +655,7 @@ class TestPrincipalSeries:
         assert [A.principal_series(alg).to_dict() for alg in algs] == want
 
     def test_repeated_series_validate_once(self, monkeypatch):
-        # the reduct is one object per algebra, so validate's verdict is reused
+        # mul's associativity is decided once per memo, which the series reads
         calls = []
         original = core._associativity
 
@@ -896,6 +905,39 @@ class TestGroupAnalytics:
         assert peak < 4 << 20, peak
         assert "rows" not in alg._facts["mul"]
 
+    def test_group_readers_ask_mul_alone(self):
+        # mul is C2 and add is not commutative: each group reader accepts the
+        # table, whatever the algebra's other laws
+        alg = FiniteAlgebra("ai-semiring", ("e", "g"), [[0, 1], [1, 0]],
+                            add=[[0, 0], [1, 1]])
+        assert validate(alg).law == "add-commutative"
+        assert A.is_group(alg)
+        assert A.ensure_group(alg) == (0, (0, 1))
+        assert C.brandt_semigroup(alg, 2).size == 9
+        assert C.power_semiring(alg).size == 4
+
+    def test_mul_questions_build_no_reduct(self, monkeypatch):
+        # the series, the maximal subgroups, the image check and the group
+        # guard read the mul memo, which decides associativity once a table
+        calls = []
+        original = core._associativity
+
+        def spy(table, *args):
+            calls.append(table)
+            return original(table, *args)
+
+        algs = (C.brandt_monoid_b21(), C.power_semiring(C.symmetric_group(3)))
+        monkeypatch.setattr(core, "_associativity", spy)
+        for alg in algs:
+            A.principal_series(alg)
+            A.maximal_subgroups(alg)
+            check_v_square_image(alg, 1, 1, 1)
+            with pytest.raises(NotAGroup, match="has no inverse"):
+                A.ensure_group(alg)
+            assert "reduct" not in alg._facts
+            assert calls[-1] is alg.mul
+        assert len(calls) == 2
+
     def test_subgroup_enumeration_matches_brute_force(self, s3, q8, z4):
         # C2^4 needs four generators; corpus groups need not have e = 0
         c2_4 = FiniteAlgebra("semigroup", [str(i) for i in range(16)],
@@ -978,7 +1020,7 @@ class TestCorpusInvariants:
             if not A.j_trivial(alg)[0]:
                 continue
             p = alg.size
-            assert A.satisfies_power_identity(alg, p, p + 1)[0]
+            assert power_law(alg, p, p + 1).status == "holds"
             for _ in range(3):
                 length = int(rng.integers(1, 7))
                 picks = [int(rng.integers(1, 4)) for _ in range(length)]
@@ -995,15 +1037,17 @@ class TestCorpusInvariants:
         for alg in (b2, b3, bz2, b21_mul, ps3_mul, mult_reduct(hall2)):
             rep = A.principal_series(alg)
             e = (2**rep.h) * rep.m
-            ok, bad = A.satisfies_power_identity(alg, e, 2 * e)
-            assert ok, f"failed at element {bad}"
+            verdict = power_law(alg, e, 2 * e)
+            assert verdict.status == "holds", f"failed at {verdict.witness}"
+            assert verdict.evaluations == alg.size
 
     def test_power_identity_failure_and_bad_exponent(self, s3):
         # x = x^2 holds only at the identity, element 0
-        assert A.satisfies_power_identity(s3, 1, 2) == (False, 1)
-        assert A.satisfies_power_identity(s3, 2**80 * 6 + 1, 1) == (True, None)
+        verdict = power_law(s3, 1, 2)
+        assert (verdict.status, verdict.witness) == ("counterexample", {X1: 1})
+        assert power_law(s3, 2**80 * 6 + 1, 1).status == "holds"
         with pytest.raises(ValueError, match="exponent must be >= 1"):
-            A.satisfies_power_identity(s3, 0, 6)
+            power_law(s3, 0, 6)
 
 
 def per_table_block_group_tests(alg):

@@ -692,6 +692,37 @@ class TestRestrictedDomains:
         monkeypatch.setenv("BGLAB_BUDGET", "1000")
         verdict = K.check_identity_exhaustive(b21_mul, lhs, rhs)
         assert verdict.status == K.COUNTEREXAMPLE
+        # 0 is a budget; an empty or unset variable means the default
+        monkeypatch.setenv("BGLAB_BUDGET", "0")
+        verdict = K.check_identity_exhaustive(b21_mul, lhs, rhs)
+        assert (verdict.status, verdict.note) == (
+            K.BUDGET_EXCEEDED, "216 substitutions exceed budget 0")
+        assert K.check_identity_exhaustive(b21_mul, lhs, rhs, budget=0).status == (
+            K.BUDGET_EXCEEDED)
+        monkeypatch.setenv("BGLAB_BUDGET", "")
+        assert K.default_budget() == K.DEFAULT_BUDGET
+        monkeypatch.delenv("BGLAB_BUDGET")
+        assert K.default_budget() == K.DEFAULT_BUDGET
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "1.5"])
+    def test_bad_budget_env_is_refused(self, b21_mul, monkeypatch, raw):
+        monkeypatch.setenv("BGLAB_BUDGET", raw)
+        with pytest.raises(BglabError, match=re.escape(
+                f"BGLAB_BUDGET must be an integer >= 0, not '{raw}'")):
+            K.check_identity_exhaustive(b21_mul, *parse("x1 x2 = x2 x1"))
+
+    @pytest.mark.parametrize("budget", [-3, 2.5, "10", True], ids=repr)
+    def test_bad_budget_argument_is_refused(self, b21_mul, budget):
+        lhs, rhs = parse("x1 x2 = x2 x1")
+        for run in (lambda: K.check_identity_exhaustive(b21_mul, lhs, rhs, budget=budget),
+                    lambda: K.check_identity_exhaustive(b21_mul, lhs, lhs, budget=budget),
+                    lambda: K.check_membership_exhaustive(b21_mul, lhs, {0}, budget=budget),
+                    lambda: K.check_identity_sampled(b21_mul, lhs, rhs, samples=10, seed=1,
+                                                     budget=budget),
+                    lambda: K.check_v_square_image(b21_mul, 1, 1, 1, budget=budget)):
+            with pytest.raises(BglabError, match=re.escape(
+                    f"the budget argument must be an integer >= 0, not {budget!r}")):
+                run()
 
 
 # (status, bad_value, level_sizes, evaluations, sha256 of the witness's

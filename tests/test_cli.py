@@ -14,6 +14,7 @@ from bglab import analysis, checker, core, suite, terms
 from bglab.cli import BUILD_CHOICES, _parse_identity_arg, main
 from bglab.constructions import brandt_monoid_b21, hall_semiring, symmetric_group
 from bglab.core import FiniteAlgebra, load_algebra, mult_reduct
+from bglab.errors import BglabError, NotAGroup
 
 
 def run(capsys, *argv):
@@ -336,6 +337,17 @@ class TestAnalyze:
             code, _, _ = run(capsys, "analyze", path)
         assert code == 0 and spy.call_count == 1
 
+    def test_analyze_reports_other_group_errors(self, tmp_path, capsys, monkeypatch):
+        # only the subgroup budget takes the fallback; any other refusal
+        # exits 2 with its own message
+        def refuse(alg):
+            raise NotAGroup("refused for the test")
+
+        path = str(tmp_path / "s3.json")
+        symmetric_group(3).save(path)
+        monkeypatch.setattr(analysis, "group_analytics", refuse)
+        assert run(capsys, "analyze", path) == (2, "", "error: refused for the test\n")
+
     def test_analyze_finds_the_maximal_subgroups_once(self, tmp_path, capsys):
         # the principal series carries them; the report reads them from there
         path = str(tmp_path / "b21.json")
@@ -430,6 +442,18 @@ class TestCheck:
                            "--budget", "10")
         assert code == 2
         assert json.loads(out)["status"] == "budget_exceeded"
+
+    @pytest.mark.parametrize("env, argv, source", [
+        ("abc", [], "BGLAB_BUDGET"), ("-5", [], "BGLAB_BUDGET"),
+        ("", ["--budget", "-3"], "the budget argument")], ids=["abc", "-5", "--budget -3"])
+    def test_bad_budget_exits_2_naming_its_source(self, b21_path, capsys, monkeypatch,
+                                                  env, argv, source):
+        monkeypatch.setenv("BGLAB_BUDGET", env)
+        code, out, err = run(capsys, "check", "--algebra", b21_path,
+                             "--identity", "x1 x2 = x2 x1", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {source} must be an integer >= 0, not ")
+        assert "invalid literal" not in err
 
     @pytest.mark.parametrize("mode", [["--mode", "block"],
                                       ["--mode", "sampled", "--samples", "100000"]])
@@ -765,6 +789,18 @@ class TestVerifySuite:
         monkeypatch.setattr(suite, "run_check", no_check)
         code, out, err = run(capsys, "verify-suite", "--seed", "-1")
         assert code == 2 and out == "" and "seed -1" in err
+
+    def test_bad_budget_exits_2_before_any_check(self, capsys, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("ran a check")
+
+        monkeypatch.setattr(suite, "run_check", no_check)
+        monkeypatch.setenv("BGLAB_BUDGET", "abc")
+        with pytest.raises(BglabError, match="^BGLAB_BUDGET must be"):
+            suite.run_suite()
+        code, out, err = run(capsys, "verify-suite")
+        assert (code, out) == (2, "")
+        assert err == "error: BGLAB_BUDGET must be an integer >= 0, not 'abc'\n"
 
     def test_runs_as_python_dash_m(self):
         src = str(Path(bglab.__file__).resolve().parents[1])
